@@ -41,7 +41,6 @@ from .protocol import (
     Message,
     NodeState,
     StateBroadcast,
-    apply_event_triggers,
     init_node,
     step_node,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Violation",
     "WitnessUnavailableError",
     "ambiguity_witness",
-    "apply_event_triggers",
     "assign_edge_order",
     "audit_mass_conservation",
     "classify_privacy",

@@ -4,8 +4,10 @@ Subcommands: run (one trial with a full trace), batch (many trials plus
 CSV metrics), privacy-audit (topological classification, optionally with
 executable attacks), validate-schedule (substate file check).
 
-Exit codes: 0 success, 1 configuration error, 2 nonconvergence / audit or
-attack failure, 3 I/O error.
+Exit codes: 0 success, 1 configuration error (including a config for which
+no strongly connected graph or no feasible substate schedule could be
+drawn), 2 nonconvergence / audit or attack failure (including a trial
+aborted because a value left the 64-bit range), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import random
 import sys
 from pathlib import Path
 
-from .engine import write_message_log, write_trace_csv
+from .engine import (
+    SimulationOverflowError,
+    run_simulation,
+    write_message_log,
+    write_trace_csv,
+)
 from .experiments import (
     ConfigError,
     TrialConfig,
@@ -27,6 +34,7 @@ from .experiments import (
     run_single_trial,
     trial_seed_token,
 )
+from .graph import GraphGenerationError
 from .privacy import (
     NotFullySurroundedError,
     PrivacyClass,
@@ -37,7 +45,12 @@ from .privacy import (
     coalition_observations,
     reconstruct_fully_surrounded,
 )
-from .schedule import NodeRole, SubstateSchedule, validate_schedule
+from .schedule import (
+    NodeRole,
+    ScheduleInfeasibleError,
+    SubstateSchedule,
+    validate_schedule,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -150,16 +163,15 @@ def cmd_privacy_audit(args) -> int:
     lines = [f"{v.target},{v.classification.value},{v.justification}" for v in verdicts]
     failures = 0
     if args.attack:
-        result = run_single_trial(cfg, args.trial, keep_trace=True)
-        trace = result.trace
-        coalition = {j for j in range(g.n) if result.roles[j] is NodeRole.CURIOUS}
+        trace, _report = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
+        coalition = {j for j in range(g.n) if roles[j] is NodeRole.CURIOUS}
         log = coalition_observations(trace, coalition)
         dmax = schedules[0].dmax
         for v in verdicts:
             if v.classification is PrivacyClass.BREACHED and v.justification == "all-neighbors-curious":
                 try:
                     guess = reconstruct_fully_surrounded(log, g, v.target, dmax)
-                    truth = result.states[v.target]
+                    truth = states[v.target]
                     match = guess == truth
                     lines.append(f"attack,{v.target},reconstructed,{guess},truth,{truth},match,{match}")
                     if not match:
@@ -231,9 +243,12 @@ def main(argv=None) -> int:
         if args.command == "validate-schedule":
             return cmd_validate_schedule(args)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, GraphGenerationError, ScheduleInfeasibleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SimulationOverflowError as exc:
+        print(f"trial aborted: {exc}", file=sys.stderr)
+        return EXIT_TRIAL_FAILURE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -23,12 +23,11 @@ from .protocol import (
     MassTransfer,
     Message,
     NodeState,
-    StateBroadcast,
     TriggersFired,
     init_node,
     step_node,
 )
-from .schedule import SubstateSchedule
+from .schedule import SubstateSchedule, structural_violations
 
 INT64_MAX = 2**63 - 1
 
@@ -44,6 +43,11 @@ class SimulationOverflowError(RuntimeError):
         super().__init__(message)
         self.trace = trace
 
+    def __reduce__(self):
+        # Batch workers send exceptions back pickled; the default reduce
+        # replays only the message and loses the trace argument.
+        return type(self), (self.args[0], self.trace)
+
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
@@ -54,17 +58,18 @@ class RoundRecord:
     nodes: tuple[NodeState, ...]
     fired: tuple[TriggersFired, ...]
 
-    def broadcast_events(self) -> int:
-        return len({m.src for m in self.messages if isinstance(m, StateBroadcast)})
 
-    def broadcast_copies(self) -> int:
-        return sum(1 for m in self.messages if isinstance(m, StateBroadcast))
+@dataclass(frozen=True, slots=True)
+class SeriesRow:
+    """The counters of one round record; a broadcast event is one broadcasting
+    node, and each of its per-neighbor messages is a copy."""
 
-    def mass_transfers(self) -> int:
-        return sum(1 for m in self.messages if isinstance(m, MassTransfer))
-
-    def transmitting_nodes(self) -> int:
-        return len({m.src for m in self.messages})
+    round: int
+    broadcasts: int
+    broadcast_copies: int
+    mass_transfers: int
+    transmitting_nodes: int
+    converged_nodes: int
 
 
 @dataclass(slots=True)
@@ -161,12 +166,9 @@ def run_simulation(
         raise ValueError("digraph must be strongly connected")
     dmax = max_out_degree(g)
     for j, sched in enumerate(schedules):
-        if len(sched.uy) != dmax + 2 or len(sched.uz) != dmax + 2:
-            raise InvalidScheduleError(f"schedule {j}: wrong length for dmax={dmax}")
-        if any(v != 1 for v in sched.uz):
-            raise InvalidScheduleError(f"schedule {j}: carrier substates must all be 1")
-        if sum(sched.uy) != (dmax + 2) * sched.y0:
-            raise InvalidScheduleError(f"schedule {j}: substates do not sum to (dmax+2)*y0")
+        broken = structural_violations(sched, dmax)
+        if broken:
+            raise InvalidScheduleError(f"schedule {j}: {broken[0]}")
     if quiescence_window is None:
         quiescence_window = 5 * g.n
     if quiescence_window < 1:
@@ -251,19 +253,47 @@ def _check_overflow(record: RoundRecord, trace: SimTrace) -> None:
             )
 
 
+def converged_nodes(nodes, q_num: int, q_den: int) -> int:
+    """How many nodes hold the exact average q_num / q_den, cross-multiplied."""
+    return sum(1 for node in nodes if node.state_y * q_den == q_num * node.state_z)
+
+
+def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
+    """One counter row per record, round -1 included, from one pass over its messages."""
+    rows = []
+    for record in trace.records:
+        copies = transfers = 0
+        broadcasters: set[int] = set()
+        senders: set[int] = set()
+        for msg in record.messages:
+            senders.add(msg.src)
+            if isinstance(msg, MassTransfer):
+                transfers += 1
+            else:
+                copies += 1
+                broadcasters.add(msg.src)
+        # Positional: keywords double the cost, and every witness replay pays it.
+        rows.append(
+            SeriesRow(
+                record.round,
+                len(broadcasters),
+                copies,
+                transfers,
+                len(senders),
+                converged_nodes(record.nodes, trace.q_num, trace.q_den),
+            )
+        )
+    return tuple(rows)
+
+
 def detect_convergence_round(trace: SimTrace, q: tuple[int, int]) -> int | None:
     """Smallest round from which every node's state ratio equals q forever."""
-    q_num, q_den = q
-    last_bad = -1
-    for record in trace.iteration_records():
-        for node in record.nodes:
-            if node.state_y * q_den != q_num * node.state_z:
-                last_bad = max(last_bad, record.round)
-                break
-    k0 = last_bad + 1
-    if k0 > trace.final_round:
-        return None
-    return k0
+    k0 = 0
+    for record in reversed(trace.iteration_records()):
+        if converged_nodes(record.nodes, *q) != len(record.nodes):
+            k0 = record.round + 1
+            break
+    return k0 if k0 <= trace.final_round else None
 
 
 def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
@@ -364,16 +394,7 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
 
 def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
     g = trace.graph
-    tx_one = tx_fan = 0
-    for record in trace.records:
-        tx_one += record.broadcast_events() + record.mass_transfers()
-        tx_fan += record.broadcast_copies() + record.mass_transfers()
-    emit_rounds = [r.round for r in trace.records if r.messages]
-    last_emission = max(emit_rounds) if emit_rounds else -1
-    final = trace.records[-1]
-    exact = all(
-        node.state_y * trace.q_den == trace.q_num * node.state_z for node in final.nodes
-    )
+    rows = round_rows(trace)
     bound = theoretical_bound(g.n, g.m, dmax)
     conv = trace.convergence_round
     quiesc = trace.quiescence_round
@@ -390,16 +411,18 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         quiescent=trace.quiescence_round is not None,
         convergence_round=conv,
         quiescence_round=trace.quiescence_round,
-        last_emission_round=last_emission,
-        tx_broadcast_as_one=tx_one,
-        tx_broadcast_as_fanout=tx_fan,
+        last_emission_round=max(
+            (row.round for row in rows if row.transmitting_nodes), default=-1
+        ),
+        tx_broadcast_as_one=sum(row.broadcasts + row.mass_transfers for row in rows),
+        tx_broadcast_as_fanout=sum(row.broadcast_copies + row.mass_transfers for row in rows),
         bound=bound,
-        exactness_ok=exact,
+        exactness_ok=rows[-1].converged_nodes == g.n,
         bound_ok=bound_ok,
         conservation=audit_mass_conservation(trace, trace.schedules),
         dominance=audit_leading_mass_dominance(trace, dmax),
         absorption=audit_absorption(trace, dmax),
-        final_states=tuple((n.state_y, n.state_z) for n in final.nodes),
+        final_states=tuple((n.state_y, n.state_z) for n in trace.records[-1].nodes),
     )
 
 
@@ -413,15 +436,10 @@ MESSAGE_LOG_HEADER = "round,kind,src,dst,y,z"
 
 def trace_csv_lines(trace: SimTrace) -> list[str]:
     lines = [TRACE_CSV_HEADER]
-    for record in trace.records:
-        converged = sum(
-            1
-            for node in record.nodes
-            if node.state_y * trace.q_den == trace.q_num * node.state_z
-        )
+    for row in round_rows(trace):
         lines.append(
-            f"{record.round},{record.broadcast_events()},{record.mass_transfers()},"
-            f"{record.transmitting_nodes()},{converged}"
+            f"{row.round},{row.broadcasts},{row.mass_transfers},"
+            f"{row.transmitting_nodes},{row.converged_nodes}"
         )
     return lines
 

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import SimTrace, TrialReport, run_simulation
+from .engine import SeriesRow, SimTrace, TrialReport, round_rows, run_simulation
 from .graph import (
     assign_edge_order,
     generate_random_strongly_connected,
@@ -112,50 +112,40 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-_CONFIG_KEYS = {
-    "seed", "trials", "graph_file", "n", "p", "states", "states_range", "roles",
-    "private_fraction", "curious_fraction", "offset_bound", "max_rounds",
-    "quiescence_window",
+def _int_pair(text: str) -> tuple[int, int]:
+    lo, hi = text.split(",")
+    return int(lo), int(hi)
+
+
+# The accepted config keys, each with the parser of its value.
+_CONFIG_PARSERS = {
+    "seed": int,
+    "trials": int,
+    "graph_file": str,
+    "n": int,
+    "p": float,
+    "states": lambda text: tuple(int(v) for v in text.split(",")),
+    "states_range": _int_pair,
+    "roles": lambda text: tuple(NodeRole(v.strip().lower()) for v in text.split(",")),
+    "private_fraction": float,
+    "curious_fraction": float,
+    "offset_bound": int,
+    "max_rounds": int,
+    "quiescence_window": int,
 }
 
 
 def parse_config(text: str) -> TrialConfig:
     kv = parse_kv_text(text)
-    unknown = set(kv) - _CONFIG_KEYS
+    unknown = set(kv) - set(_CONFIG_PARSERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = TrialConfig()
     try:
-        if "seed" in kv:
-            cfg.seed = int(kv["seed"])
-        if "trials" in kv:
-            cfg.trials = int(kv["trials"])
-        if "graph_file" in kv:
-            cfg.graph_file = kv["graph_file"]
-        if "n" in kv:
-            cfg.n = int(kv["n"])
-        if "p" in kv:
-            cfg.p = float(kv["p"])
-        if "states" in kv:
-            cfg.states = tuple(int(v) for v in kv["states"].split(","))
-        if "states_range" in kv:
-            lo, hi = kv["states_range"].split(",")
-            cfg.states_range = (int(lo), int(hi))
-        if "roles" in kv:
-            cfg.roles = tuple(NodeRole(v.strip().lower()) for v in kv["roles"].split(","))
-        if "private_fraction" in kv:
-            cfg.private_fraction = float(kv["private_fraction"])
-        if "curious_fraction" in kv:
-            cfg.curious_fraction = float(kv["curious_fraction"])
-        if "offset_bound" in kv:
-            cfg.offset_bound = int(kv["offset_bound"])
-        if "max_rounds" in kv:
-            cfg.max_rounds = int(kv["max_rounds"])
-        if "quiescence_window" in kv:
-            cfg.quiescence_window = int(kv["quiescence_window"])
+        for key, parse in _CONFIG_PARSERS.items():
+            if key in kv:
+                setattr(cfg, key, parse(kv[key]))
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad config value: {exc}") from exc
     cfg.validate()
     return cfg
@@ -163,15 +153,6 @@ def parse_config(text: str) -> TrialConfig:
 
 def trial_seed_token(master_seed: int, index: int) -> str:
     return f"{master_seed}:{index}"
-
-
-@dataclass(frozen=True, slots=True)
-class SeriesRow:
-    round: int
-    broadcasts: int
-    mass_transfers: int
-    transmitting_nodes: int
-    converged_nodes: int
 
 
 @dataclass(slots=True)
@@ -235,31 +216,15 @@ def build_trial_inputs(cfg: TrialConfig, rng: random.Random):
 
 
 def extract_series(trace: SimTrace) -> tuple[SeriesRow, ...]:
-    rows = []
-    for record in trace.iteration_records():
-        converged = sum(
-            1
-            for node in record.nodes
-            if node.state_y * trace.q_den == trace.q_num * node.state_z
-        )
-        rows.append(
-            SeriesRow(
-                round=record.round,
-                broadcasts=record.broadcast_events(),
-                mass_transfers=record.mass_transfers(),
-                transmitting_nodes=record.transmitting_nodes(),
-                converged_nodes=converged,
-            )
-        )
-    return tuple(rows)
+    """The counter rows of the iteration rounds, without the round -1 broadcasts."""
+    return tuple(row for row in round_rows(trace) if row.round >= 0)
 
 
 def run_single_trial(cfg: TrialConfig, index: int, keep_trace: bool = False) -> TrialResult:
     token = trial_seed_token(cfg.seed, index)
     rng = random.Random(token)
     g, roles, states, schedules = build_trial_inputs(cfg, rng)
-    window = cfg.quiescence_window if cfg.quiescence_window is not None else 5 * g.n
-    trace, report = run_simulation(g, schedules, cfg.max_rounds, window)
+    trace, report = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
     return TrialResult(
         index=index,
         seed=token,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
-from .schedule import SubstateSchedule
+from .schedule import SubstateSchedule, structural_violations
 
 
 class EngineContractError(RuntimeError):
@@ -77,10 +77,9 @@ def init_node(
     """
     if not out_neighbors:
         raise ValueError(f"node {node_id} has no out-neighbors")
-    if len(schedule.uz) != len(schedule.uy) or any(v != 1 for v in schedule.uz):
-        raise ValueError(f"node {node_id}: malformed carrier substates")
-    if sum(schedule.uy) != len(schedule.uy) * schedule.y0:
-        raise ValueError(f"node {node_id}: substates do not average to the initial state")
+    broken = structural_violations(schedule, schedule.dmax)
+    if broken:
+        raise ValueError(f"node {node_id}: {broken[0]}")
     node = NodeState(
         id=node_id,
         out_neighbors=tuple(out_neighbors),
@@ -126,32 +125,6 @@ def evaluate_triggers(
     if 0 < mass_z < state_z or (mass_z == state_z and mass_y < state_y):
         fired3 = True
     return state_y, state_z, TriggersFired(fired1, fired2, fired3)
-
-
-def apply_event_triggers(
-    node: NodeState,
-    received_states: list[tuple[int, int]],
-    merged_mass: tuple[int, int],
-) -> NodeState:
-    """Apply the condition sets to a node holding an already-merged mass.
-
-    Only meaningful when at least one message arrived this round.  The mass
-    pair is (y, z); the node's mass fields are updated to it alongside any
-    state adoption and flag changes.
-    """
-    mass_y, mass_z = merged_mass
-    state_y, state_z, fired = evaluate_triggers(
-        node.state_y, node.state_z, received_states, mass_y, mass_z
-    )
-    return replace(
-        node,
-        mass_y=mass_y,
-        mass_z=mass_z,
-        state_y=state_y,
-        state_z=state_z,
-        s_br=node.s_br or fired.adopt_received or fired.adopt_mass,
-        m_tr=node.m_tr or fired.hand_off,
-    )
 
 
 def step_node(

@@ -105,8 +105,8 @@ def decompose_initial_state(
     )
 
 
-def validate_schedule(s: SubstateSchedule, dmax: int, role: NodeRole) -> list[Violation]:
-    """Return one entry per broken constraint; an empty list means valid."""
+def structural_violations(s: SubstateSchedule, dmax: int) -> list[Violation]:
+    """The length, carrier and sum constraints every role's schedule must meet."""
     count = dmax + 2
     violations: list[Violation] = []
     if len(s.uy) != count:
@@ -125,6 +125,12 @@ def validate_schedule(s: SubstateSchedule, dmax: int, role: NodeRole) -> list[Vi
         violations.append(
             Violation("sum", f"sum(uy)={total}, expected {count}*{s.y0}={count * s.y0}")
         )
+    return violations
+
+
+def validate_schedule(s: SubstateSchedule, dmax: int, role: NodeRole) -> list[Violation]:
+    """Return one entry per broken constraint; an empty list means valid."""
+    violations = structural_violations(s, dmax)
     if role is NodeRole.PRIVATE:
         seen: dict[int, int] = {}
         for i, v in enumerate(s.uy):

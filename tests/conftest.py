@@ -3,7 +3,7 @@ import random
 import pytest
 
 from privavg.engine import run_simulation
-from privavg.graph import digraph_from_edges
+from privavg.graph import digraph_from_edges, save_edge_list
 from privavg.schedule import SubstateSchedule
 
 
@@ -26,3 +26,21 @@ def two_node_run(two_node_fixture):
 
 def make_rng(tag: str) -> random.Random:
     return random.Random(tag)
+
+
+@pytest.fixture
+def hub_setup(tmp_path):
+    # private pair 0 <-> 1, curious spoke 2 <-> 0; plus a surrounded-target
+    # variant for reconstruction
+    g = digraph_from_edges(3, [(1, 0), (0, 1), (2, 0), (0, 2)])
+    graph_path = tmp_path / "hub.txt"
+    save_edge_list(g, graph_path)
+    config_path = tmp_path / "hub.cfg"
+    config_path.write_text(
+        f"graph_file = {graph_path}\n"
+        "seed = 6\n"
+        "states = 4,7,-3\n"
+        "roles = private,private,curious\n",
+        encoding="ascii",
+    )
+    return config_path, tmp_path

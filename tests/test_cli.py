@@ -21,24 +21,6 @@ def pair_setup(tmp_path):
     return config_path, tmp_path
 
 
-@pytest.fixture
-def hub_setup(tmp_path):
-    # private pair 0 <-> 1, curious spoke 2 <-> 0; plus a surrounded-target
-    # variant for reconstruction
-    g = digraph_from_edges(3, [(1, 0), (0, 1), (2, 0), (0, 2)])
-    graph_path = tmp_path / "hub.txt"
-    save_edge_list(g, graph_path)
-    config_path = tmp_path / "hub.cfg"
-    config_path.write_text(
-        f"graph_file = {graph_path}\n"
-        "seed = 6\n"
-        "states = 4,7,-3\n"
-        "roles = private,private,curious\n",
-        encoding="ascii",
-    )
-    return config_path, tmp_path
-
-
 class TestRunCommand:
     def test_writes_trace_and_report(self, pair_setup, capsys):
         config_path, tmp_path = pair_setup
@@ -155,3 +137,30 @@ class TestExitCodes:
 
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.cfg"), "run"]) == 3
+
+    def test_graph_generation_failure_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n = 3\np = 0.01\nstates_range = -10,10\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "batch"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no strongly connected digraph")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["batch", "privacy-audit"])
+    def test_infeasible_schedule_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n = 6\np = 0.9\nstates_range = -10,10\noffset_bound = 2\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: window of size 4")
+        assert err.count("\n") == 1
+
+    def test_overflow_is_trial_failure(self, pair_setup, capsys):
+        config_path, tmp_path = pair_setup
+        big = 2**62
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(config_path.read_text().replace("states = 4,6", f"states = {big},{big}"))
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trial aborted: ") and "left the 64-bit range" in err
+        assert err.count("\n") == 1

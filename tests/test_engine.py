@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -172,6 +173,10 @@ class TestEngineBehaviors:
         with pytest.raises(SimulationOverflowError) as info:
             run_simulation(g, schedules)
         assert info.value.trace.records
+        # parallel batch workers hand the error back through pickle
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert str(copy) == str(info.value)
+        assert copy.trace.records == info.value.trace.records
 
     def test_schedule_structure_validated(self, two_node_fixture):
         g, _ = two_node_fixture

@@ -10,7 +10,6 @@ from privavg.protocol import (
     MassTransfer,
     NodeState,
     StateBroadcast,
-    apply_event_triggers,
     evaluate_triggers,
     init_node,
     step_node,
@@ -74,23 +73,36 @@ class TestInitNode:
 
 
 class TestEventTriggers:
+    # The default schedule has dmax = 1; a node at s = dmax + 2 has used it
+    # up, so no forced hand-off can hide which flag a trigger set.
+    PAST_SCHEDULE = 3
+
     def test_received_with_larger_z_is_adopted(self):
-        node = make_node(state=(3, 1))
-        out = apply_event_triggers(node, [(0, 2)], (node.mass_y, node.mass_z))
+        node = make_node(state=(3, 1), s=self.PAST_SCHEDULE)
+        inbox = [StateBroadcast(src=1, dst=0, y=0, z=2, round=4)]
+        out, emitted, fired = step_node(node, inbox, 5)
+        assert fired == (True, False, False)
         assert (out.state_y, out.state_z) == (0, 2)
-        assert out.s_br and not out.m_tr
+        assert emitted == [StateBroadcast(src=0, dst=1, y=0, z=2, round=5)]
+        assert (out.mass_y, out.mass_z) == (0, 0) and out.s == self.PAST_SCHEDULE
 
     def test_mass_with_equal_z_larger_y_is_adopted(self):
-        node = make_node(state=(3, 1), mass=(5, 1))
-        out = apply_event_triggers(node, [], (5, 1))
+        node = make_node(state=(3, 1), s=self.PAST_SCHEDULE)
+        inbox = [MassTransfer(src=1, dst=0, y=5, z=1, round=4)]
+        out, emitted, fired = step_node(node, inbox, 5)
+        assert fired == (False, True, False)
         assert (out.state_y, out.state_z) == (5, 1)
-        assert out.s_br
+        assert emitted == [StateBroadcast(src=0, dst=1, y=5, z=1, round=5)]
+        assert (out.mass_y, out.mass_z) == (5, 1)
 
     def test_follower_mass_sets_hand_off_flag(self):
-        node = make_node(state=(4, 2), mass=(9, 1))
-        out = apply_event_triggers(node, [], (9, 1))
+        node = make_node(state=(4, 2), s=self.PAST_SCHEDULE)
+        inbox = [MassTransfer(src=1, dst=0, y=9, z=1, round=4)]
+        out, emitted, fired = step_node(node, inbox, 5)
+        assert fired == (False, False, True)
         assert (out.state_y, out.state_z) == (4, 2)
-        assert out.m_tr and not out.s_br
+        assert emitted == [MassTransfer(src=0, dst=1, y=9, z=1, round=5)]
+        assert (out.mass_y, out.mass_z) == (0, 0) and not out.m_tr and not out.s_br
 
     def test_adoption_uses_lex_max_of_received(self):
         y, z, fired = evaluate_triggers(0, 1, [(7, 2), (100, 1), (3, 3)], 0, 0)
