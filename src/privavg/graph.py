@@ -36,15 +36,16 @@ class Digraph:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
         if len(self.out_order) != self.n:
             raise ValueError("out_order must have one entry per node")
+        expected: list[set[int]] = [set() for _ in range(self.n)]
         for dst, src in self.edges:
             if dst == src:
                 raise ValueError(f"self-loop at node {dst}")
             if not (0 <= dst < self.n and 0 <= src < self.n):
                 raise ValueError(f"edge ({dst}, {src}) out of range")
+            expected[src].add(dst)
         for j in range(self.n):
-            expected = {dst for dst, src in self.edges if src == j}
             order = self.out_order[j]
-            if len(order) != len(set(order)) or set(order) != expected:
+            if len(order) != len(set(order)) or set(order) != expected[j]:
                 raise ValueError(
                     f"out_order[{j}] is not a bijection onto the out-neighbors of {j}"
                 )

@@ -10,7 +10,7 @@ and returns the successor state plus fully addressed outgoing messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .schedule import SubstateSchedule, structural_violations
@@ -186,15 +186,18 @@ def step_node(
         s_br = False
 
     assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
-    new_node = replace(
-        node,
-        mass_y=mass_y,
-        mass_z=mass_z,
-        state_y=state_y,
-        state_z=state_z,
-        s=s,
-        s_br=s_br,
-        m_tr=m_tr,
-        rr_cursor=rr_cursor,
+    # Positional construction: this runs once per node step.
+    new_node = NodeState(
+        node.id,
+        node.out_neighbors,
+        node.schedule,
+        mass_y,
+        mass_z,
+        state_y,
+        state_z,
+        s,
+        s_br,
+        m_tr,
+        rr_cursor,
     )
     return new_node, outbox, fired

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from privavg import engine
 from privavg.engine import (
+    INT64_MAX,
     RoundRecord,
     SimulationOverflowError,
+    audit_absorption,
+    audit_leading_mass_dominance,
     audit_mass_conservation,
     detect_convergence_round,
     message_log_lines,
@@ -14,8 +18,14 @@ from privavg.engine import (
     theoretical_bound,
     trace_csv_lines,
 )
+from privavg.experiments import (
+    REFERENCE_EDGE_PROBABILITY,
+    REFERENCE_STATE_VECTOR,
+    TrialConfig,
+    run_single_trial,
+)
 from privavg.graph import digraph_from_edges, generate_random_strongly_connected, max_out_degree
-from privavg.protocol import MassTransfer
+from privavg.protocol import MassTransfer, TriggersFired
 from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
 from handtrace import TWO_NODE_EXPECTED, record_view
@@ -178,6 +188,20 @@ class TestEngineBehaviors:
         assert str(copy) == str(info.value)
         assert copy.trace.records == info.value.trace.records
 
+    def test_overflow_in_message_payload_aborts_in_emitting_round(self):
+        # Each node hands off 2^62 + 2^62 = 2^63 at round 0 and then holds
+        # nothing out of range; only the message payload overflows.
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        big = 2**62
+        schedules = [SubstateSchedule(y0=big, uy=(big,) * 3, uz=(1, 1, 1))] * 2
+        with pytest.raises(SimulationOverflowError) as info:
+            run_simulation(g, schedules)
+        assert str(info.value).startswith("round 0: ")
+        assert "left the 64-bit range" in str(info.value)
+        records = info.value.trace.records
+        assert [r.round for r in records] == [-1, 0]
+        assert any(m.y > INT64_MAX for m in records[-1].messages)
+
     def test_schedule_structure_validated(self, two_node_fixture):
         g, _ = two_node_fixture
         bad = [
@@ -210,3 +234,105 @@ class TestEngineBehaviors:
             assert report.dominance.ok, report.dominance
             assert report.absorption.ok, report.absorption
             assert report.convergence_round <= report.quiescence_round <= report.bound
+
+
+def _reproduction_config() -> TrialConfig:
+    return TrialConfig(
+        seed=100, trials=1, n=20, p=REFERENCE_EDGE_PROBABILITY, states=REFERENCE_STATE_VECTOR
+    )
+
+
+def _counting_step_node(monkeypatch) -> list[int]:
+    calls = [0]
+    original = engine.step_node
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(engine, "step_node", counted)
+    return calls
+
+
+def _replace_record(trace, rnd: int, **changes) -> None:
+    idx = next(i for i, r in enumerate(trace.records) if r.round == rnd)
+    trace.records[idx] = dataclasses.replace(trace.records[idx], **changes)
+
+
+class TestCertificationTail:
+    def test_two_node_steps_stop_at_quiescence(self, two_node_fixture, monkeypatch):
+        calls = _counting_step_node(monkeypatch)
+        _, report = run_simulation(*two_node_fixture)
+        assert calls[0] == 2 * (report.quiescence_round + 1)
+
+    def test_reproduction_trial_steps_stop_at_quiescence(self, monkeypatch):
+        calls = _counting_step_node(monkeypatch)
+        result = run_single_trial(_reproduction_config(), 0, keep_trace=True)
+        q = result.report.quiescence_round
+        assert result.ok
+        assert calls[0] == 20 * (q + 1)
+        assert result.trace.final_round == q + 5 * 20 - 1
+
+    def test_tail_records_share_the_frozen_state(self, two_node_run):
+        trace, report = two_node_run
+        q = report.quiescence_round
+        quiescent = next(r for r in trace.records if r.round == q)
+        tail = [r for r in trace.records if r.round > q]
+        assert len(tail) == trace.quiescence_window - 1
+        idle = TriggersFired(False, False, False)
+        for record in tail:
+            assert record.nodes is quiescent.nodes
+            assert record.messages == ()
+            assert record.fired is tail[0].fired
+            assert record.fired == (idle,) * trace.graph.n
+
+    def test_window_of_one_ends_at_quiescent_round(self, two_node_fixture):
+        trace, report = run_simulation(*two_node_fixture, quiescence_window=1)
+        assert report.quiescence_round == 6
+        assert trace.final_round == 6
+
+    def test_budgeted_nonquiescent_run_keeps_every_round(self, two_node_fixture, monkeypatch):
+        calls = _counting_step_node(monkeypatch)
+        trace, report = run_simulation(*two_node_fixture, max_rounds=3)
+        assert report.quiescence_round is None
+        assert [r.round for r in trace.records] == [-1, 0, 1, 2]
+        assert calls[0] == 2 * 3
+
+    def test_corrupted_tail_state_is_flagged_at_its_round(self, two_node_run):
+        trace, report = two_node_run
+        bad_round = report.quiescence_round + 3
+        frozen = trace.records[-1].nodes
+        off = (dataclasses.replace(frozen[0], mass_y=frozen[0].mass_y + 1),) + frozen[1:]
+        _replace_record(trace, bad_round, nodes=off)
+        verdict = audit_mass_conservation(trace, trace.schedules)
+        assert not verdict.ok and verdict.first_violation_round == bad_round
+
+    def test_tail_record_with_a_message_is_evaluated(self, two_node_run):
+        trace, report = two_node_run
+        bad_round = report.quiescence_round + 3
+        stray = MassTransfer(src=0, dst=1, y=1, z=1, round=bad_round)
+        _replace_record(trace, bad_round, messages=(stray,))
+        assert trace.records[-1].nodes is next(
+            r.nodes for r in trace.records if r.round == bad_round
+        )
+        verdict = audit_mass_conservation(trace, trace.schedules)
+        assert not verdict.ok and verdict.first_violation_round == bad_round
+
+    def test_record_below_dominance_start_does_not_vouch(self, two_node_run):
+        # dmax = 1, so dominance starts at round 2; round 1 is never checked
+        # and must not let round 2 through on the strength of a shared tuple.
+        trace, _ = two_node_run
+        at2 = next(r for r in trace.records if r.round == 2)
+        high = (dataclasses.replace(at2.nodes[0], state_z=100),) + at2.nodes[1:]
+        _replace_record(trace, 1, nodes=high, messages=())
+        _replace_record(trace, 2, nodes=high, messages=())
+        verdict = audit_leading_mass_dominance(trace, 1)
+        assert not verdict.ok and verdict.first_violation_round == 2
+
+    def test_adoption_in_a_tail_record_is_flagged(self, two_node_run):
+        trace, report = two_node_run
+        bad_round = report.quiescence_round + 3
+        adopted = (TriggersFired(False, True, False),) * trace.graph.n
+        _replace_record(trace, bad_round, fired=adopted)
+        verdict = audit_absorption(trace, 1)
+        assert not verdict.ok and verdict.first_violation_round == bad_round

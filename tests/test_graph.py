@@ -143,6 +143,12 @@ class TestDigraphValidation:
         with pytest.raises(ValueError):
             Digraph(2, frozenset({(0, 1), (1, 0)}), ((1,), (1,)))
 
+    def test_edge_errors_come_before_out_order_errors(self):
+        with pytest.raises(ValueError, match="self-loop at node 0"):
+            Digraph(2, frozenset({(0, 0)}), ((1,), (1,)))
+        with pytest.raises(ValueError, match=r"out_order\[1\] is not a bijection"):
+            Digraph(2, frozenset({(0, 1), (1, 0)}), ((1,), (1,)))
+
     def test_in_neighbors(self):
         g = cycle3()
         assert g.in_neighbors(1) == (0,)
