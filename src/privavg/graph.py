@@ -121,23 +121,64 @@ def generate_random_strongly_connected(
     Each ordered pair (i, j), i != j, becomes an edge i -> j independently
     with probability p.  Out-edge orders are shuffled from the same rng, so
     the result is a pure function of (n, p, rng state).
+
+    An attempt draws sender i's row, receivers in ascending order, with one
+    ``rng.random()`` per pair, into a bitset.  An empty row dooms the
+    attempt, so its remaining (n-1-i)(n-1) draws are consumed in a single
+    ``rng.getrandbits(64 * k)``: ``random()`` reads two 32-bit Mersenne
+    Twister words and ``getrandbits(64 * k)`` reads the same 2k words in the
+    same order, so every attempt still spends exactly n(n-1) draws and the
+    rng stream is that of drawing every pair.  Attempts with a node of
+    in-degree 0 are rejected on the bitsets too; only the rest are built
+    and checked for strong connectivity.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if not (0.0 < p <= 1.0):
         raise ValueError("p must be in (0, 1]")
+    rand = rng.random
+    everyone = (1 << n) - 1
+    draw_bits = [1 << k for k in range(n - 1)]
     for _ in range(max_attempts):
-        edges = set()
+        rows = []
         for i in range(n):  # sender
-            for j in range(n):  # receiver
-                if i != j and rng.random() < p:
-                    edges.add((j, i))
-        g = digraph_from_edges(n, edges)
-        if is_strongly_connected(g):
-            return assign_edge_order(g, rng)
+            drawn = 0  # bit k: i's k-th receiver, node k + (k >= i)
+            for bit in draw_bits:
+                if rand() < p:
+                    drawn |= bit
+            if not drawn:
+                skipped = (n - 1 - i) * (n - 1)
+                if skipped:
+                    rng.getrandbits(64 * skipped)
+                break
+            below = drawn & ((1 << i) - 1)  # row: bit j for receiver j
+            rows.append(below | (drawn ^ below) << 1)
+        else:
+            heard = 0
+            for row in rows:
+                heard |= row
+            if heard != everyone:
+                continue
+            out_order = tuple(_members(row) for row in rows)
+            edges = frozenset(
+                (j, i) for i, outs in enumerate(out_order) for j in outs
+            )
+            g = Digraph(n, edges, out_order)
+            if is_strongly_connected(g):
+                return assign_edge_order(g, rng)
     raise GraphGenerationError(
         f"no strongly connected digraph after {max_attempts} attempts (n={n}, p={p})"
     )
+
+
+def _members(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits, ascending."""
+    members = []
+    while bits:
+        low = bits & -bits
+        members.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(members)
 
 
 def assign_edge_order(g: Digraph, rng: random.Random) -> Digraph:

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privavg import graph
 from privavg.graph import (
     Digraph,
     GraphGenerationError,
@@ -19,6 +21,31 @@ from privavg.graph import (
 def cycle3():
     # v0 -> v1 -> v2 -> v0, stored as (receiver, sender)
     return digraph_from_edges(3, [(1, 0), (2, 1), (0, 2)])
+
+
+def reference_generate(n, p, rng, max_attempts=10_000):
+    """The rejection sampler as first written: every pair drawn on every attempt.
+
+    Kept verbatim as the oracle for the stream-identical sampler in
+    privavg.graph.  It reads is_strongly_connected from this module's
+    globals, so a test can count its attempts.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must be in (0, 1]")
+    for _ in range(max_attempts):
+        edges = set()
+        for i in range(n):  # sender
+            for j in range(n):  # receiver
+                if i != j and rng.random() < p:
+                    edges.add((j, i))
+        g = digraph_from_edges(n, edges)
+        if is_strongly_connected(g):
+            return assign_edge_order(g, rng)
+    raise GraphGenerationError(
+        f"no strongly connected digraph after {max_attempts} attempts (n={n}, p={p})"
+    )
 
 
 def brute_force_strongly_connected(g: Digraph) -> bool:
@@ -181,3 +208,80 @@ class TestEdgeListFormat:
     def test_loader_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_edge_list(text)
+
+
+def assert_same_as_reference(n, p, seed, max_attempts=10_000):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    g = generate_random_strongly_connected(n, p, ours, max_attempts)
+    ref = reference_generate(n, p, theirs, max_attempts)
+    assert g.edges == ref.edges
+    assert g.out_order == ref.out_order
+    assert ours.getstate() == theirs.getstate()
+
+
+class TestSamplerMatchesReference:
+    """The sampler returns the reference's graph and leaves the rng where it does."""
+
+    def test_reproduction_seeds(self):
+        for i in range(200):
+            assert_same_as_reference(20, 0.1, f"100:{i}")
+
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(30, 0.12, f"1:{i}") for i in range(5)]
+        + [(100, 0.05, f"1:{i}") for i in range(3)],
+    )
+    def test_sparse(self, n, p, seed):
+        assert_same_as_reference(n, p, seed)
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [(2, 1.0), (3, 1.0), (8, 1.0), (2, 0.5), (2, 0.2), (3, 0.3), (3, 0.6)],
+    )
+    def test_edge_cases(self, n, p):
+        for seed in range(10):
+            assert_same_as_reference(n, p, seed)
+
+    def test_budget_exhaustion_leaves_the_same_rng_state(self):
+        ours, theirs = random.Random(0), random.Random(0)
+        with pytest.raises(GraphGenerationError):
+            generate_random_strongly_connected(3, 0.01, ours, max_attempts=50)
+        with pytest.raises(GraphGenerationError):
+            reference_generate(3, 0.01, theirs, max_attempts=50)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 19, 380])
+def test_getrandbits_consumes_the_words_of_random(k):
+    """getrandbits(64 * k) reads the Mersenne Twister words of k random() calls.
+
+    The sampler skips the rest of a rejected attempt on this fact; if a
+    Python release breaks it, this test names the cause.
+    """
+    drawn, skipped = random.Random(k), random.Random(k)
+    for _ in range(k):
+        drawn.random()
+    skipped.getrandbits(64 * k)
+    assert drawn.getstate() == skipped.getstate()
+
+
+def test_connectivity_check_runs_on_few_attempts(monkeypatch):
+    """Attempts with an empty out-row or in-column never reach the check."""
+
+    def counting(module):
+        calls = []
+        original = module.is_strongly_connected
+
+        def check(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(module, "is_strongly_connected", check)
+        return calls
+
+    sampler_calls = counting(graph)
+    generate_random_strongly_connected(20, 0.1, random.Random("100:0"))
+    attempts = counting(sys.modules[__name__])
+    reference_generate(20, 0.1, random.Random("100:0"))
+    assert len(attempts) >= 20
+    assert 1 <= len(sampler_calls) * 10 <= len(attempts)
