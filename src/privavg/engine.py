@@ -15,6 +15,7 @@ dying out within n - 1 further rounds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,26 +186,44 @@ def run_simulation(
         max_rounds=max_rounds,
         quiescence_window=quiescence_window,
     )
+    for _ in iter_rounds(trace):
+        pass
+    trace.convergence_round = detect_convergence_round(trace, (q_num, q_den))
+    report = _build_report(trace, dmax)
+    return trace, report
 
+
+def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
+    """Simulate trace's graph and schedules, yielding one record per round.
+
+    Yields round -1 (the initial broadcasts), the active rounds up to
+    quiescence or the max_rounds budget, then the rest of the certification
+    window.  Each record is appended to trace.records and checked for 64-bit
+    overflow before it is yielded, so an aborted run's partial trace ends at
+    the offending record; trace.quiescence_round is set when silence is
+    found.  A consumer may stop early.  The inputs are taken as valid:
+    run_simulation checks them.
+    """
+    g = trace.graph
+    dmax = max_out_degree(g)
     nodes: list[NodeState] = []
     init_msgs: list[Message] = []
     for j in range(g.n):
-        node, broadcast = init_node(j, schedules[j], g.out_neighbors(j))
+        node, broadcast = init_node(j, trace.schedules[j], g.out_neighbors(j))
         nodes.append(node)
         init_msgs.extend(broadcast)
     idle = TriggersFired(False, False, False)
-    trace.records.append(
-        RoundRecord(-1, tuple(init_msgs), tuple(nodes), tuple(idle for _ in nodes))
-    )
-    _check_overflow(trace.records[-1], trace)
+    record = RoundRecord(-1, tuple(init_msgs), tuple(nodes), tuple(idle for _ in nodes))
+    trace.records.append(record)
+    _check_overflow(record, trace)
+    yield record
 
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
-    quiescent_at: int | None = None
     rnd = 0
-    while quiescent_at is None and rnd < max_rounds:
+    while trace.quiescence_round is None and rnd < trace.max_rounds:
         inboxes: list[list[Message]] = [[] for _ in range(g.n)]
-        for msg in trace.records[-1].messages:
+        for msg in record.messages:
             inboxes[msg.dst].append(msg)
         outbox: list[Message] = []
         fired_list: list[TriggersFired] = []
@@ -221,23 +240,23 @@ def run_simulation(
         if not outbox and all(
             node.s > dmax + 1 and not node.s_br and not node.m_tr for node in nodes
         ):
-            quiescent_at = rnd
+            trace.quiescence_round = rnd
+        yield record
         rnd += 1
 
-    if quiescent_at is not None:
+    if trace.quiescence_round is not None:
         # Silence is a fixed point of step_node: an empty inbox fires no
         # trigger, uz_at(s) == 0 past the schedule forces no hand-off, and
         # with both flags clear nothing is sent or changed.  The certification
         # tail is therefore emitted without stepping, every record sharing
         # the quiescent record's (already overflow-checked) node tuple.
-        frozen = trace.records[-1].nodes
+        frozen = record.nodes
         idle_fired = tuple(idle for _ in frozen)
-        for k in range(quiescent_at + 1, quiescent_at + quiescence_window):
-            trace.records.append(RoundRecord(k, (), frozen, idle_fired))
-    trace.quiescence_round = quiescent_at
-    trace.convergence_round = detect_convergence_round(trace, (q_num, q_den))
-    report = _build_report(trace, dmax)
-    return trace, report
+        quiet = trace.quiescence_round
+        for k in range(quiet + 1, quiet + trace.quiescence_window):
+            record = RoundRecord(k, (), frozen, idle_fired)
+            trace.records.append(record)
+            yield record
 
 
 def _check_overflow(record: RoundRecord, trace: SimTrace) -> None:

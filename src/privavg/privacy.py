@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import SimTrace, run_simulation
+from .engine import RoundRecord, SimTrace, iter_rounds, run_simulation
 from .graph import Digraph
 from .protocol import MassTransfer
 from .schedule import NodeRole, SubstateSchedule, validate_schedule
@@ -101,27 +101,43 @@ def coalition_observations(trace: SimTrace, coalition) -> ObservationLog:
     messages = []
     internal = []
     for record in trace.records:
-        for msg in record.messages:
-            if msg.src in members or msg.dst in members:
-                kind = "mass" if isinstance(msg, MassTransfer) else "state"
-                messages.append((msg.round, kind, msg.src, msg.dst, msg.y, msg.z))
-        for node in record.nodes:
-            if node.id in members:
-                internal.append(
-                    (
-                        record.round,
-                        node.id,
-                        node.mass_y,
-                        node.mass_z,
-                        node.state_y,
-                        node.state_z,
-                        node.s,
-                        node.rr_cursor,
-                    )
-                )
+        seen_messages, seen_internal = _observe(record, members)
+        messages.extend(seen_messages)
+        internal.extend(seen_internal)
     messages.sort()
     internal.sort()
     return ObservationLog(members, tuple(messages), tuple(internal))
+
+
+def _observe(record: RoundRecord, members: frozenset[int]) -> tuple[list, list]:
+    """The coalition's message and internal events of one record, unsorted."""
+    messages = [
+        (
+            msg.round,
+            "mass" if isinstance(msg, MassTransfer) else "state",
+            msg.src,
+            msg.dst,
+            msg.y,
+            msg.z,
+        )
+        for msg in record.messages
+        if msg.src in members or msg.dst in members
+    ]
+    internal = [
+        (
+            record.round,
+            node.id,
+            node.mass_y,
+            node.mass_z,
+            node.state_y,
+            node.state_z,
+            node.s,
+            node.rr_cursor,
+        )
+        for node in record.nodes
+        if node.id in members
+    ]
+    return messages, internal
 
 
 def reconstruct_fully_surrounded(
@@ -215,6 +231,14 @@ def ambiguity_witness(
     while the network total is unchanged.  Every candidate placement is
     re-simulated; a witness is returned only if the coalition's observation
     log is identical to the original, event for event.
+
+    Each candidate is first replayed round by round and dropped at the
+    first round whose coalition view differs from the log's; past the log's
+    last round a non-empty coalition always sees a difference.  Only a
+    candidate whose whole view matched is simulated in full and checked.  The search order, and so the
+    witness returned, is that of checking every candidate in full.  A
+    SimulationOverflowError still escapes the search when a replay reaches
+    it, but a replay dropped at an earlier round no longer does.
     """
     if delta == 0:
         raise ValueError("delta must be a nonzero integer")
@@ -240,6 +264,12 @@ def ambiguity_witness(
             f"no mass transfer between target {target} and helper {helper}"
         )
 
+    # The log's events by round; each list comes out sorted, as the log is.
+    views: dict[int, tuple[list, list]] = {}
+    for ev in log.messages:
+        views.setdefault(ev[0], ([], []))[0].append(ev)
+    for ev in log.internal:
+        views.setdefault(ev[0], ([], []))[1].append(ev)
     shift = delta * (dmax + 2)
     for i in range(dmax + 2):
         alt_uy_t = list(st.uy)
@@ -256,6 +286,16 @@ def ambiguity_witness(
             alt_schedules = list(trace.schedules)
             alt_schedules[target] = alt_t
             alt_schedules[helper] = alt_h
+            screen = SimTrace(
+                graph=trace.graph,
+                schedules=tuple(alt_schedules),
+                q_num=trace.q_num,
+                q_den=trace.q_den,
+                max_rounds=trace.max_rounds,
+                quiescence_window=trace.quiescence_window,
+            )
+            if not _replays_view(screen, log.coalition, views):
+                continue
             alt_trace, alt_report = run_simulation(
                 trace.graph,
                 alt_schedules,
@@ -286,3 +326,22 @@ def ambiguity_witness(
         f"no substate placement hides a shift of {delta} for target {target} "
         f"with helper {helper}"
     )
+
+
+def _replays_view(trace: SimTrace, members: frozenset[int], views) -> bool:
+    """Whether trace's schedules replay to the coalition view `views`, the
+    sorted events of an observation log keyed by round.
+
+    Gives up at the first round whose view differs.  A round missing from
+    `views` is seen as empty, so a replay that runs past the log's last
+    round differs there unless the coalition is empty; one that ends
+    before that round is a mismatch too.
+    """
+    nothing = ([], [])
+    for record in iter_rounds(trace):
+        messages, internal = _observe(record, members)
+        messages.sort()
+        internal.sort()
+        if (messages, internal) != views.get(record.round, nothing):
+            return False
+    return record.round >= max(views, default=-1)

@@ -2,10 +2,20 @@ import random
 
 import pytest
 
-from privavg.engine import run_simulation
-from privavg.graph import assign_edge_order, digraph_from_edges, max_out_degree
+from privavg import privacy
+from privavg.cli import WITNESS_DELTAS
+from privavg.engine import SimTrace, SimulationOverflowError, run_simulation
+from privavg.experiments import build_trial_inputs, parse_config, trial_seed_token
+from privavg.graph import (
+    assign_edge_order,
+    digraph_from_edges,
+    generate_random_strongly_connected,
+    max_out_degree,
+)
 from privavg.privacy import (
+    AmbiguityWitness,
     NotFullySurroundedError,
+    ObservationLog,
     PrivacyClass,
     WitnessUnavailableError,
     ambiguity_witness,
@@ -13,7 +23,13 @@ from privavg.privacy import (
     coalition_observations,
     reconstruct_fully_surrounded,
 )
-from privavg.schedule import NodeRole, decompose_initial_state, validate_schedule
+from privavg.protocol import MassTransfer
+from privavg.schedule import (
+    NodeRole,
+    SubstateSchedule,
+    decompose_initial_state,
+    validate_schedule,
+)
 
 P, C, N = NodeRole.PRIVATE, NodeRole.CURIOUS, NodeRole.NEUTRAL
 
@@ -201,3 +217,222 @@ class TestAmbiguityWitness:
             ambiguity_witness(trace, log, g, 0, 2, 1)  # helper in coalition
         with pytest.raises(ValueError):
             ambiguity_witness(trace, log, g, 1, 3, 1)  # helper not adjacent to 1? (3 is adjacent to 0 only)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the witness search before candidates were screened round by round
+# ---------------------------------------------------------------------------
+
+
+def reference_witness(
+    trace: SimTrace,
+    log: ObservationLog,
+    g,
+    target: int,
+    helper: int,
+    delta: int,
+) -> AmbiguityWitness:
+    """The search that simulates every candidate placement in full, kept
+    verbatim as the oracle of the screened search."""
+    if delta == 0:
+        raise ValueError("delta must be a nonzero integer")
+    if target in log.coalition or helper in log.coalition:
+        raise ValueError("target and helper must lie outside the coalition")
+    adjacency = set(g.in_neighbors(target)) | set(g.out_neighbors(target))
+    if helper not in adjacency:
+        raise ValueError(f"helper {helper} is not an in- or out-neighbor of target {target}")
+    dmax = trace.schedules[0].dmax
+    st = trace.schedules[target]
+    sh = trace.schedules[helper]
+    for name, sched in (("target", st), ("helper", sh)):
+        if validate_schedule(sched, dmax, NodeRole.PRIVATE):
+            raise ValueError(f"{name} schedule is not a private decomposition")
+
+    exchanged = any(
+        isinstance(m, MassTransfer) and {m.src, m.dst} == {target, helper}
+        for record in trace.records
+        for m in record.messages
+    )
+    if not exchanged:
+        raise WitnessUnavailableError(
+            f"no mass transfer between target {target} and helper {helper}"
+        )
+
+    shift = delta * (dmax + 2)
+    for i in range(dmax + 2):
+        alt_uy_t = list(st.uy)
+        alt_uy_t[i] += shift
+        alt_t = SubstateSchedule(y0=st.y0 + delta, uy=tuple(alt_uy_t), uz=st.uz)
+        if validate_schedule(alt_t, dmax, NodeRole.PRIVATE):
+            continue
+        for j in range(dmax + 2):
+            alt_uy_h = list(sh.uy)
+            alt_uy_h[j] -= shift
+            alt_h = SubstateSchedule(y0=sh.y0 - delta, uy=tuple(alt_uy_h), uz=sh.uz)
+            if validate_schedule(alt_h, dmax, NodeRole.PRIVATE):
+                continue
+            alt_schedules = list(trace.schedules)
+            alt_schedules[target] = alt_t
+            alt_schedules[helper] = alt_h
+            alt_trace, alt_report = run_simulation(
+                trace.graph,
+                alt_schedules,
+                max_rounds=trace.max_rounds,
+                quiescence_window=trace.quiescence_window,
+            )
+            if not (
+                alt_report.quiescent
+                and alt_report.exactness_ok
+                and alt_report.conservation.ok
+            ):
+                continue
+            alt_log = coalition_observations(alt_trace, log.coalition)
+            if alt_log == log:
+                return AmbiguityWitness(
+                    target=target,
+                    helper=helper,
+                    delta=delta,
+                    shifted_index=i,
+                    compensated_index=j,
+                    target_schedule=st,
+                    helper_schedule=sh,
+                    alt_target_schedule=alt_t,
+                    alt_helper_schedule=alt_h,
+                    log_digest=log.digest(),
+                )
+    raise WitnessUnavailableError(
+        f"no substate placement hides a shift of {delta} for target {target} "
+        f"with helper {helper}"
+    )
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except WitnessUnavailableError as exc:
+        return f"unavailable: {exc}"
+
+
+def assert_searches_agree(trace, log, g, target, helper, deltas=WITNESS_DELTAS):
+    for delta in deltas:
+        args = (trace, log, g, target, helper, delta)
+        assert search_outcome(ambiguity_witness, *args) == search_outcome(
+            reference_witness, *args
+        ), f"delta {delta}"
+
+
+def pair_case(index: int):
+    """Acceptance-07 pair case `index`: trace, coalition log, graph, target, helper."""
+    rng = random.Random(f"caseCD:{index}")
+    spokes = rng.randint(1, 3)
+    g = assign_edge_order(hub_pair(spokes), rng)
+    dmax = max_out_degree(g)
+    roles = [P, P] + [C] * spokes
+    states = [rng.randint(-100, 100) for _ in range(g.n)]
+    schedules = [
+        decompose_initial_state(states[j], dmax, roles[j], 100, rng) for j in range(g.n)
+    ]
+    trace, _ = run_simulation(g, schedules)
+    log = coalition_observations(trace, range(2, g.n))
+    target, helper = (0, 1) if index % 2 == 0 else (1, 0)
+    return trace, log, g, target, helper
+
+
+class TestScreenedSearchMatchesReference:
+    @pytest.mark.parametrize("first", [0, 3_000_000])
+    def test_pair_case_streams(self, first):
+        for index in range(first, first + 100):
+            assert_searches_agree(*pair_case(index))
+
+    def test_hub_setup_topology(self, hub_setup):
+        config_path, _ = hub_setup
+        cfg = parse_config(config_path.read_text(encoding="ascii"))
+        rng = random.Random(trial_seed_token(cfg.seed, 0))
+        g, roles, _states, schedules = build_trial_inputs(cfg, rng)
+        trace, _ = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
+        log = coalition_observations(trace, [j for j in range(g.n) if roles[j] is C])
+        assert_searches_agree(trace, log, g, 0, 1)
+        assert_searches_agree(trace, log, g, 1, 0)
+
+    def test_empty_coalition(self):
+        # Every replay passes the screen; the full checks alone decide.
+        trace, _, g, target, helper = pair_case(0)
+        assert_searches_agree(trace, coalition_observations(trace, ()), g, target, helper)
+
+    def test_alternative_running_longer_than_the_original(self):
+        # All-private but node 2 on a 4-node digraph; a shift of 100 makes the
+        # pair's exchange outlast the original run by several rounds.
+        rng = random.Random("longer:32")
+        g = generate_random_strongly_connected(rng.randint(4, 8), 0.35, rng)
+        dmax = max_out_degree(g)
+        roles = [rng.choice([P, C]) for _ in range(g.n)]
+        roles[0] = roles[1] = P
+        assert roles == [P, P, C, P]
+        states = [rng.randint(-1000, 1000) for _ in range(g.n)]
+        schedules = [
+            decompose_initial_state(states[j], dmax, roles[j], 1000, rng)
+            for j in range(g.n)
+        ]
+        trace, _ = run_simulation(g, schedules)
+        alt = list(schedules)
+        alt[0] = SubstateSchedule(
+            schedules[0].y0 + 100,
+            tuple(v + 100 * (dmax + 2) * (k == 2) for k, v in enumerate(schedules[0].uy)),
+            schedules[0].uz,
+        )
+        alt[1] = SubstateSchedule(
+            schedules[1].y0 - 100,
+            tuple(v - 100 * (dmax + 2) * (k == 0) for k, v in enumerate(schedules[1].uy)),
+            schedules[1].uz,
+        )
+        alt_trace, _ = run_simulation(g, alt, trace.max_rounds, trace.quiescence_window)
+        assert alt_trace.final_round > trace.final_round
+        log = coalition_observations(trace, [2])
+        assert_searches_agree(trace, log, g, 0, 1, WITNESS_DELTAS + (100, -100, 1000))
+
+    def test_overflow_reached_by_a_replay_escapes_unchanged(self):
+        # The empty coalition lets every replay reach round -1, where the
+        # first placement for delta = 2^62 leaves the 64-bit range.
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        big = 2**61
+        schedules = (
+            SubstateSchedule(y0=big, uy=(big - 3, big + 1, big + 2), uz=(1, 1, 1)),
+            SubstateSchedule(y0=0, uy=(-1, 3, -2), uz=(1, 1, 1)),
+        )
+        trace, report = run_simulation(g, schedules)
+        assert report.quiescent
+        log = coalition_observations(trace, ())
+        args = (trace, log, g, 0, 1, 2 * big)
+        with pytest.raises(SimulationOverflowError) as screened:
+            ambiguity_witness(*args)
+        with pytest.raises(SimulationOverflowError) as reference:
+            reference_witness(*args)
+        assert str(screened.value) == str(reference.value)
+        assert screened.value.trace.records == reference.value.trace.records
+
+
+def test_only_replays_with_a_matching_view_are_simulated_in_full(monkeypatch):
+    trace, log, g, target, helper = pair_case(0)
+    simulate = run_simulation
+    full_runs = []
+
+    def counted(*args, **kwargs):
+        alt_trace, alt_report = simulate(*args, **kwargs)
+        full_runs.append(coalition_observations(alt_trace, log.coalition) == log)
+        return alt_trace, alt_report
+
+    validated = []
+
+    def counted_reference(*args, **kwargs):
+        validated.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(privacy, "run_simulation", counted)
+    # reference_witness looks run_simulation up in this module's globals.
+    monkeypatch.setitem(globals(), "run_simulation", counted_reference)
+    for delta in WITNESS_DELTAS:
+        assert search_outcome(ambiguity_witness, trace, log, g, target, helper, delta) == (
+            search_outcome(reference_witness, trace, log, g, target, helper, delta)
+        )
+    assert all(full_runs)
+    assert 0 < len(full_runs) * 10 <= len(validated)
