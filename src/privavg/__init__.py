@@ -10,7 +10,6 @@ from .engine import (
     SimTrace,
     TrialReport,
     audit_mass_conservation,
-    detect_convergence_round,
     run_simulation,
     theoretical_bound,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "classify_privacy",
     "coalition_observations",
     "decompose_initial_state",
-    "detect_convergence_round",
     "digraph_from_edges",
     "emit_round_metrics",
     "generate_random_strongly_connected",

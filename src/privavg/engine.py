@@ -85,14 +85,10 @@ class SimTrace:
     quiescence_window: int
     records: list[RoundRecord] = field(default_factory=list)
     quiescence_round: int | None = None
-    convergence_round: int | None = None
 
     @property
     def final_round(self) -> int:
         return self.records[-1].round
-
-    def iteration_records(self) -> list[RoundRecord]:
-        return [r for r in self.records if r.round >= 0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +121,7 @@ class TrialReport:
     dominance: AuditVerdict
     absorption: AuditVerdict
     final_states: tuple[tuple[int, int], ...]  # (state_y, state_z) per node
+    rows: tuple[SeriesRow, ...]  # round_rows of the trace, round -1 included
 
 
 def exact_average(schedules) -> tuple[int, int]:
@@ -188,7 +185,6 @@ def run_simulation(
     )
     for _ in iter_rounds(trace):
         pass
-    trace.convergence_round = detect_convergence_round(trace, (q_num, q_den))
     report = _build_report(trace, dmax)
     return trace, report
 
@@ -285,12 +281,13 @@ def converged_nodes(nodes, q_num: int, q_den: int) -> int:
 
 
 def _repeats(record: RoundRecord, last: RoundRecord | None) -> bool:
-    """True when record must evaluate like last: the same node tuple object
-    and no messages in either.  Holds for any trace; the engine's
-    certification tail is the case that matters."""
+    """True when record must evaluate like last: the same node tuple object,
+    the same fired tuple object and no messages in either.  Holds for any
+    trace; the engine's certification tail is the case that matters."""
     return (
         last is not None
         and record.nodes is last.nodes
+        and record.fired is last.fired
         and not record.messages
         and not last.messages
     )
@@ -322,20 +319,6 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
             )
         )
     return tuple(rows)
-
-
-def detect_convergence_round(trace: SimTrace, q: tuple[int, int]) -> int | None:
-    """Smallest round from which every node's state ratio equals q forever."""
-    k0 = 0
-    last_nodes = None
-    for record in reversed(trace.iteration_records()):
-        if record.nodes is last_nodes:
-            continue
-        last_nodes = record.nodes
-        if converged_nodes(record.nodes, *q) != len(record.nodes):
-            k0 = record.round + 1
-            break
-    return k0 if k0 <= trace.final_round else None
 
 
 def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
@@ -391,7 +374,7 @@ def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
     """From the round after the last forced injection, no state may exceed
     the lex-max of all held and in-flight masses."""
     last = None
-    for record in trace.iteration_records():
+    for record in trace.records:
         if record.round < dmax + 1 or _repeats(record, last):
             continue
         last = record
@@ -415,7 +398,7 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
     must stop within n - 1 further rounds."""
     n = trace.graph.n
     settle: int | None = None
-    for record in trace.iteration_records():
+    for record in trace.records:
         if record.round < dmax + 1:
             continue
         masses = _nonzero_masses(record)
@@ -424,16 +407,15 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
             break
     if settle is None:
         return AuditVerdict(False, None, "masses never became all lex-equal")
-    last_fired = None
-    for record in trace.iteration_records():
-        if record.round <= settle:
+    last = None
+    for record in trace.records:
+        if record.round <= settle or _repeats(record, last):
             continue
-        # A fired tuple that already passed passes again (the shared idle tail).
-        if record.fired is not last_fired and any(f.adopt_mass for f in record.fired):
+        last = record
+        if any(f.adopt_mass for f in record.fired):
             return AuditVerdict(
                 False, record.round, f"mass adoption fired after settle round {settle}"
             )
-        last_fired = record.fired
         if record.messages and record.round > settle + (n - 1):
             return AuditVerdict(
                 False,
@@ -447,7 +429,10 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
     g = trace.graph
     rows = round_rows(trace)
     bound = theoretical_bound(g.n, g.m, dmax)
-    conv = trace.convergence_round
+    # The first round from which every later row has all n nodes on q.
+    conv = 1 + max((row.round for row in rows if row.converged_nodes != g.n), default=-1)
+    if conv > rows[-1].round:
+        conv = None
     quiesc = trace.quiescence_round
     bound_ok = (
         conv is not None and quiesc is not None and conv <= quiesc <= bound
@@ -474,6 +459,7 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         dominance=audit_leading_mass_dominance(trace, dmax),
         absorption=audit_absorption(trace, dmax),
         final_states=tuple((n.state_y, n.state_z) for n in trace.records[-1].nodes),
+        rows=rows,
     )
 
 

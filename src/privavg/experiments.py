@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import SeriesRow, SimTrace, TrialReport, round_rows, run_simulation
+from .engine import SeriesRow, SimTrace, TrialReport, run_simulation
 from .graph import (
     assign_edge_order,
     generate_random_strongly_connected,
@@ -93,6 +93,10 @@ class TrialConfig:
             raise ConfigError("private_fraction + curious_fraction must not exceed 1")
         if self.offset_bound < 1:
             raise ConfigError("offset_bound must be a positive integer")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ConfigError("max_rounds must be >= 0")
+        if self.quiescence_window is not None and self.quiescence_window < 1:
+            raise ConfigError("quiescence_window must be >= 1")
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -215,9 +219,9 @@ def build_trial_inputs(cfg: TrialConfig, rng: random.Random):
     return g, roles, states, schedules
 
 
-def extract_series(trace: SimTrace) -> tuple[SeriesRow, ...]:
-    """The counter rows of the iteration rounds, without the round -1 broadcasts."""
-    return tuple(row for row in round_rows(trace) if row.round >= 0)
+def extract_series(report: TrialReport) -> tuple[SeriesRow, ...]:
+    """The report's counter rows of the iteration rounds, without the round -1 broadcasts."""
+    return tuple(row for row in report.rows if row.round >= 0)
 
 
 def run_single_trial(cfg: TrialConfig, index: int, keep_trace: bool = False) -> TrialResult:
@@ -229,7 +233,7 @@ def run_single_trial(cfg: TrialConfig, index: int, keep_trace: bool = False) -> 
         index=index,
         seed=token,
         report=report,
-        series=extract_series(trace),
+        series=extract_series(report),
         roles=roles,
         states=states,
         trace=trace if keep_trace else None,

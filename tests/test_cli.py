@@ -155,6 +155,16 @@ class TestExitCodes:
         assert err.startswith("config error: window of size 4")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["max_rounds = -3", "quiescence_window = 0"])
+    def test_bad_round_limits_are_config_errors(self, pair_setup, capsys, line):
+        config_path, tmp_path = pair_setup
+        cfg = tmp_path / "limits.cfg"
+        cfg.write_text(config_path.read_text() + line + "\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "batch"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} must be")
+        assert not (out / "trials.csv").exists()
+
     def test_overflow_is_trial_failure(self, pair_setup, capsys):
         config_path, tmp_path = pair_setup
         big = 2**62

@@ -12,7 +12,7 @@ from privavg.engine import (
     audit_absorption,
     audit_leading_mass_dominance,
     audit_mass_conservation,
-    detect_convergence_round,
+    converged_nodes,
     message_log_lines,
     run_simulation,
     theoretical_bound,
@@ -71,28 +71,92 @@ class TestTwoNodeFixture:
         assert report.tx_broadcast_as_fanout == 15
 
 
+def reference_convergence_round(trace, q):
+    """Backward-walk convergence detection, kept verbatim as an oracle for
+    TrialReport.convergence_round; only trace.iteration_records(), gone from
+    SimTrace, is spelled out as the records from round 0 on."""
+    k0 = 0
+    last_nodes = None
+    for record in reversed([r for r in trace.records if r.round >= 0]):
+        if record.nodes is last_nodes:
+            continue
+        last_nodes = record.nodes
+        if converged_nodes(record.nodes, *q) != len(record.nodes):
+            k0 = record.round + 1
+            break
+    return k0 if k0 <= trace.final_round else None
+
+
+def _all_equal_cycle():
+    g = digraph_from_edges(3, [(1, 0), (2, 1), (0, 2)])
+    return g, [SubstateSchedule(y0=5, uy=(5, 5, 5), uz=(1, 1, 1))] * 3
+
+
 class TestConvergenceDetection:
     def test_two_node_convergence_round(self, two_node_run):
-        trace, _ = two_node_run
-        assert detect_convergence_round(trace, (5, 1)) == 5
+        _, report = two_node_run
+        assert report.convergence_round == 5
+        by_round = {row.round: row.converged_nodes for row in report.rows}
+        assert by_round[4] < 2
+        assert all(c == 2 for rnd, c in by_round.items() if rnd >= 5)
 
     def test_all_equal_initial_states_converge_at_round_zero(self):
-        g = digraph_from_edges(3, [(1, 0), (2, 1), (0, 2)])
-        schedules = [SubstateSchedule(y0=5, uy=(5, 5, 5), uz=(1, 1, 1))] * 3
-        trace, report = run_simulation(g, schedules)
+        trace, report = run_simulation(*_all_equal_cycle())
         assert report.convergence_round == 0
         assert all((y, z) == (report.q_num * z, z) for y, z in report.final_states)
 
-    def test_nonconvergent_trace_returns_none(self, two_node_run):
-        trace, _ = two_node_run
-        final = trace.records[-1]
-        broken = dataclasses.replace(
-            final.nodes[0], state_y=final.nodes[0].state_y + 1
-        )
-        trace.records[-1] = RoundRecord(
-            final.round, final.messages, (broken, final.nodes[1]), final.fired
-        )
-        assert detect_convergence_round(trace, (5, 1)) is None
+    def test_nonconvergent_trace_returns_none(self, two_node_fixture):
+        # The pair converges at round 5; a budget of 3 rounds ends before it.
+        trace, report = run_simulation(*two_node_fixture, max_rounds=3)
+        assert trace.final_round == 2
+        assert report.convergence_round is None and not report.converged
+
+    def test_exact_without_any_round_is_not_converged(self):
+        # Every node already holds q at round -1, but with no round simulated
+        # there is no round to converge at: exactness and convergence differ.
+        trace, report = run_simulation(*_all_equal_cycle(), max_rounds=0)
+        assert trace.final_round == -1
+        assert report.exactness_ok
+        assert report.convergence_round is None and not report.converged
+
+    @pytest.mark.parametrize(
+        "n,p,states,near",
+        [
+            # near: budgets about the median convergence round at seed 31
+            (20, REFERENCE_EDGE_PROBABILITY, {"states": REFERENCE_STATE_VECTOR}, (29, 30)),
+            (6, 0.5, {"states_range": (-3, 3)}, (13, 14)),
+            (2, 1.0, {"states_range": (-2, 2)}, (5, 6)),
+        ],
+    )
+    def test_matches_reference_detection(self, n, p, states, near):
+        cfg = TrialConfig(seed=31, trials=100, n=n, p=p, **states)
+        outcomes = set()
+        for index in range(cfg.trials):
+            result = run_single_trial(cfg, index, keep_trace=True)
+            runs = {None: (result.trace, result.report)}
+            for budget in (0, 1, 4) + near:
+                runs[budget] = run_simulation(
+                    result.trace.graph, result.trace.schedules, max_rounds=budget
+                )
+            for budget, (trace, report) in runs.items():
+                expected = reference_convergence_round(trace, (report.q_num, report.q_den))
+                assert report.convergence_round == expected, (index, budget)
+                outcomes.add((budget, expected is None))
+        # a budget of 0 never converges and a full run always does; the
+        # budget under the median leaves some runs short of convergence
+        # and the one at it lets some converge before the budget ends
+        assert {(0, False), (None, True)}.isdisjoint(outcomes)
+        assert {(None, False), (0, True), (near[1], False)} <= outcomes
+        assert (near[0], True) in outcomes
+
+
+class TestRowsOnce:
+    def test_series_rows_are_the_report_rows(self):
+        result = run_single_trial(_reproduction_config(), 0)
+        rows = result.report.rows
+        assert rows[0].round == -1
+        assert len(result.series) == len(rows) - 1
+        assert all(a is b for a, b in zip(result.series, rows[1:]))
 
 
 class TestTheoreticalBound:
@@ -336,3 +400,17 @@ class TestCertificationTail:
         _replace_record(trace, bad_round, fired=adopted)
         verdict = audit_absorption(trace, 1)
         assert not verdict.ok and verdict.first_violation_round == bad_round
+
+    def test_settle_record_does_not_vouch_for_its_successor(self, two_node_run):
+        # The settle round is never checked for adoption, so a record after it
+        # sharing its node and fired tuples must still be checked.
+        trace, _ = two_node_run
+        settle = 4
+        assert audit_absorption(trace, 1).detail == f"masses settled at round {settle}"
+        at_settle = next(r for r in trace.records if r.round == settle)
+        adopted = (TriggersFired(False, True, False),) * trace.graph.n
+        for rnd in (settle, settle + 1):
+            _replace_record(trace, rnd, nodes=at_settle.nodes, messages=(), fired=adopted)
+        verdict = audit_absorption(trace, 1)
+        assert verdict.detail == f"mass adoption fired after settle round {settle}"
+        assert not verdict.ok and verdict.first_violation_round == settle + 1

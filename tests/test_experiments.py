@@ -68,11 +68,17 @@ class TestConfigParsing:
             "n = 3\np = 0.5\nstates = 1,2,3\nprivate_fraction = 0.9\ncurious_fraction = 0.9\n",
             "n = 3\np = 0.5\nstates = a,b,c\n",
             "n = 3\np = 0.5\nstates = 1,2,3\nroles = wizard,curious,neutral\n",
+            "n = 3\np = 0.5\nstates = 1,2,3\nmax_rounds = -3\n",
+            "n = 3\np = 0.5\nstates = 1,2,3\nquiescence_window = 0\n",
         ],
     )
     def test_rejections(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    def test_round_budget_and_window_lower_bounds_accepted(self):
+        cfg = parse_config("n = 3\np = 0.5\nstates = 1,2,3\nmax_rounds = 0\nquiescence_window = 1\n")
+        assert cfg.max_rounds == 0 and cfg.quiescence_window == 1
 
 
 class TestSingleTrial:

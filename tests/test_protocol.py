@@ -182,7 +182,7 @@ class TestStepNode:
             for _ in range(6)
         ]
         trace, _ = run_simulation(g, schedules)
-        for record in trace.iteration_records():
+        for record in trace.records[1:]:
             if record.round > dmax:
                 break
             per_node = {j: 0 for j in range(6)}
