@@ -280,17 +280,25 @@ def converged_nodes(nodes, q_num: int, q_den: int) -> int:
     return sum(1 for node in nodes if node.state_y * q_den == q_num * node.state_z)
 
 
-def _repeats(record: RoundRecord, last: RoundRecord | None) -> bool:
-    """True when record must evaluate like last: the same node tuple object,
-    the same fired tuple object and no messages in either.  Holds for any
-    trace; the engine's certification tail is the case that matters."""
-    return (
-        last is not None
-        and record.nodes is last.nodes
-        and record.fired is last.fired
-        and not record.messages
-        and not last.messages
-    )
+def _evaluated(trace: SimTrace, first_round: int = -1) -> Iterator[RoundRecord]:
+    """The records from first_round on that an audit must evaluate: a record
+    with the same node tuple object and the same fired tuple object as the
+    last one yielded, and no messages in either, evaluates like it and is
+    skipped.  Holds for any trace; the engine's certification tail is the
+    case that matters.  Each call starts with no last record, so no record
+    before first_round vouches for a later one."""
+    last = None
+    for record in trace.records:
+        if record.round < first_round or (
+            last is not None
+            and record.nodes is last.nodes
+            and record.fired is last.fired
+            and not record.messages
+            and not last.messages
+        ):
+            continue
+        last = record
+        yield record
 
 
 def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
@@ -331,21 +339,13 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     dmax = schedules[0].dmax
     expect_y = (dmax + 2) * sum(s.y0 for s in schedules)
     expect_z = (dmax + 2) * len(schedules)
-    last = None
-    for record in trace.records:
-        if _repeats(record, last):
-            continue
-        last = record
+    for record in _evaluated(trace):
         held_y = sum(node.mass_y for node in record.nodes)
         held_z = sum(node.mass_z for node in record.nodes)
         fly_y = sum(m.y for m in record.messages if isinstance(m, MassTransfer))
         fly_z = sum(m.z for m in record.messages if isinstance(m, MassTransfer))
-        pool_y = pool_z = 0
-        for node in record.nodes:
-            sched = schedules[node.id]
-            for s in range(node.s, dmax + 2):
-                pool_y += sched.uy_at(s)
-                pool_z += sched.uz_at(s)
+        pool_y = sum(sum(schedules[node.id].uy[node.s:dmax + 2]) for node in record.nodes)
+        pool_z = sum(sum(schedules[node.id].uz[node.s:dmax + 2]) for node in record.nodes)
         got_y = held_y + fly_y + pool_y
         got_z = held_z + fly_z + pool_z
         if got_y != expect_y or got_z != expect_z:
@@ -373,11 +373,7 @@ def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
 def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
     """From the round after the last forced injection, no state may exceed
     the lex-max of all held and in-flight masses."""
-    last = None
-    for record in trace.records:
-        if record.round < dmax + 1 or _repeats(record, last):
-            continue
-        last = record
+    for record in _evaluated(trace, dmax + 1):
         masses = _nonzero_masses(record)
         if not masses:
             return AuditVerdict(False, record.round, "no nonzero mass anywhere")
@@ -397,21 +393,13 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
     lex-equal, the mass-adoption trigger must stay quiet and all traffic
     must stop within n - 1 further rounds."""
     n = trace.graph.n
-    settle: int | None = None
-    for record in trace.records:
-        if record.round < dmax + 1:
-            continue
-        masses = _nonzero_masses(record)
-        if masses and len(set(masses)) == 1:
-            settle = record.round
-            break
+    settle = next(
+        (r.round for r in _evaluated(trace, dmax + 1) if len(set(_nonzero_masses(r))) == 1),
+        None,
+    )
     if settle is None:
         return AuditVerdict(False, None, "masses never became all lex-equal")
-    last = None
-    for record in trace.records:
-        if record.round <= settle or _repeats(record, last):
-            continue
-        last = record
+    for record in _evaluated(trace, settle + 1):
         if any(f.adopt_mass for f in record.fired):
             return AuditVerdict(
                 False, record.round, f"mass adoption fired after settle round {settle}"

@@ -270,19 +270,9 @@ def ambiguity_witness(
         views.setdefault(ev[0], ([], []))[0].append(ev)
     for ev in log.internal:
         views.setdefault(ev[0], ([], []))[1].append(ev)
-    shift = delta * (dmax + 2)
-    for i in range(dmax + 2):
-        alt_uy_t = list(st.uy)
-        alt_uy_t[i] += shift
-        alt_t = SubstateSchedule(y0=st.y0 + delta, uy=tuple(alt_uy_t), uz=st.uz)
-        if validate_schedule(alt_t, dmax, NodeRole.PRIVATE):
-            continue
-        for j in range(dmax + 2):
-            alt_uy_h = list(sh.uy)
-            alt_uy_h[j] -= shift
-            alt_h = SubstateSchedule(y0=sh.y0 - delta, uy=tuple(alt_uy_h), uz=sh.uz)
-            if validate_schedule(alt_h, dmax, NodeRole.PRIVATE):
-                continue
+    helper_placements = _shifted(sh, -delta, dmax)
+    for i, alt_t in _shifted(st, delta, dmax):
+        for j, alt_h in helper_placements:
             alt_schedules = list(trace.schedules)
             alt_schedules[target] = alt_t
             alt_schedules[helper] = alt_h
@@ -326,6 +316,21 @@ def ambiguity_witness(
         f"no substate placement hides a shift of {delta} for target {target} "
         f"with helper {helper}"
     )
+
+
+def _shifted(
+    sched: SubstateSchedule, delta: int, dmax: int
+) -> list[tuple[int, SubstateSchedule]]:
+    """The private schedules that move sched's initial state by delta by
+    adding delta * (dmax + 2) to one substate, each with that substate's index."""
+    placements = []
+    for i in range(dmax + 2):
+        uy = list(sched.uy)
+        uy[i] += delta * (dmax + 2)
+        alt = SubstateSchedule(y0=sched.y0 + delta, uy=tuple(uy), uz=sched.uz)
+        if not validate_schedule(alt, dmax, NodeRole.PRIVATE):
+            placements.append((i, alt))
+    return placements
 
 
 def _replays_view(trace: SimTrace, members: frozenset[int], views) -> bool:

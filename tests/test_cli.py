@@ -64,6 +64,23 @@ class TestBatchCommand:
         assert len(rows) == 3  # header + 2 trials
         assert rows[1].split(",")[1] == "1:0"
 
+    def test_failed_trials_are_reported_and_metrics_still_written(self, pair_setup, capsys):
+        config_path, tmp_path = pair_setup
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(config_path.read_text() + "max_rounds = 2\n")
+        out = tmp_path / "batch"
+        assert main(["--config", str(cfg), "--out-dir", str(out), "batch"]) == 2
+        assert "FAILED trials (seeds): 1:0, 1:1" in capsys.readouterr().out
+        assert (out / "trials.csv").exists() and (out / "series.csv").exists()
+
+    def test_seed_flag_overrides_master_seed(self, pair_setup):
+        config_path, tmp_path = pair_setup
+        out = tmp_path / "batch"
+        code = main(["--config", str(config_path), "--seed", "7", "--out-dir", str(out), "batch"])
+        assert code == 0
+        rows = (out / "trials.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["7:0", "7:1"]
+
 
 class TestPrivacyAuditCommand:
     def test_classification_lines(self, hub_setup, capsys):

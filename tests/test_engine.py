@@ -25,7 +25,7 @@ from privavg.experiments import (
     run_single_trial,
 )
 from privavg.graph import digraph_from_edges, generate_random_strongly_connected, max_out_degree
-from privavg.protocol import MassTransfer, TriggersFired
+from privavg.protocol import MassTransfer, StateBroadcast, TriggersFired
 from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
 from handtrace import TWO_NODE_EXPECTED, record_view
@@ -414,3 +414,33 @@ class TestCertificationTail:
         verdict = audit_absorption(trace, 1)
         assert verdict.detail == f"mass adoption fired after settle round {settle}"
         assert not verdict.ok and verdict.first_violation_round == settle + 1
+
+    def test_round_without_any_mass_is_flagged(self, two_node_run):
+        trace, _ = two_node_run
+        at3 = next(r for r in trace.records if r.round == 3)
+        empty = tuple(dataclasses.replace(node, mass_y=0, mass_z=0) for node in at3.nodes)
+        _replace_record(trace, 3, nodes=empty, messages=())
+        verdict = audit_leading_mass_dominance(trace, 1)
+        assert verdict == engine.AuditVerdict(False, 3, "no nonzero mass anywhere")
+
+    def test_broadcast_in_a_tail_record_is_flagged(self, two_node_run):
+        trace, report = two_node_run
+        bad_round = report.quiescence_round + 3
+        stray = StateBroadcast(src=0, dst=1, y=1, z=1, round=bad_round)
+        _replace_record(trace, bad_round, messages=(stray,))
+        verdict = audit_absorption(trace, 1)
+        assert verdict.detail == "traffic after settle round 4 + n - 1"
+        assert not verdict.ok and verdict.first_violation_round == 9
+
+    def test_record_with_a_message_does_not_vouch_for_a_silent_successor(self, two_node_run):
+        # Round q + 3 balances a node's lost mass with a transfer in flight;
+        # round q + 4 shares its node tuple without the transfer and is off.
+        trace, report = two_node_run
+        bad_round = report.quiescence_round + 4
+        frozen = trace.records[-1].nodes
+        off = (dataclasses.replace(frozen[0], mass_y=frozen[0].mass_y - 1),) + frozen[1:]
+        stray = MassTransfer(src=0, dst=1, y=1, z=0, round=bad_round - 1)
+        _replace_record(trace, bad_round - 1, nodes=off, messages=(stray,))
+        _replace_record(trace, bad_round, nodes=off)
+        verdict = audit_mass_conservation(trace, trace.schedules)
+        assert not verdict.ok and verdict.first_violation_round == bad_round
