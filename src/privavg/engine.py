@@ -10,6 +10,13 @@ it runs: no node's state pair may lexicographically exceed the current
 leading mass once all substates are injected, and once only lex-equal
 masses remain the mass-adoption trigger must stay quiet with all traffic
 dying out within n - 1 further rounds.
+
+The protocol is event-triggered, and silence is a fixed point of step_node
+per node: a settled node (past its schedule, both flags clear) with an
+empty inbox comes back unchanged, sends nothing and fires nothing.  The
+round loop therefore steps only the nodes that have mail or are not yet
+settled, carries every other node's state object forward, and emits the
+certification tail after quiescence without stepping at all.
 """
 
 from __future__ import annotations
@@ -194,7 +201,10 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
 
     Yields round -1 (the initial broadcasts), the active rounds up to
     quiescence or the max_rounds budget, then the rest of the certification
-    window.  Each record is appended to trace.records and checked for 64-bit
+    window.  An active round steps only the nodes with an inbox or not yet
+    settled (see _settled), in id order; the others are fixed points of
+    step_node and keep their state objects.  The tail is emitted without
+    stepping.  Each record is appended to trace.records and checked for 64-bit
     overflow before it is yielded, so an aborted run's partial trace ends at
     the offending record; trace.quiescence_round is set when silence is
     found.  A consumer may stop early.  The inputs are taken as valid:
@@ -209,45 +219,43 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
         nodes.append(node)
         init_msgs.extend(broadcast)
     idle = TriggersFired(False, False, False)
-    record = RoundRecord(-1, tuple(init_msgs), tuple(nodes), tuple(idle for _ in nodes))
+    idle_fired = tuple(idle for _ in nodes)
+    record = RoundRecord(-1, tuple(init_msgs), tuple(nodes), idle_fired)
     trace.records.append(record)
-    _check_overflow(record, trace)
+    _check_overflow(record, trace, nodes)
     yield record
 
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
+    no_mail: list[Message] = []
+    unsettled = [j for j, node in enumerate(nodes) if not _settled(node, dmax)]
     rnd = 0
     while trace.quiescence_round is None and rnd < trace.max_rounds:
-        inboxes: list[list[Message]] = [[] for _ in range(g.n)]
+        inboxes: dict[int, list[Message]] = {}
         for msg in record.messages:
-            inboxes[msg.dst].append(msg)
+            inboxes.setdefault(msg.dst, []).append(msg)
+        stepped = sorted(inboxes.keys() | unsettled)
         outbox: list[Message] = []
-        fired_list: list[TriggersFired] = []
-        new_nodes: list[NodeState] = []
-        for j in range(g.n):
-            node, emitted, fired = step_node(nodes[j], inboxes[j], rnd)
-            new_nodes.append(node)
+        fired_list = list(idle_fired)
+        for j in stepped:
+            node, emitted, fired = step_node(nodes[j], inboxes.get(j, no_mail), rnd)
+            nodes[j] = node
+            fired_list[j] = fired
             outbox.extend(emitted)
-            fired_list.append(fired)
-        nodes = new_nodes
         record = RoundRecord(rnd, tuple(outbox), tuple(nodes), tuple(fired_list))
         trace.records.append(record)
-        _check_overflow(record, trace)
-        if not outbox and all(
-            node.s > dmax + 1 and not node.s_br and not node.m_tr for node in nodes
-        ):
+        _check_overflow(record, trace, [nodes[j] for j in stepped])
+        unsettled = [j for j in stepped if not _settled(nodes[j], dmax)]
+        if not outbox and not unsettled:
             trace.quiescence_round = rnd
         yield record
         rnd += 1
 
     if trace.quiescence_round is not None:
-        # Silence is a fixed point of step_node: an empty inbox fires no
-        # trigger, uz_at(s) == 0 past the schedule forces no hand-off, and
-        # with both flags clear nothing is sent or changed.  The certification
-        # tail is therefore emitted without stepping, every record sharing
-        # the quiescent record's (already overflow-checked) node tuple.
+        # Silence is a fixed point of step_node (see _settled), so the
+        # certification tail is emitted without stepping, every record
+        # sharing the quiescent record's (already overflow-checked) node tuple.
         frozen = record.nodes
-        idle_fired = tuple(idle for _ in frozen)
         quiet = trace.quiescence_round
         for k in range(quiet + 1, quiet + trace.quiescence_window):
             record = RoundRecord(k, (), frozen, idle_fired)
@@ -255,8 +263,22 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
             yield record
 
 
-def _check_overflow(record: RoundRecord, trace: SimTrace) -> None:
-    for node in record.nodes:
+def _settled(node: NodeState, dmax: int) -> bool:
+    """Whether node is settled: past its schedule with both flags clear.
+
+    Silence is a fixed point of step_node for a settled node: an empty inbox
+    fires no trigger, uz_at(s) == 0 past the schedule forces no hand-off,
+    and with both flags clear nothing is sent or changed.  The round loop
+    skips a settled node without mail, and a silent round with every node
+    settled is quiescent.
+    """
+    return node.s > dmax + 1 and not node.s_br and not node.m_tr
+
+
+def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
+    """Raise if one of `nodes` (the record's nodes that changed this round,
+    in id order) or one of the record's messages left the 64-bit range."""
+    for node in nodes:
         if (
             abs(node.mass_y) > INT64_MAX
             or node.mass_z > INT64_MAX

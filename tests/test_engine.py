@@ -8,6 +8,7 @@ from privavg import engine
 from privavg.engine import (
     INT64_MAX,
     RoundRecord,
+    SimTrace,
     SimulationOverflowError,
     audit_absorption,
     audit_leading_mass_dominance,
@@ -22,10 +23,25 @@ from privavg.experiments import (
     REFERENCE_EDGE_PROBABILITY,
     REFERENCE_STATE_VECTOR,
     TrialConfig,
+    build_trial_inputs,
     run_single_trial,
+    trial_seed_token,
 )
-from privavg.graph import digraph_from_edges, generate_random_strongly_connected, max_out_degree
-from privavg.protocol import MassTransfer, StateBroadcast, TriggersFired
+from privavg.graph import (
+    assign_edge_order,
+    digraph_from_edges,
+    generate_random_strongly_connected,
+    max_out_degree,
+)
+from privavg.protocol import (
+    MassTransfer,
+    Message,
+    NodeState,
+    StateBroadcast,
+    TriggersFired,
+    init_node,
+    step_node,
+)
 from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
 from handtrace import TWO_NODE_EXPECTED, record_view
@@ -306,16 +322,32 @@ def _reproduction_config() -> TrialConfig:
     )
 
 
-def _counting_step_node(monkeypatch) -> list[int]:
-    calls = [0]
+def _recording_step_node(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap engine.step_node to record the (round, node id) of every call."""
+    steps: list[tuple[int, int]] = []
     original = engine.step_node
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def recorded(node, inbox, rnd):
+        steps.append((rnd, node.id))
+        return original(node, inbox, rnd)
 
-    monkeypatch.setattr(engine, "step_node", counted)
-    return calls
+    monkeypatch.setattr(engine, "step_node", recorded)
+    return steps
+
+
+def _expected_steps(trace, q: int) -> set[tuple[int, int]]:
+    """The (round, node id) pairs of rounds 0..q whose node had mail in the
+    previous record or was not settled there, read off trace.records."""
+    dmax = max_out_degree(trace.graph)
+    by_round = {r.round: r for r in trace.records}
+    expected = set()
+    for rnd in range(q + 1):
+        prev = by_round[rnd - 1]
+        mailed = {m.dst for m in prev.messages}
+        for node in prev.nodes:
+            if node.id in mailed or node.s <= dmax + 1 or node.s_br or node.m_tr:
+                expected.add((rnd, node.id))
+    return expected
 
 
 def _replace_record(trace, rnd: int, **changes) -> None:
@@ -325,17 +357,38 @@ def _replace_record(trace, rnd: int, **changes) -> None:
 
 class TestCertificationTail:
     def test_two_node_steps_stop_at_quiescence(self, two_node_fixture, monkeypatch):
-        calls = _counting_step_node(monkeypatch)
-        _, report = run_simulation(*two_node_fixture)
-        assert calls[0] == 2 * (report.quiescence_round + 1)
+        steps = _recording_step_node(monkeypatch)
+        trace, report = run_simulation(*two_node_fixture)
+        q = report.quiescence_round
+        assert len(steps) == len(set(steps))
+        assert set(steps) == _expected_steps(trace, q)
+        assert all(rnd <= q for rnd, _ in steps)
 
     def test_reproduction_trial_steps_stop_at_quiescence(self, monkeypatch):
-        calls = _counting_step_node(monkeypatch)
+        steps = _recording_step_node(monkeypatch)
         result = run_single_trial(_reproduction_config(), 0, keep_trace=True)
         q = result.report.quiescence_round
         assert result.ok
-        assert calls[0] == 20 * (q + 1)
+        assert len(steps) == len(set(steps))
+        assert set(steps) == _expected_steps(result.trace, q)
+        assert all(rnd <= q for rnd, _ in steps)
+        assert len(steps) < 20 * (q + 1)  # idle nodes are not stepped
         assert result.trace.final_round == q + 5 * 20 - 1
+
+    def test_skipped_nodes_keep_their_state_objects(self):
+        result = run_single_trial(_reproduction_config(), 0, keep_trace=True)
+        trace = result.trace
+        q = result.report.quiescence_round
+        stepped = _expected_steps(trace, q)
+        idle = TriggersFired(False, False, False)
+        skipped = 0
+        for prev, record in zip(trace.records, trace.records[1 : q + 2]):
+            for j in range(trace.graph.n):
+                if (record.round, j) not in stepped:
+                    assert record.nodes[j] is prev.nodes[j], (record.round, j)
+                    assert record.fired[j] == idle
+                    skipped += 1
+        assert skipped > 0
 
     def test_tail_records_share_the_frozen_state(self, two_node_run):
         trace, report = two_node_run
@@ -356,11 +409,11 @@ class TestCertificationTail:
         assert trace.final_round == 6
 
     def test_budgeted_nonquiescent_run_keeps_every_round(self, two_node_fixture, monkeypatch):
-        calls = _counting_step_node(monkeypatch)
+        steps = _recording_step_node(monkeypatch)
         trace, report = run_simulation(*two_node_fixture, max_rounds=3)
         assert report.quiescence_round is None
         assert [r.round for r in trace.records] == [-1, 0, 1, 2]
-        assert calls[0] == 2 * 3
+        assert sorted(steps) == [(rnd, j) for rnd in range(3) for j in range(2)]
 
     def test_corrupted_tail_state_is_flagged_at_its_round(self, two_node_run):
         trace, report = two_node_run
@@ -444,3 +497,188 @@ class TestCertificationTail:
         _replace_record(trace, bad_round, nodes=off)
         verdict = audit_mass_conservation(trace, trace.schedules)
         assert not verdict.ok and verdict.first_violation_round == bad_round
+
+
+def reference_iter_rounds(trace):
+    """The round loop as it stood before idle nodes were skipped: every node
+    is stepped in every active round.  Kept verbatim as the oracle for
+    engine.iter_rounds; it calls protocol.step_node directly and its own
+    copy of the old overflow check, which scanned every node."""
+    g = trace.graph
+    dmax = max_out_degree(g)
+    nodes: list[NodeState] = []
+    init_msgs: list[Message] = []
+    for j in range(g.n):
+        node, broadcast = init_node(j, trace.schedules[j], g.out_neighbors(j))
+        nodes.append(node)
+        init_msgs.extend(broadcast)
+    idle = TriggersFired(False, False, False)
+    record = RoundRecord(-1, tuple(init_msgs), tuple(nodes), tuple(idle for _ in nodes))
+    trace.records.append(record)
+    reference_check_overflow(record, trace)
+    yield record
+
+    # max_rounds budgets the search for quiescence onset; once found, the
+    # certification window always runs to completion.
+    rnd = 0
+    while trace.quiescence_round is None and rnd < trace.max_rounds:
+        inboxes: list[list[Message]] = [[] for _ in range(g.n)]
+        for msg in record.messages:
+            inboxes[msg.dst].append(msg)
+        outbox: list[Message] = []
+        fired_list: list[TriggersFired] = []
+        new_nodes: list[NodeState] = []
+        for j in range(g.n):
+            node, emitted, fired = step_node(nodes[j], inboxes[j], rnd)
+            new_nodes.append(node)
+            outbox.extend(emitted)
+            fired_list.append(fired)
+        nodes = new_nodes
+        record = RoundRecord(rnd, tuple(outbox), tuple(nodes), tuple(fired_list))
+        trace.records.append(record)
+        reference_check_overflow(record, trace)
+        if not outbox and all(
+            node.s > dmax + 1 and not node.s_br and not node.m_tr for node in nodes
+        ):
+            trace.quiescence_round = rnd
+        yield record
+        rnd += 1
+
+    if trace.quiescence_round is not None:
+        # Silence is a fixed point of step_node: an empty inbox fires no
+        # trigger, uz_at(s) == 0 past the schedule forces no hand-off, and
+        # with both flags clear nothing is sent or changed.  The certification
+        # tail is therefore emitted without stepping, every record sharing
+        # the quiescent record's (already overflow-checked) node tuple.
+        frozen = record.nodes
+        idle_fired = tuple(idle for _ in frozen)
+        quiet = trace.quiescence_round
+        for k in range(quiet + 1, quiet + trace.quiescence_window):
+            record = RoundRecord(k, (), frozen, idle_fired)
+            trace.records.append(record)
+            yield record
+
+
+def reference_check_overflow(record: RoundRecord, trace) -> None:
+    for node in record.nodes:
+        if (
+            abs(node.mass_y) > INT64_MAX
+            or node.mass_z > INT64_MAX
+            or abs(node.state_y) > INT64_MAX
+            or node.state_z > INT64_MAX
+        ):
+            raise SimulationOverflowError(
+                f"round {record.round}: node {node.id} left the 64-bit range", trace
+            )
+    for msg in record.messages:
+        if abs(msg.y) > INT64_MAX or msg.z > INT64_MAX:
+            raise SimulationOverflowError(
+                f"round {record.round}: message from node {msg.src} to node {msg.dst} "
+                "left the 64-bit range",
+                trace,
+            )
+
+
+def _drive(loop, g, schedules, max_rounds=None, quiescence_window=None):
+    """Run one round loop on a fresh trace; returns the trace and the overflow
+    message, if the run aborted."""
+    schedules = tuple(schedules)
+    if max_rounds is None:
+        max_rounds = theoretical_bound(g.n, g.m, max_out_degree(g))
+    trace = SimTrace(
+        g, schedules, *engine.exact_average(schedules), max_rounds, quiescence_window or 5 * g.n
+    )
+    try:
+        for _ in loop(trace):
+            pass
+    except SimulationOverflowError as err:
+        return trace, str(err)
+    return trace, None
+
+
+def assert_loops_agree(g, schedules, **limits):
+    """engine.iter_rounds and the all-nodes reference give the same records,
+    quiescence round and overflow message; returns the engine's trace."""
+    got, got_err = _drive(engine.iter_rounds, g, schedules, **limits)
+    want, want_err = _drive(reference_iter_rounds, g, schedules, **limits)
+    assert got_err == want_err
+    assert got.quiescence_round == want.quiescence_round
+    assert len(got.records) == len(want.records)
+    last = None
+    for a, b in zip(got.records, want.records):
+        assert (a.round, a.messages, a.fired) == (b.round, b.messages, b.fired)
+        # a repeat of the last compared tuple pair needs no second comparison
+        if last != (id(a.nodes), id(b.nodes)):
+            assert a.nodes == b.nodes, a.round
+            last = (id(a.nodes), id(b.nodes))
+    return got, got_err
+
+
+def _pair_inputs(index: int):
+    """The graph and schedules of acceptance-07's pair case `index`."""
+    rng = random.Random(f"caseCD:{index}")
+    spokes = rng.randint(1, 3)
+    edges = [(1, 0), (0, 1)]
+    for x in range(2, 2 + spokes):
+        edges += [(x, 0), (0, x)]
+    g = assign_edge_order(digraph_from_edges(2 + spokes, edges), rng)
+    dmax = max_out_degree(g)
+    roles = [NodeRole.PRIVATE] * 2 + [NodeRole.CURIOUS] * spokes
+    states = [rng.randint(-100, 100) for _ in range(g.n)]
+    schedules = [
+        decompose_initial_state(states[j], dmax, roles[j], 100, rng) for j in range(g.n)
+    ]
+    return g, schedules
+
+
+class TestEventLoopMatchesReference:
+    def test_reproduction_seeds(self):
+        cfg = TrialConfig(
+            seed=100, trials=100, n=20, p=REFERENCE_EDGE_PROBABILITY,
+            states=REFERENCE_STATE_VECTOR,
+        )
+        for index in range(cfg.trials):
+            g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(100, index)))
+            trace, _ = assert_loops_agree(g, schedules)
+            assert trace.quiescence_round is not None
+            if index < 10:
+                q = trace.quiescence_round
+                for budget in (0, 1, q // 2):
+                    cut, _ = assert_loops_agree(g, schedules, max_rounds=budget)
+                    assert cut.final_round == budget - 1 and cut.quiescence_round is None
+                once, _ = assert_loops_agree(g, schedules, quiescence_window=1)
+                assert once.final_round == q
+
+    def test_scale_trial(self):
+        cfg = TrialConfig(seed=1, trials=1, n=200, p=0.04, states_range=(-100, 100))
+        g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(1, 0)))
+        trace, _ = assert_loops_agree(g, schedules)
+        assert trace.quiescence_round is not None
+
+    def test_acceptance_07_pair_cases(self):
+        for index in range(100):
+            assert_loops_agree(*_pair_inputs(index))
+
+    def test_overflow_aborts_identically(self):
+        # the pair's round-0 hand-offs carry 2^63; the random cases overflow
+        # a node's held mass, some after every node settled, where only the
+        # stepped nodes are checked
+        pair = digraph_from_edges(2, [(0, 1), (1, 0)])
+        _, err = assert_loops_agree(
+            pair, [SubstateSchedule(y0=2**62, uy=(2**62,) * 3, uz=(1, 1, 1))] * 2
+        )
+        assert err.startswith("round 0: message")
+        kinds = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(3, 8)
+            g = generate_random_strongly_connected(n, 0.4, rng)
+            dmax = max_out_degree(g)
+            schedules = []
+            for _ in range(n):
+                v = rng.randint(2**56, 2**58)
+                schedules.append(SubstateSchedule(y0=v, uy=(v,) * (dmax + 2), uz=(1,) * (dmax + 2)))
+            trace, err = assert_loops_agree(g, schedules)
+            if err is not None:
+                kinds.add((err.split(": ")[1].startswith("node"), trace.final_round > dmax + 1))
+        assert (True, True) in kinds

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privavg.engine import run_simulation
+from privavg.engine import _settled, run_simulation
 from privavg.graph import generate_random_strongly_connected, max_out_degree
 from privavg.protocol import (
     EngineContractError,
     MassTransfer,
     NodeState,
     StateBroadcast,
+    TriggersFired,
     evaluate_triggers,
     init_node,
     step_node,
@@ -156,6 +157,35 @@ class TestStepNode:
         out, emitted, fired = step_node(node, [], 5)
         assert emitted == [] and fired == (False, False, False)
         assert out == node
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_settled_node_without_mail_is_a_fixed_point(self, data):
+        # The engine skips a settled node with an empty inbox; no trigger may
+        # fire, and nothing may change or be sent, without input.
+        dmax = data.draw(st.integers(1, 6))
+        values = st.integers(-10**6, 10**6)
+        uy = tuple(data.draw(st.lists(values, min_size=dmax + 2, max_size=dmax + 2)))
+        schedule = SubstateSchedule(y0=data.draw(values), uy=uy, uz=(1,) * (dmax + 2))
+        out = tuple(data.draw(st.lists(st.integers(0, 50), min_size=1, max_size=dmax, unique=True)))
+        node = NodeState(
+            id=data.draw(st.integers(0, 50)),
+            out_neighbors=out,
+            schedule=schedule,
+            mass_y=data.draw(values),
+            mass_z=data.draw(st.integers(0, 10**6)),
+            state_y=data.draw(values),
+            state_z=data.draw(st.integers(1, 10**6)),
+            s=data.draw(st.integers(dmax + 2, dmax + 20)),
+            s_br=False,
+            m_tr=False,
+            rr_cursor=data.draw(st.integers(0, len(out) - 1)),
+        )
+        assert _settled(node, dmax)
+        after, emitted, fired = step_node(node, [], data.draw(st.integers(0, 10**6)))
+        assert after == node
+        assert emitted == []
+        assert fired == TriggersFired(False, False, False)
 
     def test_misrouted_message_is_a_contract_violation(self):
         node = make_node()
