@@ -17,13 +17,22 @@ empty inbox comes back unchanged, sends nothing and fires nothing.  The
 round loop therefore steps only the nodes that have mail or are not yet
 settled, carries every other node's state object forward, and emits the
 certification tail after quiescence without stepping at all.
+
+The records therefore change in few places from one to the next, and the
+counters and audits are folds that pay only for that: each keeps running
+sums, counts and maxima per node position and updates them only for the
+positions whose node object changed (see _changed).  Messages stay one
+object per broadcast copy, so every fold still reads each record's outbox.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import is_not
 from pathlib import Path
 
 from .graph import Digraph, is_strongly_connected, max_out_degree
@@ -323,12 +332,78 @@ def _evaluated(trace: SimTrace, first_round: int = -1) -> Iterator[RoundRecord]:
         yield record
 
 
+def _changed(records) -> Iterator[tuple[RoundRecord, Sequence[int]]]:
+    """Each record with the positions whose node object is not the one the
+    previous record held there; every position counts as changed on the
+    first record and when the node count changes.  The folds below keep
+    per-position sums, counts and multisets and update them for these
+    positions only, so they are exact for any sequence of records, not only
+    the engine's."""
+    prev = None
+    for record in records:
+        nodes = record.nodes
+        changed: Sequence[int]
+        if nodes is prev:
+            changed = ()
+        elif prev is None or len(nodes) != len(prev):
+            changed = positions = range(len(nodes))
+        else:
+            changed = list(compress(positions, map(is_not, nodes, prev)))
+        prev = nodes
+        yield record, changed
+
+
+def _in_flight(record: RoundRecord) -> list[tuple[int, int]]:
+    """The (z, y) pair of every mass transfer in the record's outbox."""
+    return [(m.z, m.y) for m in record.messages if type(m) is MassTransfer]
+
+
+def _held_masses(
+    trace: SimTrace, first_round: int
+) -> Iterator[tuple[RoundRecord, Sequence[int], Counter, list[tuple[int, int]]]]:
+    """_changed over _evaluated(trace, first_round), each record with the
+    changed positions, the multiset of nonzero held masses (mass_z, mass_y)
+    and the masses that entered it at this record.  A mass whose count
+    drops to 0 leaves the multiset."""
+    slots: list[tuple[int, int] | None] = []
+    counts: Counter = Counter()
+    for record, changed in _changed(_evaluated(trace, first_round)):
+        nodes = record.nodes
+        if len(slots) != len(nodes):
+            slots, counts = [None] * len(nodes), Counter()
+        entered = []
+        for p in changed:
+            node = nodes[p]
+            mass = (node.mass_z, node.mass_y) if node.mass_z > 0 else None
+            old = slots[p]
+            if mass != old:
+                if old is not None:
+                    counts[old] -= 1
+                    if not counts[old]:
+                        del counts[old]
+                if mass is not None:
+                    counts[mass] += 1
+                    entered.append(mass)
+                slots[p] = mass
+        yield record, changed, counts, entered
+
+
 def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
-    """One counter row per record, round -1 included, from one pass over its messages."""
+    """One counter row per record, round -1 included; the converged count is
+    updated for the changed nodes only."""
+    q_num, q_den = trace.q_num, trace.q_den
     rows = []
-    last_nodes = None
+    last = None
     converged = 0
-    for record in trace.records:
+    for record, changed in _changed(trace.records):
+        nodes = record.nodes
+        # When most nodes changed, one full count is cheaper than two partial ones.
+        if last is None or len(last) != len(nodes) or 2 * len(changed) > len(nodes):
+            converged = converged_nodes(nodes, q_num, q_den)
+        elif changed:
+            converged += converged_nodes(map(nodes.__getitem__, changed), q_num, q_den)
+            converged -= converged_nodes(map(last.__getitem__, changed), q_num, q_den)
+        last = nodes
         copies = transfers = 0
         broadcasters: set[int] = set()
         senders: set[int] = set()
@@ -339,9 +414,6 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
             else:
                 copies += 1
                 broadcasters.add(msg.src)
-        if record.nodes is not last_nodes:
-            last_nodes = record.nodes
-            converged = converged_nodes(last_nodes, trace.q_num, trace.q_den)
         # Positional: keywords double the cost, and every witness replay pays it.
         rows.append(
             SeriesRow(
@@ -356,20 +428,35 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
 
     Held mass + in-flight mass + not-yet-injected substates must equal
     (dmax + 2) * sum(y0) on the y side and (dmax + 2) * n on the z side.
+    Each position's held-plus-pool total is re-summed only when its node
+    changed.
     """
     schedules = tuple(schedules)
-    dmax = schedules[0].dmax
-    expect_y = (dmax + 2) * sum(s.y0 for s in schedules)
-    expect_z = (dmax + 2) * len(schedules)
-    for record in _evaluated(trace):
-        held_y = sum(node.mass_y for node in record.nodes)
-        held_z = sum(node.mass_z for node in record.nodes)
-        fly_y = sum(m.y for m in record.messages if isinstance(m, MassTransfer))
-        fly_z = sum(m.z for m in record.messages if isinstance(m, MassTransfer))
-        pool_y = sum(sum(schedules[node.id].uy[node.s:dmax + 2]) for node in record.nodes)
-        pool_z = sum(sum(schedules[node.id].uz[node.s:dmax + 2]) for node in record.nodes)
-        got_y = held_y + fly_y + pool_y
-        got_z = held_z + fly_z + pool_z
+    k = schedules[0].dmax + 2
+    expect_y = k * sum(s.y0 for s in schedules)
+    expect_z = k * len(schedules)
+    own_y: list[int] = []
+    own_z: list[int] = []
+    total_y = total_z = 0
+    for record, changed in _changed(_evaluated(trace)):
+        nodes = record.nodes
+        if len(own_y) != len(nodes):
+            own_y, own_z = [0] * len(nodes), [0] * len(nodes)
+            total_y = total_z = 0
+        for p in changed:
+            node = nodes[p]
+            sched = schedules[node.id]
+            y, z = node.mass_y, node.mass_z
+            if node.s < k:  # past the schedule the pool slice is empty
+                y += sum(sched.uy[node.s:k])
+                z += sum(sched.uz[node.s:k])
+            total_y += y - own_y[p]
+            total_z += z - own_z[p]
+            own_y[p], own_z[p] = y, z
+        got_y, got_z = total_y, total_z
+        for z, y in _in_flight(record):
+            got_y += y
+            got_z += z
         if got_y != expect_y or got_z != expect_z:
             return AuditVerdict(
                 ok=False,
@@ -382,31 +469,52 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     return AuditVerdict(ok=True, detail=f"totals ({expect_y}, {expect_z}) at every round")
 
 
-def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
-    masses = [
-        (node.mass_z, node.mass_y) for node in record.nodes if node.mass_z > 0
-    ]
-    masses.extend(
-        (m.z, m.y) for m in record.messages if isinstance(m, MassTransfer)
-    )
-    return masses
-
-
 def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
     """From the round after the last forced injection, no state may exceed
-    the lex-max of all held and in-flight masses."""
-    for record in _evaluated(trace, dmax + 1):
-        masses = _nonzero_masses(record)
+    the lex-max of all held and in-flight masses.
+
+    The lex-max held mass and the lex-max state are kept across records and
+    recomputed only when a holder drops them; a failing record is scanned in
+    full to name its first offending node."""
+    top_mass = None
+    states: list[tuple[int, int]] = []
+    top_state = None
+    for record, changed, held, entered in _held_masses(trace, dmax + 1):
+        nodes = record.nodes
+        if len(states) != len(nodes):
+            states = [(node.state_z, node.state_y) for node in nodes]
+            top_state = max(states, default=None)
+        else:
+            dropped = False
+            for p in changed:
+                node = nodes[p]
+                state = (node.state_z, node.state_y)
+                if state > top_state:
+                    top_state = state
+                elif state < top_state and states[p] == top_state:
+                    dropped = True
+                states[p] = state
+            if dropped:
+                top_state = max(states)
+        if top_mass not in held:
+            top_mass = max(held, default=None)
+        elif entered:
+            top_mass = max(top_mass, *entered)
+        if top_mass is not None and not top_state > top_mass:
+            continue  # lead >= top_mass >= every state, whatever is in flight
+        masses = _in_flight(record)
+        if top_mass is not None:
+            masses.append(top_mass)
         if not masses:
             return AuditVerdict(False, record.round, "no nonzero mass anywhere")
         lead = max(masses)
-        for node in record.nodes:
-            if (node.state_z, node.state_y) > lead:
-                return AuditVerdict(
-                    False,
-                    record.round,
-                    f"node {node.id} state {(node.state_z, node.state_y)} exceeds leading {lead}",
-                )
+        if top_state is not None and top_state > lead:
+            node = next(node for node in nodes if (node.state_z, node.state_y) > lead)
+            return AuditVerdict(
+                False,
+                record.round,
+                f"node {node.id} state {(node.state_z, node.state_y)} exceeds leading {lead}",
+            )
     return AuditVerdict(ok=True)
 
 
@@ -416,7 +524,11 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
     must stop within n - 1 further rounds."""
     n = trace.graph.n
     settle = next(
-        (r.round for r in _evaluated(trace, dmax + 1) if len(set(_nonzero_masses(r))) == 1),
+        (
+            record.round
+            for record, _, held, _ in _held_masses(trace, dmax + 1)
+            if len(held) <= 1 and len(held.keys() | _in_flight(record)) == 1
+        ),
         None,
     )
     if settle is None:

@@ -1,20 +1,26 @@
 import dataclasses
+import functools
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privavg import engine
 from privavg.engine import (
     INT64_MAX,
+    AuditVerdict,
     RoundRecord,
+    SeriesRow,
     SimTrace,
     SimulationOverflowError,
+    _evaluated,
     audit_absorption,
     audit_leading_mass_dominance,
     audit_mass_conservation,
     converged_nodes,
     message_log_lines,
+    round_rows,
     run_simulation,
     theoretical_bound,
     trace_csv_lines,
@@ -598,7 +604,8 @@ def _drive(loop, g, schedules, max_rounds=None, quiescence_window=None):
 
 def assert_loops_agree(g, schedules, **limits):
     """engine.iter_rounds and the all-nodes reference give the same records,
-    quiescence round and overflow message; returns the engine's trace."""
+    quiescence round and overflow message, and the folds agree with their
+    references on those records; returns the engine's trace."""
     got, got_err = _drive(engine.iter_rounds, g, schedules, **limits)
     want, want_err = _drive(reference_iter_rounds, g, schedules, **limits)
     assert got_err == want_err
@@ -611,6 +618,7 @@ def assert_loops_agree(g, schedules, **limits):
         if last != (id(a.nodes), id(b.nodes)):
             assert a.nodes == b.nodes, a.round
             last = (id(a.nodes), id(b.nodes))
+    assert_folds_agree(got)
     return got, got_err
 
 
@@ -682,3 +690,260 @@ class TestEventLoopMatchesReference:
             if err is not None:
                 kinds.add((err.split(": ")[1].startswith("node"), trace.final_round > dmax + 1))
         assert (True, True) in kinds
+
+
+# The counters and audits as they stood before they became folds over the
+# changed nodes, kept verbatim as their oracle; only the names differ.
+
+
+def reference_round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
+    """One counter row per record, round -1 included, from one pass over its messages."""
+    rows = []
+    last_nodes = None
+    converged = 0
+    for record in trace.records:
+        copies = transfers = 0
+        broadcasters: set[int] = set()
+        senders: set[int] = set()
+        for msg in record.messages:
+            senders.add(msg.src)
+            if isinstance(msg, MassTransfer):
+                transfers += 1
+            else:
+                copies += 1
+                broadcasters.add(msg.src)
+        if record.nodes is not last_nodes:
+            last_nodes = record.nodes
+            converged = converged_nodes(last_nodes, trace.q_num, trace.q_den)
+        # Positional: keywords double the cost, and every witness replay pays it.
+        rows.append(
+            SeriesRow(
+                record.round, len(broadcasters), copies, transfers, len(senders), converged
+            )
+        )
+    return tuple(rows)
+
+
+def reference_audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
+    """Check the global bookkeeping identity at every recorded round.
+
+    Held mass + in-flight mass + not-yet-injected substates must equal
+    (dmax + 2) * sum(y0) on the y side and (dmax + 2) * n on the z side.
+    """
+    schedules = tuple(schedules)
+    dmax = schedules[0].dmax
+    expect_y = (dmax + 2) * sum(s.y0 for s in schedules)
+    expect_z = (dmax + 2) * len(schedules)
+    for record in _evaluated(trace):
+        held_y = sum(node.mass_y for node in record.nodes)
+        held_z = sum(node.mass_z for node in record.nodes)
+        fly_y = sum(m.y for m in record.messages if isinstance(m, MassTransfer))
+        fly_z = sum(m.z for m in record.messages if isinstance(m, MassTransfer))
+        pool_y = sum(sum(schedules[node.id].uy[node.s:dmax + 2]) for node in record.nodes)
+        pool_z = sum(sum(schedules[node.id].uz[node.s:dmax + 2]) for node in record.nodes)
+        got_y = held_y + fly_y + pool_y
+        got_z = held_z + fly_z + pool_z
+        if got_y != expect_y or got_z != expect_z:
+            return AuditVerdict(
+                ok=False,
+                first_violation_round=record.round,
+                detail=(
+                    f"round {record.round}: y {got_y} != {expect_y} or "
+                    f"z {got_z} != {expect_z}"
+                ),
+            )
+    return AuditVerdict(ok=True, detail=f"totals ({expect_y}, {expect_z}) at every round")
+
+
+def reference_nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
+    masses = [
+        (node.mass_z, node.mass_y) for node in record.nodes if node.mass_z > 0
+    ]
+    masses.extend(
+        (m.z, m.y) for m in record.messages if isinstance(m, MassTransfer)
+    )
+    return masses
+
+
+def reference_audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
+    """From the round after the last forced injection, no state may exceed
+    the lex-max of all held and in-flight masses."""
+    for record in _evaluated(trace, dmax + 1):
+        masses = reference_nonzero_masses(record)
+        if not masses:
+            return AuditVerdict(False, record.round, "no nonzero mass anywhere")
+        lead = max(masses)
+        for node in record.nodes:
+            if (node.state_z, node.state_y) > lead:
+                return AuditVerdict(
+                    False,
+                    record.round,
+                    f"node {node.id} state {(node.state_z, node.state_y)} exceeds leading {lead}",
+                )
+    return AuditVerdict(ok=True)
+
+
+def reference_audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
+    """After the first round (>= dmax + 1) where all nonzero masses are
+    lex-equal, the mass-adoption trigger must stay quiet and all traffic
+    must stop within n - 1 further rounds."""
+    n = trace.graph.n
+    settle = next(
+        (r.round for r in _evaluated(trace, dmax + 1) if len(set(reference_nonzero_masses(r))) == 1),
+        None,
+    )
+    if settle is None:
+        return AuditVerdict(False, None, "masses never became all lex-equal")
+    for record in _evaluated(trace, settle + 1):
+        if any(f.adopt_mass for f in record.fired):
+            return AuditVerdict(
+                False, record.round, f"mass adoption fired after settle round {settle}"
+            )
+        if record.messages and record.round > settle + (n - 1):
+            return AuditVerdict(
+                False,
+                record.round,
+                f"traffic after settle round {settle} + n - 1",
+            )
+    return AuditVerdict(ok=True, detail=f"masses settled at round {settle}")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # a corrupt trace may break either side
+        return type(err), str(err)
+
+
+def assert_folds_agree(trace):
+    """round_rows and the three audits give the reference rows and verdicts
+    (ok, round and detail) on trace."""
+    dmax = max_out_degree(trace.graph)
+    for fold, reference, args in (
+        (round_rows, reference_round_rows, ()),
+        (audit_mass_conservation, reference_audit_mass_conservation, (trace.schedules,)),
+        (audit_leading_mass_dominance, reference_audit_leading_mass_dominance, (dmax,)),
+        (audit_absorption, reference_audit_absorption, (dmax,)),
+    ):
+        assert _outcome(fold, trace, *args) == _outcome(reference, trace, *args), fold.__name__
+
+
+@functools.cache
+def _engine_traces() -> tuple[SimTrace, SimTrace]:
+    """The hand-traced pair's trace and the reproduction config's trial 0;
+    callers copy before they change anything."""
+    g = digraph_from_edges(2, [(0, 1), (1, 0)])
+    pair = (
+        SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1)),
+        SubstateSchedule(y0=6, uy=(6, 6, 6), uz=(1, 1, 1)),
+    )
+    twenty = run_single_trial(_reproduction_config(), 0, keep_trace=True).trace
+    return run_simulation(g, pair)[0], twenty
+
+
+NODE_FIELDS = ("mass_y", "mass_z", "state_y", "state_z", "s", "id")
+MESSAGE_FIELDS = ("y", "z", "src", "dst", "round")
+
+
+@st.composite
+def corruptions(draw, trace):
+    """A copy of trace with one field of one node, message or fired entry
+    changed, or one node dropped, in one record, tail records included."""
+    records = list(trace.records)
+    idx = draw(st.integers(0, len(records) - 1))
+    record = records[idx]
+    kinds = ["node", "fired", "drop"] + (["message"] if record.messages else [])
+    kind = draw(st.sampled_from(kinds))
+    delta = draw(st.integers(-40, 40).filter(bool))
+    if kind == "message":
+        pos = draw(st.integers(0, len(record.messages) - 1))
+        field = draw(st.sampled_from(MESSAGE_FIELDS))
+        msg = record.messages[pos]
+        msgs = list(record.messages)
+        msgs[pos] = dataclasses.replace(msg, **{field: getattr(msg, field) + delta})
+        records[idx] = dataclasses.replace(record, messages=tuple(msgs))
+    elif kind == "fired":
+        pos = draw(st.integers(0, len(record.fired) - 1))
+        fired = list(record.fired)
+        fired[pos] = TriggersFired(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
+        records[idx] = dataclasses.replace(record, fired=tuple(fired))
+    else:
+        pos = draw(st.integers(0, len(record.nodes) - 1))
+        nodes = list(record.nodes)
+        if kind == "drop":
+            del nodes[pos]
+        else:
+            field = draw(st.sampled_from(NODE_FIELDS))
+            node = nodes[pos]
+            nodes[pos] = dataclasses.replace(node, **{field: getattr(node, field) + delta})
+        records[idx] = dataclasses.replace(record, nodes=tuple(nodes))
+    return dataclasses.replace(trace, records=records)
+
+
+@st.composite
+def small_traces(draw):
+    """Short traces of 2 to 4 nodes on small values, not produced by the
+    engine: each record keeps the previous node tuple, keeps some node
+    objects, or drops or adds a node, so that maxima drop, leads fall,
+    masses merge and the node count changes, which one corrupt field of
+    an engine trace seldom does."""
+    n = draw(st.integers(2, 4))
+    g = digraph_from_edges(n, [(j, (j + 1) % n) for j in range(n)])  # dmax = 1
+    k = max_out_degree(g) + 2
+    schedules = tuple(SubstateSchedule(y0=1, uy=(1,) * k, uz=(1,) * k) for _ in range(n))
+    small = st.integers(-1, 2)
+
+    def fresh(j):
+        return NodeState(
+            j % n, (0,), schedules[j % n], draw(small), draw(small), draw(small),
+            draw(small), draw(st.integers(0, k + 1)), False, False, 0,
+        )
+
+    def message(rnd):
+        kind = draw(st.sampled_from((MassTransfer, StateBroadcast)))
+        return kind(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(small), draw(small), rnd)
+
+    nodes = tuple(fresh(j) for j in range(n))
+    fired = tuple(TriggersFired(False, False, False) for _ in nodes)
+    records = []
+    for rnd in range(-1, draw(st.integers(4, 12))):
+        step = draw(st.sampled_from(("keep", "one", "one", "some", "drop", "add")))
+        if step == "one":
+            j = draw(st.integers(0, len(nodes) - 1))
+            nodes = nodes[:j] + (fresh(j),) + nodes[j + 1 :]
+        elif step == "some":
+            nodes = tuple(fresh(j) if draw(st.booleans()) else node for j, node in enumerate(nodes))
+        elif step == "drop" and len(nodes) > 1:
+            nodes = nodes[:-1]
+        elif step == "add":
+            nodes = nodes + (fresh(len(nodes)),)
+        if len(fired) != len(nodes) or draw(st.booleans()):
+            fired = tuple(
+                TriggersFired(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
+                for _ in nodes
+            )
+        messages = tuple(message(rnd) for _ in range(draw(st.sampled_from((0, 0, 1, 2)))))
+        records.append(RoundRecord(rnd, messages, nodes, fired))
+    return SimTrace(g, schedules, 1, 1, 100, 5, records)
+
+
+class TestFoldsMatchReference:
+    """round_rows and the audits update their sums, counts and maxima only for
+    the nodes whose object changed; on any trace they must give the rows and
+    verdicts of the whole-record versions kept above."""
+
+    def test_engine_traces(self):
+        for trace in _engine_traces():
+            assert_folds_agree(trace)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_corrupt_field(self, data):
+        trace = data.draw(st.sampled_from(_engine_traces()))
+        assert_folds_agree(data.draw(corruptions(trace)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_traces())
+    def test_small_random_traces(self, trace):
+        assert_folds_agree(trace)

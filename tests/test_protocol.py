@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from privavg.graph import generate_random_strongly_connected, max_out_degree
 from privavg.protocol import (
     EngineContractError,
     MassTransfer,
+    Message,
     NodeState,
     StateBroadcast,
     TriggersFired,
@@ -239,3 +241,163 @@ class TestStepNode:
             if previous is not None:
                 assert all(c >= p for c, p in zip(current, previous))
             previous = current
+
+
+# step_node and evaluate_triggers as they stood before messages were built
+# positionally and the schedule tuples read directly, kept verbatim as the
+# oracle for both; only the names differ.
+
+
+def reference_evaluate_triggers(
+    state_y: int,
+    state_z: int,
+    received_states: list[tuple[int, int]],
+    mass_y: int,
+    mass_z: int,
+) -> tuple[int, int, TriggersFired]:
+    """Run the three condition sets in order against a merged mass.
+
+    received_states holds (y, z) payloads.  Returns the updated state pair
+    and which condition sets fired; sets 2 and 3 see the state as already
+    updated by set 1.
+    """
+    fired1 = fired2 = fired3 = False
+    if received_states:
+        best_y, best_z = max(received_states, key=lambda p: (p[1], p[0]))
+        if (best_z, best_y) > (state_z, state_y):
+            state_y, state_z = best_y, best_z
+            fired1 = True
+    if (mass_z, mass_y) > (state_z, state_y):
+        state_y, state_z = mass_y, mass_z
+        fired2 = True
+    if 0 < mass_z < state_z or (mass_z == state_z and mass_y < state_y):
+        fired3 = True
+    return state_y, state_z, TriggersFired(fired1, fired2, fired3)
+
+
+def reference_step_node(
+    node: NodeState, inbox: list[Message], rnd: int
+) -> tuple[NodeState, list[Message], TriggersFired]:
+    """Advance one node by one synchronous round.
+
+    inbox must contain exactly the messages addressed to this node that were
+    sent in round rnd - 1.  The returned outbox is stamped with round rnd
+    and is due for delivery at rnd + 1.
+    """
+    received_states: list[tuple[int, int]] = []
+    add_y = add_z = 0
+    for msg in inbox:
+        if msg.dst != node.id:
+            raise EngineContractError(
+                f"round {rnd}: message for node {msg.dst} delivered to node {node.id}"
+            )
+        if isinstance(msg, MassTransfer):
+            add_y += msg.y
+            add_z += msg.z
+        else:
+            received_states.append((msg.y, msg.z))
+    mass_y = node.mass_y + add_y
+    mass_z = node.mass_z + add_z
+
+    state_y, state_z = node.state_y, node.state_z
+    s_br, m_tr = node.s_br, node.m_tr
+    fired = TriggersFired(False, False, False)
+    if inbox:
+        state_y, state_z, fired = reference_evaluate_triggers(
+            state_y, state_z, received_states, mass_y, mass_z
+        )
+        s_br = s_br or fired.adopt_received or fired.adopt_mass
+        m_tr = m_tr or fired.hand_off
+
+    # Forced hand-off while the schedule still has carrier substates.
+    s = node.s
+    if node.schedule.uz_at(s) == 1:
+        m_tr = True
+
+    outbox: list[Message] = []
+    rr_cursor = node.rr_cursor
+    if m_tr:
+        mass_y += node.schedule.uy_at(s)
+        mass_z += node.schedule.uz_at(s)
+        assert mass_z >= 1, "a hand-off must carry positive z mass"
+        target = node.out_neighbors[rr_cursor]
+        outbox.append(MassTransfer(src=node.id, dst=target, y=mass_y, z=mass_z, round=rnd))
+        rr_cursor = (rr_cursor + 1) % len(node.out_neighbors)
+        mass_y = mass_z = 0
+        m_tr = False
+        s += 1
+    if s_br:
+        for dst in node.out_neighbors:
+            outbox.append(
+                StateBroadcast(src=node.id, dst=dst, y=state_y, z=state_z, round=rnd)
+            )
+        s_br = False
+
+    assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
+    # Positional construction: this runs once per node step.
+    new_node = NodeState(
+        node.id,
+        node.out_neighbors,
+        node.schedule,
+        mass_y,
+        mass_z,
+        state_y,
+        state_z,
+        s,
+        s_br,
+        m_tr,
+        rr_cursor,
+    )
+    return new_node, outbox, fired
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and first line of what it raised: pytest
+    rewrites the asserts of this module's copies and appends a second line."""
+    try:
+        return fn(*args)
+    except Exception as err:  # a random node may fail an assertion on both sides
+        return type(err), str(err).split("\n")[0]
+
+
+class TestStepNodeMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_nodes_and_inboxes(self, data):
+        # Schedules may differ in length from dmax + 2 and from each other,
+        # and the counter may run past both, so every uy_at / uz_at branch
+        # is read; the inbox mixes both kinds and may hold misrouted mail.
+        small = st.integers(-20, 20)
+        uy = tuple(data.draw(st.lists(small, min_size=1, max_size=7)))
+        uz = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=7)))
+        schedule = SubstateSchedule(y0=data.draw(small), uy=uy, uz=uz)
+        out = tuple(data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True)))
+        node = NodeState(
+            id=data.draw(st.integers(0, 30)),
+            out_neighbors=out,
+            schedule=schedule,
+            mass_y=data.draw(small),
+            mass_z=data.draw(st.integers(-2, 8)),
+            state_y=data.draw(small),
+            state_z=data.draw(st.integers(-2, 8)),
+            s=data.draw(st.integers(0, max(len(uy), len(uz)) + 2)),
+            s_br=data.draw(st.booleans()),
+            m_tr=data.draw(st.booleans()),
+            rr_cursor=data.draw(st.integers(0, len(out) - 1)),
+        )
+        rnd = data.draw(st.integers(0, 10**4))
+        inbox: list[Message] = [
+            data.draw(st.sampled_from((StateBroadcast, MassTransfer)))(
+                data.draw(st.integers(0, 30)), node.id, data.draw(small),
+                data.draw(st.integers(-2, 8)), rnd - 1,
+            )
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
+        misrouted = inbox and data.draw(st.booleans())
+        if misrouted:
+            pos = data.draw(st.integers(0, len(inbox) - 1))
+            inbox[pos] = dataclasses.replace(inbox[pos], dst=node.id + 1)
+        got = _outcome(step_node, node, inbox, rnd)
+        assert got == _outcome(reference_step_node, node, inbox, rnd)
+        if misrouted:
+            assert got[0] is EngineContractError
