@@ -19,20 +19,20 @@ settled, carries every other node's state object forward, and emits the
 certification tail after quiescence without stepping at all.
 
 The records therefore change in few places from one to the next, and the
-counters and audits are folds that pay only for that: each keeps running
-sums, counts and maxima per node position and updates them only for the
-positions whose node object changed (see _changed).  Messages stay one
-object per broadcast copy, so every fold still reads each record's outbox.
+conservation and dominance audits are folds that pay only for that: they
+keep running sums and maxima over the nodes and update them only for the
+positions whose node object changed (see _fold).  Messages stay one object
+per broadcast copy, so each audit still reads every evaluated record's
+outbox.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import is_not
+from itertools import compress, count
+from operator import attrgetter, is_not
 from pathlib import Path
 
 from .graph import Digraph, is_strongly_connected, max_out_degree
@@ -41,6 +41,7 @@ from .protocol import (
     Message,
     NodeState,
     TriggersFired,
+    _IDLE,
     init_node,
     step_node,
 )
@@ -227,8 +228,7 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
         node, broadcast = init_node(j, trace.schedules[j], g.out_neighbors(j))
         nodes.append(node)
         init_msgs.extend(broadcast)
-    idle = TriggersFired(False, False, False)
-    idle_fired = tuple(idle for _ in nodes)
+    idle_fired = tuple(_IDLE for _ in nodes)
     record = RoundRecord(-1, tuple(init_msgs), tuple(nodes), idle_fired)
     trace.records.append(record)
     _check_overflow(record, trace, nodes)
@@ -332,25 +332,20 @@ def _evaluated(trace: SimTrace, first_round: int = -1) -> Iterator[RoundRecord]:
         yield record
 
 
-def _changed(records) -> Iterator[tuple[RoundRecord, Sequence[int]]]:
-    """Each record with the positions whose node object is not the one the
-    previous record held there; every position counts as changed on the
-    first record and when the node count changes.  The folds below keep
-    per-position sums, counts and multisets and update them for these
-    positions only, so they are exact for any sequence of records, not only
-    the engine's."""
-    prev = None
+def _fold(fold, records) -> AuditVerdict:
+    """Feed fold each record with the positions whose node object is not the
+    one the previous record held there, until it returns a violation;
+    fold.passed() if none does.  On the first record, and where the node
+    count changes, the positions are meaningless and the fold treats every
+    node as new."""
+    prev = ()
     for record in records:
         nodes = record.nodes
-        changed: Sequence[int]
-        if nodes is prev:
-            changed = ()
-        elif prev is None or len(nodes) != len(prev):
-            changed = positions = range(len(nodes))
-        else:
-            changed = list(compress(positions, map(is_not, nodes, prev)))
+        failed = fold.feed(record, list(compress(count(), map(is_not, nodes, prev))))
+        if failed is not None:
+            return failed
         prev = nodes
-        yield record, changed
+    return fold.passed()
 
 
 def _in_flight(record: RoundRecord) -> list[tuple[int, int]]:
@@ -358,52 +353,18 @@ def _in_flight(record: RoundRecord) -> list[tuple[int, int]]:
     return [(m.z, m.y) for m in record.messages if type(m) is MassTransfer]
 
 
-def _held_masses(
-    trace: SimTrace, first_round: int
-) -> Iterator[tuple[RoundRecord, Sequence[int], Counter, list[tuple[int, int]]]]:
-    """_changed over _evaluated(trace, first_round), each record with the
-    changed positions, the multiset of nonzero held masses (mass_z, mass_y)
-    and the masses that entered it at this record.  A mass whose count
-    drops to 0 leaves the multiset."""
-    slots: list[tuple[int, int] | None] = []
-    counts: Counter = Counter()
-    for record, changed in _changed(_evaluated(trace, first_round)):
-        nodes = record.nodes
-        if len(slots) != len(nodes):
-            slots, counts = [None] * len(nodes), Counter()
-        entered = []
-        for p in changed:
-            node = nodes[p]
-            mass = (node.mass_z, node.mass_y) if node.mass_z > 0 else None
-            old = slots[p]
-            if mass != old:
-                if old is not None:
-                    counts[old] -= 1
-                    if not counts[old]:
-                        del counts[old]
-                if mass is not None:
-                    counts[mass] += 1
-                    entered.append(mass)
-                slots[p] = mass
-        yield record, changed, counts, entered
+def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
+    masses = [(node.mass_z, node.mass_y) for node in record.nodes if node.mass_z > 0]
+    masses.extend(_in_flight(record))
+    return masses
 
 
 def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
-    """One counter row per record, round -1 included; the converged count is
-    updated for the changed nodes only."""
-    q_num, q_den = trace.q_num, trace.q_den
+    """One counter row per record, round -1 included, from one pass over its messages."""
     rows = []
-    last = None
+    last_nodes = None
     converged = 0
-    for record, changed in _changed(trace.records):
-        nodes = record.nodes
-        # When most nodes changed, one full count is cheaper than two partial ones.
-        if last is None or len(last) != len(nodes) or 2 * len(changed) > len(nodes):
-            converged = converged_nodes(nodes, q_num, q_den)
-        elif changed:
-            converged += converged_nodes(map(nodes.__getitem__, changed), q_num, q_den)
-            converged -= converged_nodes(map(last.__getitem__, changed), q_num, q_den)
-        last = nodes
+    for record in trace.records:
         copies = transfers = 0
         broadcasters: set[int] = set()
         senders: set[int] = set()
@@ -414,6 +375,9 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
             else:
                 copies += 1
                 broadcasters.add(msg.src)
+        if record.nodes is not last_nodes:
+            last_nodes = record.nodes
+            converged = converged_nodes(last_nodes, trace.q_num, trace.q_den)
         # Positional: keywords double the cost, and every witness replay pays it.
         rows.append(
             SeriesRow(
@@ -423,99 +387,148 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     return tuple(rows)
 
 
+# An audit fold takes one record at a time, with the positions whose node
+# may differ from the previous record fed (any superset will do), and treats
+# its first record, or one with another node count, as all new.  feed
+# returns the failing verdict or None; passed is the verdict when none failed.
+
+
+class _Conservation:
+    """audit_mass_conservation's fold: each position's held-plus-pool total
+    is re-summed only when its node changed."""
+
+    def __init__(self, schedules):
+        self.schedules = schedules
+        self.k = schedules[0].dmax + 2
+        self.expect_y = self.k * sum(s.y0 for s in schedules)
+        self.expect_z = self.k * len(schedules)
+        self.own_y: list[int] = []
+        self.own_z: list[int] = []
+        self.total_y = self.total_z = 0
+
+    def feed(self, record: RoundRecord, changed: Sequence[int]) -> AuditVerdict | None:
+        nodes, own_y, own_z, k = record.nodes, self.own_y, self.own_z, self.k
+        if len(own_y) != len(nodes):
+            own_y = self.own_y = [0] * len(nodes)
+            own_z = self.own_z = [0] * len(nodes)
+            self.total_y = self.total_z = 0
+            changed = range(len(nodes))
+        for p in changed:
+            node = nodes[p]
+            sched = self.schedules[node.id]
+            y, z = node.mass_y, node.mass_z
+            if node.s < k:  # past the schedule the pool slice is empty
+                y += sum(sched.uy[node.s:k])
+                z += sum(sched.uz[node.s:k])
+            self.total_y += y - own_y[p]
+            self.total_z += z - own_z[p]
+            own_y[p], own_z[p] = y, z
+        got_y, got_z = self.total_y, self.total_z
+        for z, y in _in_flight(record):
+            got_y += y
+            got_z += z
+        if got_y != self.expect_y or got_z != self.expect_z:
+            return AuditVerdict(
+                ok=False,
+                first_violation_round=record.round,
+                detail=(
+                    f"round {record.round}: y {got_y} != {self.expect_y} or "
+                    f"z {got_z} != {self.expect_z}"
+                ),
+            )
+        return None
+
+    def passed(self) -> AuditVerdict:
+        totals = (self.expect_y, self.expect_z)
+        return AuditVerdict(ok=True, detail=f"totals {totals} at every round")
+
+
+_state_key = attrgetter("state_z", "state_y")
+_mass_key = attrgetter("mass_z", "mass_y")
+
+
+def _lex_max(key, nodes) -> tuple[tuple, int]:
+    """The lex-max of key over nodes and its first position; ((), -1) if
+    there are no nodes."""
+    keys = list(map(key, nodes))
+    top = max(keys, default=())
+    return top, keys.index(top) if keys else -1
+
+
+def _running_max(top, holder, key, nodes, changed) -> tuple[tuple, int]:
+    """The lex-max of key over nodes and a position holding it, given the
+    lex-max top of the previous record, held at position holder, and the
+    positions where the two records differ; all nodes are rescanned only
+    when holder's key fell."""
+    rescan = False
+    for p in changed:
+        new = key(nodes[p])
+        if new > top:
+            top, holder = new, p
+        elif p == holder and new < top:
+            rescan = True
+    return _lex_max(key, nodes) if rescan else (top, holder)
+
+
+class _Dominance:
+    """audit_leading_mass_dominance's fold: keeps the lex-max state and the
+    lex-max held (z, y) pair, the leading held mass when its z is positive;
+    a failing record is scanned in full to name its first offending node."""
+
+    def __init__(self):
+        self.n = -1
+        self.top_state = self.top_pair = ()
+        self.state_at = self.pair_at = -1
+
+    def feed(self, record: RoundRecord, changed: Sequence[int]) -> AuditVerdict | None:
+        nodes = record.nodes
+        if len(nodes) != self.n:
+            self.n = len(nodes)
+            top_state, self.state_at = _lex_max(_state_key, nodes)
+            top_pair, self.pair_at = _lex_max(_mass_key, nodes)
+        else:
+            top_state, self.state_at = _running_max(
+                self.top_state, self.state_at, _state_key, nodes, changed
+            )
+            top_pair, self.pair_at = _running_max(
+                self.top_pair, self.pair_at, _mass_key, nodes, changed
+            )
+        self.top_state, self.top_pair = top_state, top_pair
+        top_mass = top_pair if top_pair and top_pair[0] > 0 else ()
+        if top_mass and top_state <= top_mass:
+            return None  # lead >= top_mass >= every state, whatever is in flight
+        masses = _in_flight(record)
+        if top_mass:
+            masses.append(top_mass)
+        if not masses:
+            return AuditVerdict(False, record.round, "no nonzero mass anywhere")
+        lead = max(masses)
+        if top_state > lead:
+            node = next(node for node in nodes if _state_key(node) > lead)
+            return AuditVerdict(
+                False,
+                record.round,
+                f"node {node.id} state {_state_key(node)} exceeds leading {lead}",
+            )
+        return None
+
+    def passed(self) -> AuditVerdict:
+        return AuditVerdict(ok=True)
+
+
 def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     """Check the global bookkeeping identity at every recorded round.
 
     Held mass + in-flight mass + not-yet-injected substates must equal
     (dmax + 2) * sum(y0) on the y side and (dmax + 2) * n on the z side.
-    Each position's held-plus-pool total is re-summed only when its node
-    changed.
     """
-    schedules = tuple(schedules)
-    k = schedules[0].dmax + 2
-    expect_y = k * sum(s.y0 for s in schedules)
-    expect_z = k * len(schedules)
-    own_y: list[int] = []
-    own_z: list[int] = []
-    total_y = total_z = 0
-    for record, changed in _changed(_evaluated(trace)):
-        nodes = record.nodes
-        if len(own_y) != len(nodes):
-            own_y, own_z = [0] * len(nodes), [0] * len(nodes)
-            total_y = total_z = 0
-        for p in changed:
-            node = nodes[p]
-            sched = schedules[node.id]
-            y, z = node.mass_y, node.mass_z
-            if node.s < k:  # past the schedule the pool slice is empty
-                y += sum(sched.uy[node.s:k])
-                z += sum(sched.uz[node.s:k])
-            total_y += y - own_y[p]
-            total_z += z - own_z[p]
-            own_y[p], own_z[p] = y, z
-        got_y, got_z = total_y, total_z
-        for z, y in _in_flight(record):
-            got_y += y
-            got_z += z
-        if got_y != expect_y or got_z != expect_z:
-            return AuditVerdict(
-                ok=False,
-                first_violation_round=record.round,
-                detail=(
-                    f"round {record.round}: y {got_y} != {expect_y} or "
-                    f"z {got_z} != {expect_z}"
-                ),
-            )
-    return AuditVerdict(ok=True, detail=f"totals ({expect_y}, {expect_z}) at every round")
+    return _fold(_Conservation(tuple(schedules)), _evaluated(trace))
 
 
 def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
     """From the round after the last forced injection, no state may exceed
-    the lex-max of all held and in-flight masses.
-
-    The lex-max held mass and the lex-max state are kept across records and
-    recomputed only when a holder drops them; a failing record is scanned in
-    full to name its first offending node."""
-    top_mass = None
-    states: list[tuple[int, int]] = []
-    top_state = None
-    for record, changed, held, entered in _held_masses(trace, dmax + 1):
-        nodes = record.nodes
-        if len(states) != len(nodes):
-            states = [(node.state_z, node.state_y) for node in nodes]
-            top_state = max(states, default=None)
-        else:
-            dropped = False
-            for p in changed:
-                node = nodes[p]
-                state = (node.state_z, node.state_y)
-                if state > top_state:
-                    top_state = state
-                elif state < top_state and states[p] == top_state:
-                    dropped = True
-                states[p] = state
-            if dropped:
-                top_state = max(states)
-        if top_mass not in held:
-            top_mass = max(held, default=None)
-        elif entered:
-            top_mass = max(top_mass, *entered)
-        if top_mass is not None and not top_state > top_mass:
-            continue  # lead >= top_mass >= every state, whatever is in flight
-        masses = _in_flight(record)
-        if top_mass is not None:
-            masses.append(top_mass)
-        if not masses:
-            return AuditVerdict(False, record.round, "no nonzero mass anywhere")
-        lead = max(masses)
-        if top_state is not None and top_state > lead:
-            node = next(node for node in nodes if (node.state_z, node.state_y) > lead)
-            return AuditVerdict(
-                False,
-                record.round,
-                f"node {node.id} state {(node.state_z, node.state_y)} exceeds leading {lead}",
-            )
-    return AuditVerdict(ok=True)
+    the lex-max of all held and in-flight masses."""
+    return _fold(_Dominance(), _evaluated(trace, dmax + 1))
 
 
 def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
@@ -524,11 +537,7 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
     must stop within n - 1 further rounds."""
     n = trace.graph.n
     settle = next(
-        (
-            record.round
-            for record, _, held, _ in _held_masses(trace, dmax + 1)
-            if len(held) <= 1 and len(held.keys() | _in_flight(record)) == 1
-        ),
+        (r.round for r in _evaluated(trace, dmax + 1) if len(set(_nonzero_masses(r))) == 1),
         None,
     )
     if settle is None:

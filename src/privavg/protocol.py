@@ -152,11 +152,9 @@ def step_node(
         s_br = s_br or fired.adopt_received or fired.adopt_mass
         m_tr = m_tr or fired.hand_off
 
-    # Forced hand-off while the schedule still has carrier substates.  The
-    # tuples are read directly: uy_at and uz_at cost a call each per step.
+    # Forced hand-off while the schedule still has carrier substates.
     s = node.s
-    uy, uz = node.schedule.uy, node.schedule.uz
-    if s < len(uz) and uz[s] == 1:
+    if node.schedule.uz_at(s) == 1:
         m_tr = True
 
     # Messages and the successor are built positionally: this runs once per
@@ -165,10 +163,8 @@ def step_node(
     out = node.out_neighbors
     rr_cursor = node.rr_cursor
     if m_tr:
-        if s < len(uy):
-            mass_y += uy[s]
-        if s < len(uz):
-            mass_z += uz[s]
+        mass_y += node.schedule.uy_at(s)
+        mass_z += node.schedule.uz_at(s)
         assert mass_z >= 1, "a hand-off must carry positive z mass"
         outbox.append(MassTransfer(node_id, out[rr_cursor], mass_y, mass_z, rnd))
         rr_cursor = (rr_cursor + 1) % len(out)

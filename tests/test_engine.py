@@ -11,7 +11,6 @@ from privavg.engine import (
     INT64_MAX,
     AuditVerdict,
     RoundRecord,
-    SeriesRow,
     SimTrace,
     SimulationOverflowError,
     _evaluated,
@@ -20,7 +19,6 @@ from privavg.engine import (
     audit_mass_conservation,
     converged_nodes,
     message_log_lines,
-    round_rows,
     run_simulation,
     theoretical_bound,
     trace_csv_lines,
@@ -692,36 +690,9 @@ class TestEventLoopMatchesReference:
         assert (True, True) in kinds
 
 
-# The counters and audits as they stood before they became folds over the
-# changed nodes, kept verbatim as their oracle; only the names differ.
-
-
-def reference_round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
-    """One counter row per record, round -1 included, from one pass over its messages."""
-    rows = []
-    last_nodes = None
-    converged = 0
-    for record in trace.records:
-        copies = transfers = 0
-        broadcasters: set[int] = set()
-        senders: set[int] = set()
-        for msg in record.messages:
-            senders.add(msg.src)
-            if isinstance(msg, MassTransfer):
-                transfers += 1
-            else:
-                copies += 1
-                broadcasters.add(msg.src)
-        if record.nodes is not last_nodes:
-            last_nodes = record.nodes
-            converged = converged_nodes(last_nodes, trace.q_num, trace.q_den)
-        # Positional: keywords double the cost, and every witness replay pays it.
-        rows.append(
-            SeriesRow(
-                record.round, len(broadcasters), copies, transfers, len(senders), converged
-            )
-        )
-    return tuple(rows)
+# The conservation and dominance audits as they stood before they became
+# folds over the changed nodes, kept verbatim as their oracle; only the
+# names differ.
 
 
 def reference_audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
@@ -783,31 +754,6 @@ def reference_audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditV
     return AuditVerdict(ok=True)
 
 
-def reference_audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
-    """After the first round (>= dmax + 1) where all nonzero masses are
-    lex-equal, the mass-adoption trigger must stay quiet and all traffic
-    must stop within n - 1 further rounds."""
-    n = trace.graph.n
-    settle = next(
-        (r.round for r in _evaluated(trace, dmax + 1) if len(set(reference_nonzero_masses(r))) == 1),
-        None,
-    )
-    if settle is None:
-        return AuditVerdict(False, None, "masses never became all lex-equal")
-    for record in _evaluated(trace, settle + 1):
-        if any(f.adopt_mass for f in record.fired):
-            return AuditVerdict(
-                False, record.round, f"mass adoption fired after settle round {settle}"
-            )
-        if record.messages and record.round > settle + (n - 1):
-            return AuditVerdict(
-                False,
-                record.round,
-                f"traffic after settle round {settle} + n - 1",
-            )
-    return AuditVerdict(ok=True, detail=f"masses settled at round {settle}")
-
-
 def _outcome(fn, *args):
     """fn's result, or the type and text of what it raised."""
     try:
@@ -817,14 +763,12 @@ def _outcome(fn, *args):
 
 
 def assert_folds_agree(trace):
-    """round_rows and the three audits give the reference rows and verdicts
-    (ok, round and detail) on trace."""
+    """The conservation and dominance folds give the reference verdicts (ok,
+    round and detail) on trace."""
     dmax = max_out_degree(trace.graph)
     for fold, reference, args in (
-        (round_rows, reference_round_rows, ()),
         (audit_mass_conservation, reference_audit_mass_conservation, (trace.schedules,)),
         (audit_leading_mass_dominance, reference_audit_leading_mass_dominance, (dmax,)),
-        (audit_absorption, reference_audit_absorption, (dmax,)),
     ):
         assert _outcome(fold, trace, *args) == _outcome(reference, trace, *args), fold.__name__
 
@@ -929,8 +873,8 @@ def small_traces(draw):
 
 
 class TestFoldsMatchReference:
-    """round_rows and the audits update their sums, counts and maxima only for
-    the nodes whose object changed; on any trace they must give the rows and
+    """The conservation and dominance audits update their sums and maxima
+    only for the nodes whose object changed; on any trace they must give the
     verdicts of the whole-record versions kept above."""
 
     def test_engine_traces(self):
@@ -947,3 +891,42 @@ class TestFoldsMatchReference:
     @given(small_traces())
     def test_small_random_traces(self, trace):
         assert_folds_agree(trace)
+
+    def test_a_maximum_taken_over_and_dropped_is_rescanned(self):
+        # Node 1 takes the lead state (first trace) or the lead held mass
+        # (second) from node 0 and drops it a round later, while node 0
+        # keeps its own; the dominance fold must find node 0's value again.
+        g = digraph_from_edges(3, [(0, 1), (1, 2), (2, 0)])  # dmax = 1
+        sched = SubstateSchedule(y0=1, uy=(1, 1, 1), uz=(1, 1, 1))
+        idle = (TriggersFired(False, False, False),) * 3
+
+        def trace_of(*rounds):
+            """Rounds 2, 3, ... of one ((mass z, y), (state z, y)) pair per
+            node; a node equal to the one before keeps its object, as in
+            the engine."""
+            records, prev = [], None
+            for rnd, pairs in enumerate(rounds, start=2):
+                nodes = tuple(
+                    NodeState(j, ((j + 1) % 3,), sched, my, mz, sy, sz, 3, False, False, 0)
+                    for j, ((mz, my), (sz, sy)) in enumerate(pairs)
+                )
+                if prev is not None:
+                    nodes = tuple(old if old == new else new for old, new in zip(prev, nodes))
+                records.append(RoundRecord(rnd, (), nodes, idle))
+                prev = nodes
+            return SimTrace(g, (sched,) * 3, 1, 1, 100, 5, records)
+
+        none, low = (0, 0), (1, 0)
+        state_lead = trace_of(
+            (((3, 0), (1, 1)), (none, low), (none, low)),
+            (((3, 0), (1, 1)), (none, (2, 5)), (none, low)),
+            (((2, 0), (1, 1)), (none, low), (none, low)),
+        )
+        mass_lead = trace_of(
+            (((2, 0), low), (none, low), (none, low)),
+            (((2, 0), low), ((5, 0), low), (none, low)),
+            (((2, 0), low), (none, low), (none, (3, 0))),
+        )
+        for trace, violation in ((state_lead, None), (mass_lead, 4)):
+            assert audit_leading_mass_dominance(trace, 1).first_violation_round == violation
+            assert_folds_agree(trace)
