@@ -19,11 +19,11 @@ settled, carries every other node's state object forward, and emits the
 certification tail after quiescence without stepping at all.
 
 The records therefore change in few places from one to the next, and the
-conservation and dominance audits are folds that pay only for that: they
-keep running sums and maxima over the nodes and update them only for the
-positions whose node object changed (see _fold).  Messages stay one object
-per broadcast copy, so each audit still reads every evaluated record's
-outbox.
+conservation audit is a fold that pays only for that: it keeps running sums
+over the nodes and updates them only for the positions whose node object
+changed (see _fold).  The dominance and absorption audits evaluate each
+record whole.  Messages stay one object per broadcast copy, so each audit
+still reads every evaluated record's outbox.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import compress, count
-from operator import attrgetter, is_not
+from operator import is_not
 from pathlib import Path
 
 from .graph import Digraph, is_strongly_connected, max_out_degree
@@ -387,10 +387,11 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     return tuple(rows)
 
 
-# An audit fold takes one record at a time, with the positions whose node
-# may differ from the previous record fed (any superset will do), and treats
-# its first record, or one with another node count, as all new.  feed
-# returns the failing verdict or None; passed is the verdict when none failed.
+# The conservation audit is the one fold: it takes one record at a time,
+# with the positions whose node may differ from the previous record fed (any
+# superset will do), and treats its first record, or one with another node
+# count, as all new.  feed returns the failing verdict or None; passed is the
+# verdict when none failed.  Dominance evaluates each record whole.
 
 
 class _Conservation:
@@ -443,79 +444,6 @@ class _Conservation:
         return AuditVerdict(ok=True, detail=f"totals {totals} at every round")
 
 
-_state_key = attrgetter("state_z", "state_y")
-_mass_key = attrgetter("mass_z", "mass_y")
-
-
-def _lex_max(key, nodes) -> tuple[tuple, int]:
-    """The lex-max of key over nodes and its first position; ((), -1) if
-    there are no nodes."""
-    keys = list(map(key, nodes))
-    top = max(keys, default=())
-    return top, keys.index(top) if keys else -1
-
-
-def _running_max(top, holder, key, nodes, changed) -> tuple[tuple, int]:
-    """The lex-max of key over nodes and a position holding it, given the
-    lex-max top of the previous record, held at position holder, and the
-    positions where the two records differ; all nodes are rescanned only
-    when holder's key fell."""
-    rescan = False
-    for p in changed:
-        new = key(nodes[p])
-        if new > top:
-            top, holder = new, p
-        elif p == holder and new < top:
-            rescan = True
-    return _lex_max(key, nodes) if rescan else (top, holder)
-
-
-class _Dominance:
-    """audit_leading_mass_dominance's fold: keeps the lex-max state and the
-    lex-max held (z, y) pair, the leading held mass when its z is positive;
-    a failing record is scanned in full to name its first offending node."""
-
-    def __init__(self):
-        self.n = -1
-        self.top_state = self.top_pair = ()
-        self.state_at = self.pair_at = -1
-
-    def feed(self, record: RoundRecord, changed: Sequence[int]) -> AuditVerdict | None:
-        nodes = record.nodes
-        if len(nodes) != self.n:
-            self.n = len(nodes)
-            top_state, self.state_at = _lex_max(_state_key, nodes)
-            top_pair, self.pair_at = _lex_max(_mass_key, nodes)
-        else:
-            top_state, self.state_at = _running_max(
-                self.top_state, self.state_at, _state_key, nodes, changed
-            )
-            top_pair, self.pair_at = _running_max(
-                self.top_pair, self.pair_at, _mass_key, nodes, changed
-            )
-        self.top_state, self.top_pair = top_state, top_pair
-        top_mass = top_pair if top_pair and top_pair[0] > 0 else ()
-        if top_mass and top_state <= top_mass:
-            return None  # lead >= top_mass >= every state, whatever is in flight
-        masses = _in_flight(record)
-        if top_mass:
-            masses.append(top_mass)
-        if not masses:
-            return AuditVerdict(False, record.round, "no nonzero mass anywhere")
-        lead = max(masses)
-        if top_state > lead:
-            node = next(node for node in nodes if _state_key(node) > lead)
-            return AuditVerdict(
-                False,
-                record.round,
-                f"node {node.id} state {_state_key(node)} exceeds leading {lead}",
-            )
-        return None
-
-    def passed(self) -> AuditVerdict:
-        return AuditVerdict(ok=True)
-
-
 def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     """Check the global bookkeeping identity at every recorded round.
 
@@ -528,7 +456,19 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
 def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
     """From the round after the last forced injection, no state may exceed
     the lex-max of all held and in-flight masses."""
-    return _fold(_Dominance(), _evaluated(trace, dmax + 1))
+    for record in _evaluated(trace, dmax + 1):
+        masses = _nonzero_masses(record)
+        if not masses:
+            return AuditVerdict(False, record.round, "no nonzero mass anywhere")
+        lead = max(masses)
+        for node in record.nodes:
+            if (node.state_z, node.state_y) > lead:
+                return AuditVerdict(
+                    False,
+                    record.round,
+                    f"node {node.id} state {(node.state_z, node.state_y)} exceeds leading {lead}",
+                )
+    return AuditVerdict(ok=True)
 
 
 def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:

@@ -281,7 +281,10 @@ def _average_series(results: list[TrialResult]) -> list[tuple[int, float, float,
 
 
 def run_batch(cfg: TrialConfig, jobs: int = 1) -> BatchSummary:
-    """Execute cfg.trials independent trials and aggregate their reports."""
+    """Execute cfg.trials independent trials, on jobs worker processes when
+    jobs > 1, and aggregate their reports."""
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     cfg.validate()
     indices = range(cfg.trials)
     if jobs > 1:

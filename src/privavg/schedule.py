@@ -86,13 +86,17 @@ def decompose_initial_state(
         raise ValueError("a seeded rng is required for private schedules")
     if offset_bound < 1:
         raise ScheduleInfeasibleError("offset_bound must be a positive integer")
-    window = [v for v in range(y0 - offset_bound, y0 + offset_bound + 1) if v != y0]
-    if len(window) < count:
+    if 2 * offset_bound < count:
         raise ScheduleInfeasibleError(
-            f"window of size {len(window)} cannot hold {count} distinct substates"
+            f"window of size {2 * offset_bound} cannot hold {count} distinct substates"
         )
+    # The window without y0 is these 2 * offset_bound slots with v >= y0 read
+    # as v + 1.  sample() picks positions from the length alone, so the draws
+    # and the rng stream equal those of sampling the window as a list, which
+    # would cost memory in proportion to offset_bound.
+    slots = range(y0 - offset_bound, y0 + offset_bound)
     for _ in range(max_attempts):
-        drawn = rng.sample(window, count - 1)
+        drawn = [v + (v >= y0) for v in rng.sample(slots, count - 1)]
         forced = count * y0 - sum(drawn)
         if forced == y0 or forced in drawn or abs(forced - y0) > offset_bound:
             continue

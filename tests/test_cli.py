@@ -182,6 +182,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} must be")
         assert not (out / "trials.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_config_error(self, pair_setup, capsys, jobs):
+        config_path, tmp_path = pair_setup
+        out = tmp_path / "o"
+        argv = ["--config", str(config_path), "--out-dir", str(out), "batch", "--jobs", jobs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "config error: jobs must be >= 1\n"
+        assert not (out / "trials.csv").exists()
+
     def test_overflow_is_trial_failure(self, pair_setup, capsys):
         config_path, tmp_path = pair_setup
         big = 2**62

@@ -690,9 +690,10 @@ class TestEventLoopMatchesReference:
         assert (True, True) in kinds
 
 
-# The conservation and dominance audits as they stood before they became
-# folds over the changed nodes, kept verbatim as their oracle; only the
-# names differ.
+# The conservation and dominance audits as whole-record checks, kept
+# verbatim as their oracle: conservation is a fold over the changed nodes,
+# and dominance must give these verdicts (round and detail text included)
+# however it is computed.  Only the names differ.
 
 
 def reference_audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
@@ -763,8 +764,8 @@ def _outcome(fn, *args):
 
 
 def assert_folds_agree(trace):
-    """The conservation and dominance folds give the reference verdicts (ok,
-    round and detail) on trace."""
+    """The conservation fold and the dominance audit give the reference
+    verdicts (ok, round and detail) on trace."""
     dmax = max_out_degree(trace.graph)
     for fold, reference, args in (
         (audit_mass_conservation, reference_audit_mass_conservation, (trace.schedules,)),
@@ -873,8 +874,8 @@ def small_traces(draw):
 
 
 class TestFoldsMatchReference:
-    """The conservation and dominance audits update their sums and maxima
-    only for the nodes whose object changed; on any trace they must give the
+    """The conservation audit updates its sums only for the nodes whose
+    object changed; on any trace it, and the dominance audit, must give the
     verdicts of the whole-record versions kept above."""
 
     def test_engine_traces(self):
@@ -895,7 +896,7 @@ class TestFoldsMatchReference:
     def test_a_maximum_taken_over_and_dropped_is_rescanned(self):
         # Node 1 takes the lead state (first trace) or the lead held mass
         # (second) from node 0 and drops it a round later, while node 0
-        # keeps its own; the dominance fold must find node 0's value again.
+        # keeps its own; the dominance audit must find node 0's value again.
         g = digraph_from_edges(3, [(0, 1), (1, 2), (2, 0)])  # dmax = 1
         sched = SubstateSchedule(y0=1, uy=(1, 1, 1), uz=(1, 1, 1))
         idle = (TriggersFired(False, False, False),) * 3

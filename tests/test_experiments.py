@@ -178,3 +178,8 @@ class TestBatch:
         serial = run_batch(cfg, jobs=1)
         parallel = run_batch(cfg, jobs=2)
         assert trials_csv_lines(serial) == trials_csv_lines(parallel)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_refused(self, two_node_graph_file, jobs):
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            run_batch(pair_config(two_node_graph_file), jobs=jobs)

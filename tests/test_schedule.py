@@ -1,10 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from privavg.schedule import (
+    DECOMPOSE_RETRY_BUDGET,
+    DEFAULT_OFFSET_BOUND,
     NodeRole,
     ScheduleInfeasibleError,
     SubstateSchedule,
@@ -120,6 +123,99 @@ class TestDecompose:
         s = decompose_initial_state(5, 1, NodeRole.NEUTRAL)
         assert s.uy_at(2) == 5 and s.uy_at(3) == 0
         assert s.uz_at(2) == 1 and s.uz_at(3) == 0
+
+
+# decompose_initial_state as it stood when it built the whole window as a
+# list on every private draw, kept verbatim as its oracle; only the name
+# differs.
+
+
+def reference_decompose_initial_state(
+    y0: int,
+    dmax: int,
+    role: NodeRole,
+    offset_bound: int = DEFAULT_OFFSET_BOUND,
+    rng: random.Random | None = None,
+    max_attempts: int = DECOMPOSE_RETRY_BUDGET,
+) -> SubstateSchedule:
+    """Build a role-appropriate substate schedule for initial state y0.
+
+    Private draws are uniform over the window [y0 - offset_bound,
+    y0 + offset_bound]: dmax + 1 distinct values are sampled and the last
+    entry is forced so the substates sum to (dmax + 2) * y0, retrying the
+    whole draw whenever the forced entry collides, equals y0, or leaves the
+    window.  Raises ScheduleInfeasibleError when the retry budget runs out.
+    """
+    if dmax < 1:
+        raise ValueError("dmax must be >= 1")
+    count = dmax + 2
+    uz = (1,) * count
+    if role is not NodeRole.PRIVATE:
+        return SubstateSchedule(y0=y0, uy=(y0,) * count, uz=uz)
+
+    if rng is None:
+        raise ValueError("a seeded rng is required for private schedules")
+    if offset_bound < 1:
+        raise ScheduleInfeasibleError("offset_bound must be a positive integer")
+    window = [v for v in range(y0 - offset_bound, y0 + offset_bound + 1) if v != y0]
+    if len(window) < count:
+        raise ScheduleInfeasibleError(
+            f"window of size {len(window)} cannot hold {count} distinct substates"
+        )
+    for _ in range(max_attempts):
+        drawn = rng.sample(window, count - 1)
+        forced = count * y0 - sum(drawn)
+        if forced == y0 or forced in drawn or abs(forced - y0) > offset_bound:
+            continue
+        values = drawn + [forced]
+        rng.shuffle(values)
+        return SubstateSchedule(y0=y0, uy=tuple(values), uz=uz)
+    raise ScheduleInfeasibleError(
+        f"no feasible draw for y0={y0}, dmax={dmax}, offset_bound={offset_bound} "
+        f"after {max_attempts} attempts"
+    )
+
+
+def _decompose_outcome(fn, y0, dmax, bound, seed, attempts):
+    """fn's schedule or the type and text of what it raised, with the state
+    its rng was left in."""
+    rng = random.Random(seed)
+    try:
+        result = fn(y0, dmax, NodeRole.PRIVATE, bound, rng, attempts)
+    except ScheduleInfeasibleError as err:
+        result = (type(err), str(err))
+    return result, rng.getstate()
+
+
+class TestDecomposeMatchesReference:
+    def test_schedules_errors_and_rng_state_match(self):
+        # Per seed: a bound from the infeasible edge (2 * bound < dmax + 2)
+        # to wide windows, and a retry budget small enough that some draws
+        # run it out.
+        outcomes = set()
+        for seed in range(300):
+            pick = random.Random(seed)
+            dmax = pick.randint(1, 40)
+            bound = pick.choice((pick.randint(1, dmax + 2), pick.randint(1, 333)))
+            y0 = pick.randint(-1000, 1000)
+            attempts = pick.randint(1, 40)
+            got = _decompose_outcome(decompose_initial_state, y0, dmax, bound, seed, attempts)
+            want = _decompose_outcome(
+                reference_decompose_initial_state, y0, dmax, bound, seed, attempts
+            )
+            assert got == want, (seed, y0, dmax, bound, attempts)
+            result = got[0]
+            outcomes.add(result[1].split()[0] if isinstance(result, tuple) else "schedule")
+        assert outcomes == {"schedule", "window", "no"}
+
+    def test_wide_window_does_not_materialise(self):
+        tracemalloc.start()
+        try:
+            decompose_initial_state(0, 10, NodeRole.PRIVATE, 10**5, random.Random(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMutationsAreCaught:
