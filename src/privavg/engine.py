@@ -42,6 +42,7 @@ from .protocol import (
     NodeState,
     TriggersFired,
     _IDLE,
+    _builder,
     init_node,
     step_node,
 )
@@ -88,6 +89,11 @@ class SeriesRow:
     mass_transfers: int
     transmitting_nodes: int
     converged_nodes: int
+
+
+# Built once per round and once per counter row (see protocol._builder).
+_build_record = _builder(RoundRecord)
+_build_row = _builder(SeriesRow)
 
 
 @dataclass(slots=True)
@@ -229,7 +235,7 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
         nodes.append(node)
         init_msgs.extend(broadcast)
     idle_fired = tuple(_IDLE for _ in nodes)
-    record = RoundRecord(-1, tuple(init_msgs), tuple(nodes), idle_fired)
+    record = _build_record(-1, tuple(init_msgs), tuple(nodes), idle_fired)
     trace.records.append(record)
     _check_overflow(record, trace, nodes)
     yield record
@@ -251,7 +257,7 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
             nodes[j] = node
             fired_list[j] = fired
             outbox.extend(emitted)
-        record = RoundRecord(rnd, tuple(outbox), tuple(nodes), tuple(fired_list))
+        record = _build_record(rnd, tuple(outbox), tuple(nodes), tuple(fired_list))
         trace.records.append(record)
         _check_overflow(record, trace, [nodes[j] for j in stepped])
         unsettled = [j for j in stepped if not _settled(nodes[j], dmax)]
@@ -267,7 +273,7 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
         frozen = record.nodes
         quiet = trace.quiescence_round
         for k in range(quiet + 1, quiet + trace.quiescence_window):
-            record = RoundRecord(k, (), frozen, idle_fired)
+            record = _build_record(k, (), frozen, idle_fired)
             trace.records.append(record)
             yield record
 
@@ -378,9 +384,8 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
         if record.nodes is not last_nodes:
             last_nodes = record.nodes
             converged = converged_nodes(last_nodes, trace.q_num, trace.q_den)
-        # Positional: keywords double the cost, and every witness replay pays it.
         rows.append(
-            SeriesRow(
+            _build_row(
                 record.round, len(broadcasters), copies, transfers, len(senders), converged
             )
         )

@@ -6,11 +6,23 @@ estimate, whose exact ratio state_y / state_z is the answer.  Pairs compare
 lexicographically with z first; the state is monotone non-decreasing in
 that order.  One call to step_node consumes the node's inbox for a round
 and returns the successor state plus fully addressed outgoing messages.
+
+The records built once per node step -- every message copy and every
+successor state -- are frozen slotted dataclasses, and their generated
+__init__ writes each field through object.__setattr__, which roughly
+doubles the cost of each object.  step_node and init_node therefore
+build them through _builder: a positional function, generated once at import
+per class, that writes each field straight through the class's own slot
+member descriptor.  The object is the one __init__ makes (same class and
+slots, equal, same hash and repr, pickles and `dataclasses.replace`s the
+same, and still refuses assignment); the public classes and their __init__
+are unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import MemberDescriptorType
 from typing import NamedTuple, Union
 
 from .schedule import SubstateSchedule, structural_violations
@@ -18,6 +30,39 @@ from .schedule import SubstateSchedule, structural_violations
 
 class EngineContractError(RuntimeError):
     """A message reached a node it was not addressed to."""
+
+
+def _builder(cls):
+    """A positional constructor for the frozen slotted dataclass cls that
+    makes the same object as cls(...) without going through object.__setattr__.
+
+    The function is generated once, as dataclasses generates __init__: its
+    parameters are the fields in order, and it writes each one through the
+    slot member descriptor in cls.__dict__.  Raises TypeError for a class
+    whose __init__ does more than set its fields (a __post_init__, a field
+    left out of __init__) or whose fields are not its own frozen slots.
+    """
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        raise TypeError(f"{cls.__name__} is not a frozen dataclass")
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} has a __post_init__ that a builder would skip")
+    if not all(
+        f.init and isinstance(cls.__dict__.get(f.name), MemberDescriptorType)
+        for f in fields(cls)
+    ):
+        raise TypeError(f"{cls.__name__}'s fields are not all its own __init__ slots")
+    names = [f.name for f in fields(cls)]
+    # The generated names start with two underscores, which a class body
+    # mangles, so no field can shadow them.
+    namespace = {"__new": object.__new__, "__cls": cls}
+    lines = [f"def _build_{cls.__name__}({', '.join(names)}):", "    __obj = __new(__cls)"]
+    for name in names:
+        namespace[f"__set_{name}"] = cls.__dict__[name].__set__
+        lines.append(f"    __set_{name}(__obj, {name})")
+    lines.append("    return __obj")
+    exec("\n".join(lines), namespace)
+    return namespace[f"_build_{cls.__name__}"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +98,9 @@ class TriggersFired(NamedTuple):
 
 _IDLE = TriggersFired(False, False, False)  # shared by every step without mail
 
+_build_broadcast = _builder(StateBroadcast)
+_build_transfer = _builder(MassTransfer)
+
 
 @dataclass(frozen=True, slots=True)
 class NodeState:
@@ -67,6 +115,9 @@ class NodeState:
     s_br: bool        # broadcast-state flag
     m_tr: bool        # transmit-mass flag
     rr_cursor: int    # index into out_neighbors of the next transfer target
+
+
+_build_node = _builder(NodeState)
 
 
 def init_node(
@@ -85,8 +136,8 @@ def init_node(
         raise ValueError(f"node {node_id}: {broken[0]}")
     y, z = schedule.uy_at(0), schedule.uz_at(0)
     out = tuple(out_neighbors)
-    node = NodeState(node_id, out, schedule, y, z, y, z, 1, False, False, 0)
-    broadcast = tuple(StateBroadcast(node_id, dst, y, z, -1) for dst in out)
+    node = _build_node(node_id, out, schedule, y, z, y, z, 1, False, False, 0)
+    broadcast = tuple(_build_broadcast(node_id, dst, y, z, -1) for dst in out)
     return node, broadcast
 
 
@@ -157,8 +208,6 @@ def step_node(
     if node.schedule.uz_at(s) == 1:
         m_tr = True
 
-    # Messages and the successor are built positionally: this runs once per
-    # node step, and keywords cost about a quarter more per object.
     outbox: list[Message] = []
     out = node.out_neighbors
     rr_cursor = node.rr_cursor
@@ -166,17 +215,17 @@ def step_node(
         mass_y += node.schedule.uy_at(s)
         mass_z += node.schedule.uz_at(s)
         assert mass_z >= 1, "a hand-off must carry positive z mass"
-        outbox.append(MassTransfer(node_id, out[rr_cursor], mass_y, mass_z, rnd))
+        outbox.append(_build_transfer(node_id, out[rr_cursor], mass_y, mass_z, rnd))
         rr_cursor = (rr_cursor + 1) % len(out)
         mass_y = mass_z = 0
         m_tr = False
         s += 1
     if s_br:
-        outbox.extend([StateBroadcast(node_id, dst, state_y, state_z, rnd) for dst in out])
+        outbox.extend([_build_broadcast(node_id, dst, state_y, state_z, rnd) for dst in out])
         s_br = False
 
     assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
-    new_node = NodeState(
+    new_node = _build_node(
         node_id, out, node.schedule, mass_y, mass_z, state_y, state_z, s, s_br, m_tr, rr_cursor
     )
     return new_node, outbox, fired

@@ -1,18 +1,33 @@
 import dataclasses
+import inspect
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privavg.engine import _settled, run_simulation
-from privavg.graph import generate_random_strongly_connected, max_out_degree
+from privavg.engine import (
+    RoundRecord,
+    SeriesRow,
+    SimTrace,
+    _build_record,
+    _build_row,
+    _settled,
+    run_simulation,
+)
+from privavg.graph import Digraph, generate_random_strongly_connected, max_out_degree
 from privavg.protocol import (
+    _IDLE,
     EngineContractError,
     MassTransfer,
     Message,
     NodeState,
     StateBroadcast,
     TriggersFired,
+    _build_broadcast,
+    _build_node,
+    _build_transfer,
+    _builder,
     evaluate_triggers,
     init_node,
     step_node,
@@ -401,3 +416,80 @@ class TestStepNodeMatchesReference:
         assert got == _outcome(reference_step_node, node, inbox, rnd)
         if misrouted:
             assert got[0] is EngineContractError
+
+
+# The hot records are built through protocol._builder; each builder must make
+# the object its class's __init__ makes.
+
+_NODE = make_node()
+_BUILT = [
+    (StateBroadcast, _build_broadcast, dict(src=1, dst=2, y=-3, z=4, round=5), "y", 7),
+    (MassTransfer, _build_transfer, dict(src=1, dst=2, y=-3, z=4, round=5), "dst", 0),
+    (
+        NodeState,
+        _build_node,
+        {f.name: getattr(_NODE, f.name) for f in dataclasses.fields(NodeState)},
+        "s",
+        2,
+    ),
+    (
+        RoundRecord,
+        _build_record,
+        dict(round=3, messages=(StateBroadcast(0, 1, 3, 1, 3),), nodes=(_NODE,), fired=(_IDLE,)),
+        "messages",
+        (),
+    ),
+    (
+        SeriesRow,
+        _build_row,
+        dict(round=3, broadcasts=1, broadcast_copies=2, mass_transfers=1,
+             transmitting_nodes=2, converged_nodes=5),
+        "converged_nodes",
+        6,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, build, values, field, other", _BUILT, ids=[row[0].__name__ for row in _BUILT]
+)
+class TestBuilderMatchesInit:
+    def test_parameters_are_the_fields_in_order(self, cls, build, values, field, other):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(build).parameters) == names
+        assert list(values) == names
+
+    def test_same_object(self, cls, build, values, field, other):
+        made, init = build(*values.values()), cls(**values)
+        assert type(made) is cls and not hasattr(made, "__dict__")
+        assert made == init and init == made
+        assert hash(made) == hash(init)
+        assert repr(made) == repr(init)
+
+    def test_pickle_round_trip(self, cls, build, values, field, other):
+        made = build(*values.values())
+        back = pickle.loads(pickle.dumps(made))
+        assert type(back) is cls and back == made == cls(**values)
+
+    def test_replace(self, cls, build, values, field, other):
+        changed = dataclasses.replace(build(*values.values()), **{field: other})
+        assert changed == cls(**{**values, field: other})
+
+    def test_assignment_is_refused(self, cls, build, values, field, other):
+        made = build(*values.values())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, field, other)
+        assert made == cls(**values)
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenUnslotted:
+    x: int
+
+
+@pytest.mark.parametrize("cls", [SimTrace, Digraph, _FrozenUnslotted])
+def test_builder_refuses_classes_it_cannot_build(cls):
+    # SimTrace is not frozen, Digraph validates in __post_init__, and a class
+    # without slots has no member descriptors to write through.
+    with pytest.raises(TypeError):
+        _builder(cls)
