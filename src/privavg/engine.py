@@ -19,17 +19,16 @@ settled, carries every other node's state object forward, and emits the
 certification tail after quiescence without stepping at all.
 
 The records therefore change in few places from one to the next, and the
-conservation audit is a fold that pays only for that: it keeps running sums
-over the nodes and updates them only for the positions whose node object
-changed (see _fold).  The dominance and absorption audits evaluate each
-record whole.  Messages stay one object per broadcast copy, so each audit
-still reads every evaluated record's outbox.
+conservation audit pays only for that: it keeps running sums over the nodes
+and re-sums only the positions whose node object changed.  The dominance
+and absorption audits evaluate each record whole.  Messages stay one object
+per broadcast copy, so each audit still reads every evaluated record's outbox.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import is_not
@@ -338,22 +337,6 @@ def _evaluated(trace: SimTrace, first_round: int = -1) -> Iterator[RoundRecord]:
         yield record
 
 
-def _fold(fold, records) -> AuditVerdict:
-    """Feed fold each record with the positions whose node object is not the
-    one the previous record held there, until it returns a violation;
-    fold.passed() if none does.  On the first record, and where the node
-    count changes, the positions are meaningless and the fold treats every
-    node as new."""
-    prev = ()
-    for record in records:
-        nodes = record.nodes
-        failed = fold.feed(record, list(compress(count(), map(is_not, nodes, prev))))
-        if failed is not None:
-            return failed
-        prev = nodes
-    return fold.passed()
-
-
 def _in_flight(record: RoundRecord) -> list[tuple[int, int]]:
     """The (z, y) pair of every mass transfer in the record's outbox."""
     return [(m.z, m.y) for m in record.messages if type(m) is MassTransfer]
@@ -392,70 +375,43 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     return tuple(rows)
 
 
-# The conservation audit is the one fold: it takes one record at a time,
-# with the positions whose node may differ from the previous record fed (any
-# superset will do), and treats its first record, or one with another node
-# count, as all new.  feed returns the failing verdict or None; passed is the
-# verdict when none failed.  Dominance evaluates each record whole.
-
-
-class _Conservation:
-    """audit_mass_conservation's fold: each position's held-plus-pool total
-    is re-summed only when its node changed."""
-
-    def __init__(self, schedules):
-        self.schedules = schedules
-        self.k = schedules[0].dmax + 2
-        self.expect_y = self.k * sum(s.y0 for s in schedules)
-        self.expect_z = self.k * len(schedules)
-        self.own_y: list[int] = []
-        self.own_z: list[int] = []
-        self.total_y = self.total_z = 0
-
-    def feed(self, record: RoundRecord, changed: Sequence[int]) -> AuditVerdict | None:
-        nodes, own_y, own_z, k = record.nodes, self.own_y, self.own_z, self.k
-        if len(own_y) != len(nodes):
-            own_y = self.own_y = [0] * len(nodes)
-            own_z = self.own_z = [0] * len(nodes)
-            self.total_y = self.total_z = 0
-            changed = range(len(nodes))
-        for p in changed:
-            node = nodes[p]
-            sched = self.schedules[node.id]
-            y, z = node.mass_y, node.mass_z
-            if node.s < k:  # past the schedule the pool slice is empty
-                y += sum(sched.uy[node.s:k])
-                z += sum(sched.uz[node.s:k])
-            self.total_y += y - own_y[p]
-            self.total_z += z - own_z[p]
-            own_y[p], own_z[p] = y, z
-        got_y, got_z = self.total_y, self.total_z
-        for z, y in _in_flight(record):
-            got_y += y
-            got_z += z
-        if got_y != self.expect_y or got_z != self.expect_z:
-            return AuditVerdict(
-                ok=False,
-                first_violation_round=record.round,
-                detail=(
-                    f"round {record.round}: y {got_y} != {self.expect_y} or "
-                    f"z {got_z} != {self.expect_z}"
-                ),
-            )
-        return None
-
-    def passed(self) -> AuditVerdict:
-        totals = (self.expect_y, self.expect_z)
-        return AuditVerdict(ok=True, detail=f"totals {totals} at every round")
-
-
 def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     """Check the global bookkeeping identity at every recorded round.
 
     Held mass + in-flight mass + not-yet-injected substates must equal
     (dmax + 2) * sum(y0) on the y side and (dmax + 2) * n on the z side.
+    Each position's held-plus-pool total is a running sum, re-summed only
+    where the node object is not the one the previous evaluated record held.
     """
-    return _fold(_Conservation(tuple(schedules)), _evaluated(trace))
+    schedules = tuple(schedules)
+    k = schedules[0].dmax + 2
+    expect_y, expect_z = k * sum(s.y0 for s in schedules), k * len(schedules)
+    own_y, own_z, prev = [], [], ()
+    total_y = total_z = 0
+    for record in _evaluated(trace):
+        nodes = record.nodes
+        if len(nodes) != len(own_y):  # first record, or another node count: all new
+            own_y, own_z, prev = [0] * len(nodes), [0] * len(nodes), (None,) * len(nodes)
+            total_y = total_z = 0
+        for p in compress(count(), map(is_not, nodes, prev)):
+            node = nodes[p]
+            sched = schedules[node.id]
+            y, z = node.mass_y, node.mass_z
+            if node.s < k:  # past the schedule the pool slice is empty
+                y += sum(sched.uy[node.s:k])
+                z += sum(sched.uz[node.s:k])
+            total_y += y - own_y[p]
+            total_z += z - own_z[p]
+            own_y[p], own_z[p] = y, z
+        got_y, got_z = total_y, total_z
+        for z, y in _in_flight(record):
+            got_y += y
+            got_z += z
+        if got_y != expect_y or got_z != expect_z:
+            detail = f"round {record.round}: y {got_y} != {expect_y} or z {got_z} != {expect_z}"
+            return AuditVerdict(False, record.round, detail)
+        prev = nodes
+    return AuditVerdict(ok=True, detail=f"totals {(expect_y, expect_z)} at every round")
 
 
 def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
@@ -467,12 +423,10 @@ def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
             return AuditVerdict(False, record.round, "no nonzero mass anywhere")
         lead = max(masses)
         for node in record.nodes:
-            if (node.state_z, node.state_y) > lead:
-                return AuditVerdict(
-                    False,
-                    record.round,
-                    f"node {node.id} state {(node.state_z, node.state_y)} exceeds leading {lead}",
-                )
+            state = (node.state_z, node.state_y)
+            if state > lead:
+                detail = f"node {node.id} state {state} exceeds leading {lead}"
+                return AuditVerdict(False, record.round, detail)
     return AuditVerdict(ok=True)
 
 
@@ -493,11 +447,8 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
                 False, record.round, f"mass adoption fired after settle round {settle}"
             )
         if record.messages and record.round > settle + (n - 1):
-            return AuditVerdict(
-                False,
-                record.round,
-                f"traffic after settle round {settle} + n - 1",
-            )
+            detail = f"traffic after settle round {settle} + n - 1"
+            return AuditVerdict(False, record.round, detail)
     return AuditVerdict(ok=True, detail=f"masses settled at round {settle}")
 
 
@@ -510,9 +461,7 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
     if conv > rows[-1].round:
         conv = None
     quiesc = trace.quiescence_round
-    bound_ok = (
-        conv is not None and quiesc is not None and conv <= quiesc <= bound
-    )
+    bound_ok = conv is not None and quiesc is not None and conv <= quiesc <= bound
     return TrialReport(
         n=g.n,
         m=g.m,
@@ -520,9 +469,9 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         q_num=trace.q_num,
         q_den=trace.q_den,
         converged=conv is not None,
-        quiescent=trace.quiescence_round is not None,
+        quiescent=quiesc is not None,
         convergence_round=conv,
-        quiescence_round=trace.quiescence_round,
+        quiescence_round=quiesc,
         last_emission_round=max(
             (row.round for row in rows if row.transmitting_nodes), default=-1
         ),

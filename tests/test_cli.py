@@ -1,7 +1,9 @@
 import pytest
 
+from privavg import cli
 from privavg.cli import main
 from privavg.graph import digraph_from_edges, save_edge_list
+from privavg.privacy import ReconstructionError, WitnessUnavailableError
 
 
 @pytest.fixture
@@ -82,6 +84,22 @@ class TestBatchCommand:
         assert [row.split(",")[1] for row in rows[1:]] == ["7:0", "7:1"]
 
 
+def _surrounded_target_config(tmp_path):
+    """Private node 0 on a 3-node complete digraph whose other nodes are curious."""
+    g = digraph_from_edges(3, [(1, 0), (0, 1), (2, 0), (0, 2), (2, 1), (1, 2)])
+    graph_path = tmp_path / "tri.txt"
+    save_edge_list(g, graph_path)
+    config_path = tmp_path / "tri.cfg"
+    config_path.write_text(
+        f"graph_file = {graph_path}\n"
+        "seed = 2\n"
+        "states = 5,-8,11\n"
+        "roles = private,curious,curious\n",
+        encoding="ascii",
+    )
+    return config_path
+
+
 class TestPrivacyAuditCommand:
     def test_classification_lines(self, hub_setup, capsys):
         config_path, tmp_path = hub_setup
@@ -93,17 +111,7 @@ class TestPrivacyAuditCommand:
         assert "1,preserved,private-neighbor-0" in lines
 
     def test_attack_reconstructs_surrounded_target(self, tmp_path):
-        g = digraph_from_edges(3, [(1, 0), (0, 1), (2, 0), (0, 2), (2, 1), (1, 2)])
-        graph_path = tmp_path / "tri.txt"
-        save_edge_list(g, graph_path)
-        config_path = tmp_path / "tri.cfg"
-        config_path.write_text(
-            f"graph_file = {graph_path}\n"
-            "seed = 2\n"
-            "states = 5,-8,11\n"
-            "roles = private,curious,curious\n",
-            encoding="ascii",
-        )
+        config_path = _surrounded_target_config(tmp_path)
         out = tmp_path / "audit"
         code = main(
             ["--config", str(config_path), "--out-dir", str(out), "privacy-audit", "--attack"]
@@ -124,6 +132,35 @@ class TestPrivacyAuditCommand:
         witness_lines = [l for l in lines if l.startswith("attack,0,witness,helper")]
         assert witness_lines, lines
 
+    def test_attack_reconstruction_error_is_trial_failure(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise ReconstructionError("log inconsistent")
+
+        monkeypatch.setattr(cli, "reconstruct_fully_surrounded", refuse)
+        config_path = _surrounded_target_config(tmp_path)
+        out = tmp_path / "audit"
+        code = main(
+            ["--config", str(config_path), "--out-dir", str(out), "privacy-audit", "--attack"]
+        )
+        assert code == 2
+        lines = (out / "privacy_audit.txt").read_text().splitlines()
+        assert "attack,0,reconstruction-error,log inconsistent" in lines
+
+    def test_unavailable_witness_is_reported_not_failed(self, hub_setup, monkeypatch):
+        def unavailable(*args):
+            raise WitnessUnavailableError("no placement")
+
+        monkeypatch.setattr(cli, "ambiguity_witness", unavailable)
+        config_path, tmp_path = hub_setup
+        out = tmp_path / "audit"
+        code = main(
+            ["--config", str(config_path), "--out-dir", str(out), "privacy-audit", "--attack"]
+        )
+        assert code == 0
+        lines = (out / "privacy_audit.txt").read_text().splitlines()
+        assert "attack,0,witness,unavailable" in lines
+        assert "attack,1,witness,unavailable" in lines
+
 
 class TestValidateScheduleCommand:
     def test_valid_schedule(self, tmp_path, capsys):
@@ -138,6 +175,22 @@ class TestValidateScheduleCommand:
         assert main(["validate-schedule", str(path)]) == 1
         out = capsys.readouterr().out
         assert "distinct" in out and "not-initial" in out
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y0 = 4\ndmax = 3\nrole = private\n",
+            "y0 = 4\ndmax = three\nrole = private\nuy = 1,8,6,2,3\n",
+            "y0 = 4\ndmax = 3\nrole = wizard\nuy = 1,8,6,2,3\n",
+        ],
+        ids=["missing-uy", "non-integer", "unknown-role"],
+    )
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "sched.cfg"
+        path.write_text(text)
+        assert main(["validate-schedule", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad schedule file")
 
 
 class TestExitCodes:

@@ -10,6 +10,7 @@ from privavg import engine
 from privavg.engine import (
     INT64_MAX,
     AuditVerdict,
+    InvalidScheduleError,
     RoundRecord,
     SimTrace,
     SimulationOverflowError,
@@ -294,6 +295,16 @@ class TestEngineBehaviors:
         ]
         with pytest.raises(ValueError):
             run_simulation(g, bad)
+
+    def test_schedule_count_must_match_node_count(self, two_node_fixture):
+        g, schedules = two_node_fixture
+        with pytest.raises(InvalidScheduleError, match="expected 2 schedules, got 1"):
+            run_simulation(g, schedules[:1])
+
+    def test_quiescence_window_must_be_positive(self, two_node_fixture):
+        g, schedules = two_node_fixture
+        with pytest.raises(ValueError, match="quiescence_window must be >= 1"):
+            run_simulation(g, schedules, quiescence_window=0)
 
     def test_requires_strong_connectivity(self):
         g = digraph_from_edges(2, [(1, 0)], out_order=((1,), ()))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from privavg.engine import trace_csv_lines
@@ -36,6 +38,59 @@ def pair_config(graph_file, **kw):
     return TrialConfig(**defaults)
 
 
+# One config text per refusal, with the reason the refusal names.
+CONFIG_REJECTIONS = [
+    ("nope = 1\n", "unknown config keys"),
+    ("n = 3\np = 0.5\n", "either states or states_range must be given"),
+    (
+        "n = 3\np = 0.5\nstates_range = 5,-5\n",
+        "states_range lower bound exceeds upper bound",
+    ),
+    (
+        "n = 3\np = 0.5\nstates = 1,2\nstates_range = 0,0\nn = 4\n",
+        "duplicate key 'n'",
+    ),
+    ("p = 0.5\nstates_range = 0,1\n", "exactly one of graph_file or (n, p) must be given"),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\nprivate_fraction = 0.9\ncurious_fraction = 0.9\n",
+        "private_fraction + curious_fraction must not exceed 1",
+    ),
+    ("n = 3\np = 0.5\nstates = a,b,c\n", "bad config value: invalid literal"),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\nroles = wizard,curious,neutral\n",
+        "bad config value: 'wizard' is not a valid NodeRole",
+    ),
+    ("n = 3\np = 0.5\nstates = 1,2,3\nmax_rounds = -3\n", "max_rounds must be >= 0"),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\nquiescence_window = 0\n",
+        "quiescence_window must be >= 1",
+    ),
+    ("trials = 0\nn = 3\np = 0.5\nstates = 1,2,3\n", "trials must be >= 1"),
+    ("n = 3\nstates = 1,2,3\n", "random graphs need both n and p"),
+    ("n = 1\np = 0.5\nstates = 1\n", "n must be >= 2"),
+    ("n = 3\np = 0\nstates = 1,2,3\n", "p must be in (0, 1]"),
+    ("n = 3\np = 1.5\nstates = 1,2,3\n", "p must be in (0, 1]"),
+    ("n = 3\np = 0.5\nstates = 1,2\n", "states list has 2 entries, n=3"),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\nroles = private,curious\n",
+        "roles list has 2 entries, n=3",
+    ),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\nprivate_fraction = 1.5\n",
+        "private_fraction must be in [0, 1]",
+    ),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\ncurious_fraction = -0.1\n",
+        "curious_fraction must be in [0, 1]",
+    ),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\noffset_bound = 0\n",
+        "offset_bound must be a positive integer",
+    ),
+    ("n = 3\np 0.5\nstates = 1,2,3\n", "line 2: expected 'key = value'"),
+]
+
+
 class TestConfigParsing:
     def test_full_round_trip(self):
         text = """
@@ -58,22 +113,10 @@ class TestConfigParsing:
         assert cfg.states_range == (-5, 5)
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "nope = 1\n",                      # unknown key
-            "n = 3\np = 0.5\n",                # no states source
-            "n = 3\np = 0.5\nstates_range = 5,-5\n",
-            "n = 3\np = 0.5\nstates = 1,2\nstates_range = 0,0\nn = 4\n",  # dup key
-            "p = 0.5\nstates_range = 0,1\n",   # no graph source
-            "n = 3\np = 0.5\nstates = 1,2,3\nprivate_fraction = 0.9\ncurious_fraction = 0.9\n",
-            "n = 3\np = 0.5\nstates = a,b,c\n",
-            "n = 3\np = 0.5\nstates = 1,2,3\nroles = wizard,curious,neutral\n",
-            "n = 3\np = 0.5\nstates = 1,2,3\nmax_rounds = -3\n",
-            "n = 3\np = 0.5\nstates = 1,2,3\nquiescence_window = 0\n",
-        ],
+        "text, reason", CONFIG_REJECTIONS, ids=[text for text, _ in CONFIG_REJECTIONS]
     )
-    def test_rejections(self, text):
-        with pytest.raises(ConfigError):
+    def test_rejections(self, text, reason):
+        with pytest.raises(ConfigError, match=re.escape(reason)):
             parse_config(text)
 
     def test_round_budget_and_window_lower_bounds_accepted(self):

@@ -150,7 +150,7 @@ class TestAmbiguityWitness:
     def test_zero_delta_rejected(self):
         g, trace, _ = run_trial(hub_pair(1), [P, P, C], [4, 7, -3], seed=1)
         log = coalition_observations(trace, {2})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta must be a nonzero integer"):
             ambiguity_witness(trace, log, g, 0, 1, 0)
 
     def test_witness_on_hub_pair(self):
@@ -213,10 +213,31 @@ class TestAmbiguityWitness:
     def test_helper_must_be_adjacent_private_non_coalition(self):
         g, trace, _ = run_trial(hub_pair(2), [P, P, C, C], [4, 7, -3, 5], seed=4)
         log = coalition_observations(trace, {2, 3})
-        with pytest.raises(ValueError):
-            ambiguity_witness(trace, log, g, 0, 2, 1)  # helper in coalition
-        with pytest.raises(ValueError):
-            ambiguity_witness(trace, log, g, 1, 3, 1)  # helper not adjacent to 1? (3 is adjacent to 0 only)
+        with pytest.raises(ValueError, match="outside the coalition"):
+            ambiguity_witness(trace, log, g, 0, 2, 1)  # helper in the coalition
+        with pytest.raises(ValueError, match="outside the coalition"):
+            ambiguity_witness(trace, log, g, 2, 1, 1)  # target in the coalition
+        # On the directed 4-cycle 0 -> 1 -> 2 -> 3 -> 0, private node 2 lies
+        # outside the coalition {1, 3} but is no neighbor of target 0.
+        cycle4 = digraph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g, trace, _ = run_trial(cycle4, [P, C, P, C], [4, 7, -3, 5], seed=4)
+        log = coalition_observations(trace, {1, 3})
+        with pytest.raises(ValueError, match="helper 2 is not an in- or out-neighbor of target 0"):
+            ambiguity_witness(trace, log, g, 0, 2, 1)
+
+    def test_neutral_helper_refused(self):
+        g, trace, _ = run_trial(hub_pair(1), [P, N, C], [4, 7, -3], seed=2)
+        log = coalition_observations(trace, {2})
+        with pytest.raises(ValueError, match="helper schedule is not a private decomposition"):
+            ambiguity_witness(trace, log, g, 0, 1, 1)
+
+    def test_no_mass_transfer_between_the_pair(self):
+        g, trace, _ = run_trial(hub_pair(1), [P, P, C], [4, 7, -3], seed=2)
+        # A run cut at round -1 carries only the initial state broadcasts.
+        cut, _ = run_simulation(g, trace.schedules, max_rounds=0)
+        log = coalition_observations(cut, {2})
+        with pytest.raises(WitnessUnavailableError, match="no mass transfer between"):
+            ambiguity_witness(cut, log, g, 0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
