@@ -226,7 +226,6 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
     run_simulation checks them.
     """
     g = trace.graph
-    dmax = max_out_degree(g)
     nodes: list[NodeState] = []
     init_msgs: list[Message] = []
     for j in range(g.n):
@@ -242,7 +241,7 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
     no_mail: list[Message] = []
-    unsettled = [j for j, node in enumerate(nodes) if not _settled(node, dmax)]
+    unsettled = [j for j, node in enumerate(nodes) if not _settled(node)]
     rnd = 0
     while trace.quiescence_round is None and rnd < trace.max_rounds:
         inboxes: dict[int, list[Message]] = {}
@@ -259,7 +258,7 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
         record = _build_record(rnd, tuple(outbox), tuple(nodes), tuple(fired_list))
         trace.records.append(record)
         _check_overflow(record, trace, [nodes[j] for j in stepped])
-        unsettled = [j for j in stepped if not _settled(nodes[j], dmax)]
+        unsettled = [j for j in stepped if not _settled(nodes[j])]
         if not outbox and not unsettled:
             trace.quiescence_round = rnd
         yield record
@@ -277,8 +276,9 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
             yield record
 
 
-def _settled(node: NodeState, dmax: int) -> bool:
-    """Whether node is settled: past its schedule with both flags clear.
+def _settled(node: NodeState) -> bool:
+    """Whether node is settled: past its own schedule, however long, with
+    both flags clear.
 
     Silence is a fixed point of step_node for a settled node: an empty inbox
     fires no trigger, uz_at(s) == 0 past the schedule forces no hand-off,
@@ -286,7 +286,7 @@ def _settled(node: NodeState, dmax: int) -> bool:
     skips a settled node without mail, and a silent round with every node
     settled is quiescent.
     """
-    return node.s > dmax + 1 and not node.s_br and not node.m_tr
+    return node.s >= len(node.schedule.uy) and not node.s_br and not node.m_tr
 
 
 def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
@@ -379,13 +379,13 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     """Check the global bookkeeping identity at every recorded round.
 
     Held mass + in-flight mass + not-yet-injected substates must equal
-    (dmax + 2) * sum(y0) on the y side and (dmax + 2) * n on the z side.
+    sum(len(uy) * y0) on the y side and sum(len(uz)) on the z side.
     Each position's held-plus-pool total is a running sum, re-summed only
     where the node object is not the one the previous evaluated record held.
     """
     schedules = tuple(schedules)
-    k = schedules[0].dmax + 2
-    expect_y, expect_z = k * sum(s.y0 for s in schedules), k * len(schedules)
+    expect_y = sum(len(s.uy) * s.y0 for s in schedules)
+    expect_z = sum(len(s.uz) for s in schedules)
     own_y, own_z, prev = [], [], ()
     total_y = total_z = 0
     for record in _evaluated(trace):
@@ -397,9 +397,9 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
             node = nodes[p]
             sched = schedules[node.id]
             y, z = node.mass_y, node.mass_z
-            if node.s < k:  # past the schedule the pool slice is empty
-                y += sum(sched.uy[node.s:k])
-                z += sum(sched.uz[node.s:k])
+            if node.s < len(sched.uy):  # past the schedule the pool slice is empty
+                y += sum(sched.uy[node.s:])
+                z += sum(sched.uz[node.s:])
             total_y += y - own_y[p]
             total_z += z - own_z[p]
             own_y[p], own_z[p] = y, z

@@ -70,6 +70,8 @@ class TrialConfig:
             raise ConfigError("trials must be >= 1")
         if (self.graph_file is None) == (self.n is None):
             raise ConfigError("exactly one of graph_file or (n, p) must be given")
+        if self.graph_file is not None and self.p is not None:
+            raise ConfigError("graph_file and p must not both be given")
         if self.graph_file is None:
             if self.n is None or self.p is None:
                 raise ConfigError("random graphs need both n and p")
@@ -83,6 +85,8 @@ class TrialConfig:
             raise ConfigError(f"roles list has {len(self.roles)} entries, n={self.n}")
         if self.states is None and self.states_range is None:
             raise ConfigError("either states or states_range must be given")
+        if self.states is not None and self.states_range is not None:
+            raise ConfigError("states and states_range must not both be given")
         if self.states_range is not None and self.states_range[0] > self.states_range[1]:
             raise ConfigError("states_range lower bound exceeds upper bound")
         if not (0.0 <= self.private_fraction <= 1.0):

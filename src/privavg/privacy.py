@@ -270,8 +270,8 @@ def ambiguity_witness(
         views.setdefault(ev[0], ([], []))[0].append(ev)
     for ev in log.internal:
         views.setdefault(ev[0], ([], []))[1].append(ev)
-    helper_placements = _shifted(sh, -delta, dmax)
-    for i, alt_t in _shifted(st, delta, dmax):
+    helper_placements = _shifted(sh, -delta)
+    for i, alt_t in _shifted(st, delta):
         for j, alt_h in helper_placements:
             alt_schedules = list(trace.schedules)
             alt_schedules[target] = alt_t
@@ -318,17 +318,17 @@ def ambiguity_witness(
     )
 
 
-def _shifted(
-    sched: SubstateSchedule, delta: int, dmax: int
-) -> list[tuple[int, SubstateSchedule]]:
+def _shifted(sched: SubstateSchedule, delta: int) -> list[tuple[int, SubstateSchedule]]:
     """The private schedules that move sched's initial state by delta by
-    adding delta * (dmax + 2) to one substate, each with that substate's index."""
+    adding delta * len(sched.uy) to one substate, each with that substate's
+    index."""
+    count = len(sched.uy)
     placements = []
-    for i in range(dmax + 2):
+    for i in range(count):
         uy = list(sched.uy)
-        uy[i] += delta * (dmax + 2)
+        uy[i] += delta * count
         alt = SubstateSchedule(y0=sched.y0 + delta, uy=tuple(uy), uz=sched.uz)
-        if not validate_schedule(alt, dmax, NodeRole.PRIVATE):
+        if not validate_schedule(alt, sched.dmax, NodeRole.PRIVATE):
             placements.append((i, alt))
     return placements
 

@@ -330,6 +330,25 @@ class TestEngineBehaviors:
             assert report.absorption.ok, report.absorption
             assert report.convergence_round <= report.quiescence_round <= report.bound
 
+    def test_one_substate_schedules_settle_on_their_own_length(self):
+        # Each node injects its whole state at once, a schedule that
+        # run_simulation refuses; built by hand as the witness search builds
+        # its screens, the trace must still settle once every node is past
+        # its one substate, exact and conserving.
+        rng = random.Random("1:0")
+        g = generate_random_strongly_connected(20, 0.1, rng)
+        schedules = tuple(
+            SubstateSchedule(y0=y0, uy=(y0,), uz=(1,))
+            for y0 in (rng.randint(-50, 50) for _ in range(g.n))
+        )
+        q_num, q_den = engine.exact_average(schedules)
+        trace = SimTrace(g, schedules, q_num, q_den, 2000, 5 * g.n)
+        for _ in engine.iter_rounds(trace):
+            pass
+        assert trace.quiescence_round is not None and trace.quiescence_round < 200
+        assert converged_nodes(trace.records[-1].nodes, q_num, q_den) == g.n
+        assert audit_mass_conservation(trace, schedules).ok
+
 
 def _reproduction_config() -> TrialConfig:
     return TrialConfig(
@@ -613,8 +632,9 @@ def _drive(loop, g, schedules, max_rounds=None, quiescence_window=None):
 
 def assert_loops_agree(g, schedules, **limits):
     """engine.iter_rounds and the all-nodes reference give the same records,
-    quiescence round and overflow message, and the folds agree with their
-    references on those records; returns the engine's trace."""
+    quiescence round and overflow message, and the conservation and
+    dominance audits agree with their references on those records; returns
+    the engine's trace."""
     got, got_err = _drive(engine.iter_rounds, g, schedules, **limits)
     want, want_err = _drive(reference_iter_rounds, g, schedules, **limits)
     assert got_err == want_err
@@ -627,7 +647,7 @@ def assert_loops_agree(g, schedules, **limits):
         if last != (id(a.nodes), id(b.nodes)):
             assert a.nodes == b.nodes, a.round
             last = (id(a.nodes), id(b.nodes))
-    assert_folds_agree(got)
+    assert_audits_agree(got)
     return got, got_err
 
 
@@ -702,8 +722,8 @@ class TestEventLoopMatchesReference:
 
 
 # The conservation and dominance audits as whole-record checks, kept
-# verbatim as their oracle: conservation is a fold over the changed nodes,
-# and dominance must give these verdicts (round and detail text included)
+# verbatim as their oracle: conservation keeps running sums over the nodes
+# that changed, and dominance must give these verdicts (round and detail text included)
 # however it is computed.  Only the names differ.
 
 
@@ -774,15 +794,15 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-def assert_folds_agree(trace):
-    """The conservation fold and the dominance audit give the reference
-    verdicts (ok, round and detail) on trace."""
+def assert_audits_agree(trace):
+    """The conservation and dominance audits give the reference verdicts
+    (ok, round and detail) on trace."""
     dmax = max_out_degree(trace.graph)
-    for fold, reference, args in (
+    for audit, reference, args in (
         (audit_mass_conservation, reference_audit_mass_conservation, (trace.schedules,)),
         (audit_leading_mass_dominance, reference_audit_leading_mass_dominance, (dmax,)),
     ):
-        assert _outcome(fold, trace, *args) == _outcome(reference, trace, *args), fold.__name__
+        assert _outcome(audit, trace, *args) == _outcome(reference, trace, *args), audit.__name__
 
 
 @functools.cache
@@ -884,25 +904,25 @@ def small_traces(draw):
     return SimTrace(g, schedules, 1, 1, 100, 5, records)
 
 
-class TestFoldsMatchReference:
+class TestAuditsMatchReference:
     """The conservation audit updates its sums only for the nodes whose
     object changed; on any trace it, and the dominance audit, must give the
     verdicts of the whole-record versions kept above."""
 
     def test_engine_traces(self):
         for trace in _engine_traces():
-            assert_folds_agree(trace)
+            assert_audits_agree(trace)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_one_corrupt_field(self, data):
         trace = data.draw(st.sampled_from(_engine_traces()))
-        assert_folds_agree(data.draw(corruptions(trace)))
+        assert_audits_agree(data.draw(corruptions(trace)))
 
     @settings(max_examples=300, deadline=None)
     @given(small_traces())
     def test_small_random_traces(self, trace):
-        assert_folds_agree(trace)
+        assert_audits_agree(trace)
 
     def test_a_maximum_taken_over_and_dropped_is_rescanned(self):
         # Node 1 takes the lead state (first trace) or the lead held mass
@@ -941,4 +961,4 @@ class TestFoldsMatchReference:
         )
         for trace, violation in ((state_lead, None), (mass_lead, 4)):
             assert audit_leading_mass_dominance(trace, 1).first_violation_round == violation
-            assert_folds_agree(trace)
+            assert_audits_agree(trace)

@@ -52,6 +52,14 @@ CONFIG_REJECTIONS = [
     ),
     ("p = 0.5\nstates_range = 0,1\n", "exactly one of graph_file or (n, p) must be given"),
     (
+        "graph_file = g.txt\np = 0.5\nstates = 1,2\n",
+        "graph_file and p must not both be given",
+    ),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\nstates_range = 0,1\n",
+        "states and states_range must not both be given",
+    ),
+    (
         "n = 3\np = 0.5\nstates = 1,2,3\nprivate_fraction = 0.9\ncurious_fraction = 0.9\n",
         "private_fraction + curious_fraction must not exceed 1",
     ),
