@@ -166,11 +166,10 @@ def cmd_privacy_audit(args) -> int:
         trace, _report = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
         coalition = {j for j in range(g.n) if roles[j] is NodeRole.CURIOUS}
         log = coalition_observations(trace, coalition)
-        dmax = schedules[0].dmax
         for v in verdicts:
             if v.classification is PrivacyClass.BREACHED and v.justification == "all-neighbors-curious":
                 try:
-                    guess = reconstruct_fully_surrounded(log, g, v.target, dmax)
+                    guess = reconstruct_fully_surrounded(log, g, v.target)
                     truth = states[v.target]
                     match = guess == truth
                     lines.append(f"attack,{v.target},reconstructed,{guess},truth,{truth},match,{match}")
@@ -217,6 +216,8 @@ def cmd_validate_schedule(args) -> int:
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad schedule file: {exc}") from exc
+    if dmax < 1:
+        raise ConfigError(f"bad schedule file: dmax must be >= 1, got {dmax}")
     schedule = SubstateSchedule(y0=y0, uy=uy, uz=uz)
     violations = validate_schedule(schedule, dmax, role)
     if violations:

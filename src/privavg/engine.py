@@ -101,8 +101,6 @@ class SimTrace:
 
     graph: Digraph
     schedules: tuple[SubstateSchedule, ...]
-    q_num: int
-    q_den: int
     max_rounds: int
     quiescence_window: int
     records: list[RoundRecord] = field(default_factory=list)
@@ -196,12 +194,9 @@ def run_simulation(
     if max_rounds is None:
         max_rounds = theoretical_bound(g.n, g.m, dmax)
 
-    q_num, q_den = exact_average(schedules)
     trace = SimTrace(
         graph=g,
         schedules=schedules,
-        q_num=q_num,
-        q_den=q_den,
         max_rounds=max_rounds,
         quiescence_window=quiescence_window,
     )
@@ -350,6 +345,7 @@ def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
 
 def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     """One counter row per record, round -1 included, from one pass over its messages."""
+    q_num, q_den = exact_average(trace.schedules)
     rows = []
     last_nodes = None
     converged = 0
@@ -366,7 +362,7 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
                 broadcasters.add(msg.src)
         if record.nodes is not last_nodes:
             last_nodes = record.nodes
-            converged = converged_nodes(last_nodes, trace.q_num, trace.q_den)
+            converged = converged_nodes(last_nodes, q_num, q_den)
         rows.append(
             _build_row(
                 record.round, len(broadcasters), copies, transfers, len(senders), converged
@@ -375,7 +371,7 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     return tuple(rows)
 
 
-def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
+def audit_mass_conservation(trace: SimTrace) -> AuditVerdict:
     """Check the global bookkeeping identity at every recorded round.
 
     Held mass + in-flight mass + not-yet-injected substates must equal
@@ -383,7 +379,7 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     Each position's held-plus-pool total is a running sum, re-summed only
     where the node object is not the one the previous evaluated record held.
     """
-    schedules = tuple(schedules)
+    schedules = trace.schedules
     expect_y = sum(len(s.uy) * s.y0 for s in schedules)
     expect_z = sum(len(s.uz) for s in schedules)
     own_y, own_z, prev = [], [], ()
@@ -414,10 +410,16 @@ def audit_mass_conservation(trace: SimTrace, schedules) -> AuditVerdict:
     return AuditVerdict(ok=True, detail=f"totals {(expect_y, expect_z)} at every round")
 
 
-def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
+def _after_injection(trace: SimTrace) -> int:
+    """The round after the last forced injection: a node injects substate s
+    at round s - 1, so a schedule of k substates injects its last at k - 2."""
+    return max(len(s.uy) for s in trace.schedules) - 1
+
+
+def audit_leading_mass_dominance(trace: SimTrace) -> AuditVerdict:
     """From the round after the last forced injection, no state may exceed
     the lex-max of all held and in-flight masses."""
-    for record in _evaluated(trace, dmax + 1):
+    for record in _evaluated(trace, _after_injection(trace)):
         masses = _nonzero_masses(record)
         if not masses:
             return AuditVerdict(False, record.round, "no nonzero mass anywhere")
@@ -430,15 +432,13 @@ def audit_leading_mass_dominance(trace: SimTrace, dmax: int) -> AuditVerdict:
     return AuditVerdict(ok=True)
 
 
-def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
-    """After the first round (>= dmax + 1) where all nonzero masses are
-    lex-equal, the mass-adoption trigger must stay quiet and all traffic
-    must stop within n - 1 further rounds."""
+def audit_absorption(trace: SimTrace) -> AuditVerdict:
+    """After the first round (from the one after the last forced injection)
+    where all nonzero masses are lex-equal, the mass-adoption trigger must
+    stay quiet and all traffic must stop within n - 1 further rounds."""
     n = trace.graph.n
-    settle = next(
-        (r.round for r in _evaluated(trace, dmax + 1) if len(set(_nonzero_masses(r))) == 1),
-        None,
-    )
+    evaluated = _evaluated(trace, _after_injection(trace))
+    settle = next((r.round for r in evaluated if len(set(_nonzero_masses(r))) == 1), None)
     if settle is None:
         return AuditVerdict(False, None, "masses never became all lex-equal")
     for record in _evaluated(trace, settle + 1):
@@ -455,6 +455,7 @@ def audit_absorption(trace: SimTrace, dmax: int) -> AuditVerdict:
 def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
     g = trace.graph
     rows = round_rows(trace)
+    q_num, q_den = exact_average(trace.schedules)
     bound = theoretical_bound(g.n, g.m, dmax)
     # The first round from which every later row has all n nodes on q.
     conv = 1 + max((row.round for row in rows if row.converged_nodes != g.n), default=-1)
@@ -466,8 +467,8 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         n=g.n,
         m=g.m,
         dmax=dmax,
-        q_num=trace.q_num,
-        q_den=trace.q_den,
+        q_num=q_num,
+        q_den=q_den,
         converged=conv is not None,
         quiescent=quiesc is not None,
         convergence_round=conv,
@@ -480,9 +481,9 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         bound=bound,
         exactness_ok=rows[-1].converged_nodes == g.n,
         bound_ok=bound_ok,
-        conservation=audit_mass_conservation(trace, trace.schedules),
-        dominance=audit_leading_mass_dominance(trace, dmax),
-        absorption=audit_absorption(trace, dmax),
+        conservation=audit_mass_conservation(trace),
+        dominance=audit_leading_mass_dominance(trace),
+        absorption=audit_absorption(trace),
         final_states=tuple((n.state_y, n.state_z) for n in trace.records[-1].nodes),
         rows=rows,
     )

@@ -59,8 +59,8 @@ class TrialConfig:
     states: tuple[int, ...] | None = None
     states_range: tuple[int, int] | None = None
     roles: tuple[NodeRole, ...] | None = None
-    private_fraction: float = 1.0
-    curious_fraction: float = 0.0
+    private_fraction: float | None = None  # None: 1.0 unless roles are given
+    curious_fraction: float | None = None  # None: 0.0 unless roles are given
     offset_bound: int = DEFAULT_OFFSET_BOUND
     max_rounds: int | None = None
     quiescence_window: int | None = None
@@ -89,11 +89,15 @@ class TrialConfig:
             raise ConfigError("states and states_range must not both be given")
         if self.states_range is not None and self.states_range[0] > self.states_range[1]:
             raise ConfigError("states_range lower bound exceeds upper bound")
-        if not (0.0 <= self.private_fraction <= 1.0):
+        for name in ("private_fraction", "curious_fraction"):
+            if self.roles is not None and getattr(self, name) is not None:
+                raise ConfigError(f"roles and {name} must not both be given")
+        private, curious = _fractions(self)
+        if not (0.0 <= private <= 1.0):
             raise ConfigError("private_fraction must be in [0, 1]")
-        if not (0.0 <= self.curious_fraction <= 1.0):
+        if not (0.0 <= curious <= 1.0):
             raise ConfigError("curious_fraction must be in [0, 1]")
-        if self.private_fraction + self.curious_fraction > 1.0:
+        if private + curious > 1.0:
             raise ConfigError("private_fraction + curious_fraction must not exceed 1")
         if self.offset_bound < 1:
             raise ConfigError("offset_bound must be a positive integer")
@@ -101,6 +105,13 @@ class TrialConfig:
             raise ConfigError("max_rounds must be >= 0")
         if self.quiescence_window is not None and self.quiescence_window < 1:
             raise ConfigError("quiescence_window must be >= 1")
+
+
+def _fractions(cfg: TrialConfig) -> tuple[float, float]:
+    """The private and curious fractions, an unset one at its default."""
+    private = 1.0 if cfg.private_fraction is None else cfg.private_fraction
+    curious = 0.0 if cfg.curious_fraction is None else cfg.curious_fraction
+    return private, curious
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -199,8 +210,9 @@ def build_trial_inputs(cfg: TrialConfig, rng: random.Random):
             raise ConfigError(f"roles list has {len(cfg.roles)} entries, graph has {n}")
         roles = tuple(cfg.roles)
     else:
-        n_private = round(cfg.private_fraction * n)
-        n_curious = min(round(cfg.curious_fraction * n), n - n_private)
+        private, curious = _fractions(cfg)
+        n_private = round(private * n)
+        n_curious = min(round(curious * n), n - n_private)
         pool = (
             [NodeRole.PRIVATE] * n_private
             + [NodeRole.CURIOUS] * n_curious

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .engine import RoundRecord, SimTrace, iter_rounds, run_simulation
-from .graph import Digraph
+from .graph import Digraph, max_out_degree
 from .protocol import MassTransfer
 from .schedule import NodeRole, SubstateSchedule, validate_schedule
 
@@ -140,15 +140,15 @@ def _observe(record: RoundRecord, members: frozenset[int]) -> tuple[list, list]:
     return messages, internal
 
 
-def reconstruct_fully_surrounded(
-    log: ObservationLog, g: Digraph, target: int, dmax: int
-) -> int:
+def reconstruct_fully_surrounded(log: ObservationLog, g: Digraph, target: int) -> int:
     """Recover the exact initial state of a target every neighbor of which colludes.
 
     The first substate is read off the target's initial broadcast; each later
     substate is the target's outgoing transfer minus the coalition-known
-    masses delivered to it that round.  Their mean is the initial state.
+    masses delivered to it that round.  Their mean is the initial state; the
+    coalition knows g, so it knows the substate count, max_out_degree(g) + 2.
     """
+    dmax = max_out_degree(g)
     neighbors = set(g.in_neighbors(target)) | set(g.out_neighbors(target))
     if target in log.coalition:
         raise NotFullySurroundedError(f"target {target} is itself in the coalition")
@@ -226,19 +226,20 @@ def ambiguity_witness(
 ) -> AmbiguityWitness:
     """Shift the target's hidden substate mass by delta and hide the change.
 
-    One target substate moves by delta * (dmax + 2) and one helper substate
-    compensates, so the implied initial states move by +delta and -delta
-    while the network total is unchanged.  Every candidate placement is
-    re-simulated; a witness is returned only if the coalition's observation
-    log is identical to the original, event for event.
+    One target substate moves by delta times its schedule's length and one
+    helper substate compensates, so the implied initial states move by
+    +delta and -delta while the network total is unchanged.  Every candidate
+    placement is re-simulated; a witness is returned only if the coalition's
+    observation log is identical to the original, event for event.
 
     Each candidate is first replayed round by round and dropped at the
     first round whose coalition view differs from the log's; past the log's
     last round a non-empty coalition always sees a difference.  Only a
-    candidate whose whole view matched is simulated in full and checked.  The search order, and so the
-    witness returned, is that of checking every candidate in full.  A
-    SimulationOverflowError still escapes the search when a replay reaches
-    it, but a replay dropped at an earlier round no longer does.
+    candidate whose whole view matched is simulated in full and checked.  The
+    search order, and so the witness returned, is that of checking every
+    candidate in full.  A SimulationOverflowError still escapes the search
+    when a replay reaches it, but a replay dropped at an earlier round no
+    longer does.
     """
     if delta == 0:
         raise ValueError("delta must be a nonzero integer")
@@ -247,7 +248,7 @@ def ambiguity_witness(
     adjacency = set(g.in_neighbors(target)) | set(g.out_neighbors(target))
     if helper not in adjacency:
         raise ValueError(f"helper {helper} is not an in- or out-neighbor of target {target}")
-    dmax = trace.schedules[0].dmax
+    dmax = max_out_degree(g)
     st = trace.schedules[target]
     sh = trace.schedules[helper]
     for name, sched in (("target", st), ("helper", sh)):
@@ -279,8 +280,6 @@ def ambiguity_witness(
             screen = SimTrace(
                 graph=trace.graph,
                 schedules=tuple(alt_schedules),
-                q_num=trace.q_num,
-                q_den=trace.q_den,
                 max_rounds=trace.max_rounds,
                 quiescence_window=trace.quiescence_window,
             )

@@ -214,7 +214,7 @@ def test_acceptance_06_breach_soundness_reconstruction():
         assert verdicts[0].justification == "all-neighbors-curious"
         coalition = set(range(1, n))
         log = coalition_observations(trace, coalition)
-        if reconstruct_fully_surrounded(log, g, 0, dmax) == states[0]:
+        if reconstruct_fully_surrounded(log, g, 0) == states[0]:
             good += 1
     announce(6, good == 100, f"surrounded target reconstructed exactly in {good}/100")
     assert good == 100

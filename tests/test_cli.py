@@ -182,8 +182,10 @@ class TestValidateScheduleCommand:
             "y0 = 4\ndmax = 3\nrole = private\n",
             "y0 = 4\ndmax = three\nrole = private\nuy = 1,8,6,2,3\n",
             "y0 = 4\ndmax = 3\nrole = wizard\nuy = 1,8,6,2,3\n",
+            "y0 = 4\ndmax = 0\nrole = private\nuy = 3,5\n",
+            "y0 = 4\ndmax = -5\nrole = private\nuy = 3,5\n",
         ],
-        ids=["missing-uy", "non-integer", "unknown-role"],
+        ids=["missing-uy", "non-integer", "unknown-role", "zero-dmax", "negative-dmax"],
     )
     def test_malformed_file_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "sched.cfg"

@@ -200,7 +200,7 @@ class TestTheoreticalBound:
 class TestMassConservation:
     def test_two_node_trace_passes(self, two_node_run):
         trace, _ = two_node_run
-        verdict = audit_mass_conservation(trace, trace.schedules)
+        verdict = audit_mass_conservation(trace)
         assert verdict.ok and verdict.first_violation_round is None
 
     def test_corrupted_transfer_is_flagged_at_its_round(self, two_node_run):
@@ -216,7 +216,7 @@ class TestMassConservation:
         trace.records[idx] = RoundRecord(
             record.round, tuple(messages), record.nodes, record.fired
         )
-        verdict = audit_mass_conservation(trace, trace.schedules)
+        verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == target_round
 
     def test_uninjected_pool_before_first_transfer(self):
@@ -231,7 +231,7 @@ class TestMassConservation:
         init_only = dataclasses.replace(trace, records=[trace.records[0]])
         for node in init_only.records[0].nodes:
             assert 3 - node.s == 2
-        assert audit_mass_conservation(init_only, schedules).ok
+        assert audit_mass_conservation(init_only).ok
 
 
 class TestEngineBehaviors:
@@ -334,20 +334,41 @@ class TestEngineBehaviors:
         # Each node injects its whole state at once, a schedule that
         # run_simulation refuses; built by hand as the witness search builds
         # its screens, the trace must still settle once every node is past
-        # its one substate, exact and conserving.
-        rng = random.Random("1:0")
-        g = generate_random_strongly_connected(20, 0.1, rng)
-        schedules = tuple(
-            SubstateSchedule(y0=y0, uy=(y0,), uz=(1,))
-            for y0 in (rng.randint(-50, 50) for _ in range(g.n))
-        )
-        q_num, q_den = engine.exact_average(schedules)
-        trace = SimTrace(g, schedules, q_num, q_den, 2000, 5 * g.n)
-        for _ in engine.iter_rounds(trace):
-            pass
+        # its one substate, exact, conserving and passing the audits that
+        # start after the last forced injection.
+        trace = _one_substate_trace()
         assert trace.quiescence_round is not None and trace.quiescence_round < 200
-        assert converged_nodes(trace.records[-1].nodes, q_num, q_den) == g.n
-        assert audit_mass_conservation(trace, schedules).ok
+        q_num, q_den = engine.exact_average(trace.schedules)
+        assert converged_nodes(trace.records[-1].nodes, q_num, q_den) == trace.graph.n
+        assert audit_mass_conservation(trace).ok
+        assert audit_leading_mass_dominance(trace).ok
+        assert audit_absorption(trace).ok
+
+    def test_one_substate_dominance_starts_at_round_zero(self):
+        # No substate is left to inject after initialization, so dominance
+        # is checked from round 0, below the graph's dmax + 1.
+        trace = _one_substate_trace()
+        at1 = next(r for r in trace.records if r.round == 1)
+        lead = max(engine._nonzero_masses(at1))
+        high = (dataclasses.replace(at1.nodes[0], state_z=lead[0] + 1),) + at1.nodes[1:]
+        _replace_record(trace, 1, nodes=high)
+        verdict = audit_leading_mass_dominance(trace)
+        assert not verdict.ok and verdict.first_violation_round == 1
+
+
+def _one_substate_trace() -> SimTrace:
+    """G(20, 0.1) at rng 1:0, every node on a one-substate schedule, run by
+    hand through the round loop."""
+    rng = random.Random("1:0")
+    g = generate_random_strongly_connected(20, 0.1, rng)
+    schedules = tuple(
+        SubstateSchedule(y0=y0, uy=(y0,), uz=(1,))
+        for y0 in (rng.randint(-50, 50) for _ in range(g.n))
+    )
+    trace = SimTrace(g, schedules, 2000, 5 * g.n)
+    for _ in engine.iter_rounds(trace):
+        pass
+    return trace
 
 
 def _reproduction_config() -> TrialConfig:
@@ -455,7 +476,7 @@ class TestCertificationTail:
         frozen = trace.records[-1].nodes
         off = (dataclasses.replace(frozen[0], mass_y=frozen[0].mass_y + 1),) + frozen[1:]
         _replace_record(trace, bad_round, nodes=off)
-        verdict = audit_mass_conservation(trace, trace.schedules)
+        verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == bad_round
 
     def test_tail_record_with_a_message_is_evaluated(self, two_node_run):
@@ -466,7 +487,7 @@ class TestCertificationTail:
         assert trace.records[-1].nodes is next(
             r.nodes for r in trace.records if r.round == bad_round
         )
-        verdict = audit_mass_conservation(trace, trace.schedules)
+        verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == bad_round
 
     def test_record_below_dominance_start_does_not_vouch(self, two_node_run):
@@ -477,7 +498,7 @@ class TestCertificationTail:
         high = (dataclasses.replace(at2.nodes[0], state_z=100),) + at2.nodes[1:]
         _replace_record(trace, 1, nodes=high, messages=())
         _replace_record(trace, 2, nodes=high, messages=())
-        verdict = audit_leading_mass_dominance(trace, 1)
+        verdict = audit_leading_mass_dominance(trace)
         assert not verdict.ok and verdict.first_violation_round == 2
 
     def test_adoption_in_a_tail_record_is_flagged(self, two_node_run):
@@ -485,7 +506,7 @@ class TestCertificationTail:
         bad_round = report.quiescence_round + 3
         adopted = (TriggersFired(False, True, False),) * trace.graph.n
         _replace_record(trace, bad_round, fired=adopted)
-        verdict = audit_absorption(trace, 1)
+        verdict = audit_absorption(trace)
         assert not verdict.ok and verdict.first_violation_round == bad_round
 
     def test_settle_record_does_not_vouch_for_its_successor(self, two_node_run):
@@ -493,12 +514,12 @@ class TestCertificationTail:
         # sharing its node and fired tuples must still be checked.
         trace, _ = two_node_run
         settle = 4
-        assert audit_absorption(trace, 1).detail == f"masses settled at round {settle}"
+        assert audit_absorption(trace).detail == f"masses settled at round {settle}"
         at_settle = next(r for r in trace.records if r.round == settle)
         adopted = (TriggersFired(False, True, False),) * trace.graph.n
         for rnd in (settle, settle + 1):
             _replace_record(trace, rnd, nodes=at_settle.nodes, messages=(), fired=adopted)
-        verdict = audit_absorption(trace, 1)
+        verdict = audit_absorption(trace)
         assert verdict.detail == f"mass adoption fired after settle round {settle}"
         assert not verdict.ok and verdict.first_violation_round == settle + 1
 
@@ -507,7 +528,7 @@ class TestCertificationTail:
         at3 = next(r for r in trace.records if r.round == 3)
         empty = tuple(dataclasses.replace(node, mass_y=0, mass_z=0) for node in at3.nodes)
         _replace_record(trace, 3, nodes=empty, messages=())
-        verdict = audit_leading_mass_dominance(trace, 1)
+        verdict = audit_leading_mass_dominance(trace)
         assert verdict == engine.AuditVerdict(False, 3, "no nonzero mass anywhere")
 
     def test_broadcast_in_a_tail_record_is_flagged(self, two_node_run):
@@ -515,7 +536,7 @@ class TestCertificationTail:
         bad_round = report.quiescence_round + 3
         stray = StateBroadcast(src=0, dst=1, y=1, z=1, round=bad_round)
         _replace_record(trace, bad_round, messages=(stray,))
-        verdict = audit_absorption(trace, 1)
+        verdict = audit_absorption(trace)
         assert verdict.detail == "traffic after settle round 4 + n - 1"
         assert not verdict.ok and verdict.first_violation_round == 9
 
@@ -529,7 +550,7 @@ class TestCertificationTail:
         stray = MassTransfer(src=0, dst=1, y=1, z=0, round=bad_round - 1)
         _replace_record(trace, bad_round - 1, nodes=off, messages=(stray,))
         _replace_record(trace, bad_round, nodes=off)
-        verdict = audit_mass_conservation(trace, trace.schedules)
+        verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == bad_round
 
 
@@ -619,9 +640,7 @@ def _drive(loop, g, schedules, max_rounds=None, quiescence_window=None):
     schedules = tuple(schedules)
     if max_rounds is None:
         max_rounds = theoretical_bound(g.n, g.m, max_out_degree(g))
-    trace = SimTrace(
-        g, schedules, *engine.exact_average(schedules), max_rounds, quiescence_window or 5 * g.n
-    )
+    trace = SimTrace(g, schedules, max_rounds, quiescence_window or 5 * g.n)
     try:
         for _ in loop(trace):
             pass
@@ -802,7 +821,7 @@ def assert_audits_agree(trace):
         (audit_mass_conservation, reference_audit_mass_conservation, (trace.schedules,)),
         (audit_leading_mass_dominance, reference_audit_leading_mass_dominance, (dmax,)),
     ):
-        assert _outcome(audit, trace, *args) == _outcome(reference, trace, *args), audit.__name__
+        assert _outcome(audit, trace) == _outcome(reference, trace, *args), audit.__name__
 
 
 @functools.cache
@@ -901,7 +920,7 @@ def small_traces(draw):
             )
         messages = tuple(message(rnd) for _ in range(draw(st.sampled_from((0, 0, 1, 2)))))
         records.append(RoundRecord(rnd, messages, nodes, fired))
-    return SimTrace(g, schedules, 1, 1, 100, 5, records)
+    return SimTrace(g, schedules, 100, 5, records)
 
 
 class TestAuditsMatchReference:
@@ -946,7 +965,7 @@ class TestAuditsMatchReference:
                     nodes = tuple(old if old == new else new for old, new in zip(prev, nodes))
                 records.append(RoundRecord(rnd, (), nodes, idle))
                 prev = nodes
-            return SimTrace(g, (sched,) * 3, 1, 1, 100, 5, records)
+            return SimTrace(g, (sched,) * 3, 100, 5, records)
 
         none, low = (0, 0), (1, 0)
         state_lead = trace_of(
@@ -960,5 +979,5 @@ class TestAuditsMatchReference:
             (((2, 0), low), (none, low), (none, (3, 0))),
         )
         for trace, violation in ((state_lead, None), (mass_lead, 4)):
-            assert audit_leading_mass_dominance(trace, 1).first_violation_round == violation
+            assert audit_leading_mass_dominance(trace).first_violation_round == violation
             assert_audits_agree(trace)

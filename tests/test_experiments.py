@@ -92,6 +92,14 @@ CONFIG_REJECTIONS = [
         "curious_fraction must be in [0, 1]",
     ),
     (
+        "n = 3\np = 0.5\nstates = 1,2,3\nroles = private,curious,neutral\nprivate_fraction = 0.2\n",
+        "roles and private_fraction must not both be given",
+    ),
+    (
+        "n = 3\np = 0.5\nstates = 1,2,3\nroles = private,curious,neutral\ncurious_fraction = 0.5\n",
+        "roles and curious_fraction must not both be given",
+    ),
+    (
         "n = 3\np = 0.5\nstates = 1,2,3\noffset_bound = 0\n",
         "offset_bound must be a positive integer",
     ),

@@ -120,7 +120,7 @@ class TestReconstruction:
         g = digraph_from_edges(2, [(0, 1), (1, 0)])
         g, trace, _ = run_trial(g, [P, C], [4, 9], seed=3)
         log = coalition_observations(trace, {1})
-        assert reconstruct_fully_surrounded(log, g, 0, max_out_degree(g)) == 4
+        assert reconstruct_fully_surrounded(log, g, 0) == 4
 
     def test_star_center_recovered_for_many_seeds(self):
         g = star(4)
@@ -130,20 +130,20 @@ class TestReconstruction:
             states = [rng.randint(-100, 100) for _ in range(5)]
             g2, trace, _ = run_trial(star(4), roles, states, seed=f"star{seed}")
             log = coalition_observations(trace, {1, 2, 3, 4})
-            got = reconstruct_fully_surrounded(log, g2, 0, max_out_degree(g2))
+            got = reconstruct_fully_surrounded(log, g2, 0)
             assert got == states[0]
 
     def test_non_coalition_neighbor_refused(self):
         g, trace, _ = run_trial(cycle3(), [P, P, C], [4, 7, -3], seed=5)
         log = coalition_observations(trace, {2})
         with pytest.raises(NotFullySurroundedError):
-            reconstruct_fully_surrounded(log, g, 0, max_out_degree(g))
+            reconstruct_fully_surrounded(log, g, 0)
 
     def test_target_inside_coalition_refused(self):
         g, trace, _ = run_trial(cycle3(), [C, C, C], [4, 7, -3], seed=6)
         log = coalition_observations(trace, {0, 1, 2})
         with pytest.raises(NotFullySurroundedError):
-            reconstruct_fully_surrounded(log, g, 0, max_out_degree(g))
+            reconstruct_fully_surrounded(log, g, 0)
 
 
 class TestAmbiguityWitness:
