@@ -74,7 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trial", type=int, default=0, help="trial index to (re)run")
 
     p_batch = sub.add_parser("batch", help="run a batch of trials and emit CSV metrics")
-    p_batch.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    p_batch.add_argument(
+        "--jobs", type=int, default=1, help="parallel trial workers, at most one per trial"
+    )
 
     p_audit = sub.add_parser("privacy-audit", help="classify private nodes; optionally attack")
     p_audit.add_argument("--trial", type=int, default=0, help="trial index to analyze")
@@ -130,7 +132,7 @@ def cmd_run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text("\n".join(_report_lines(result)) + "\n", encoding="ascii")
-    write_trace_csv(result.trace, out / "trace.csv")
+    write_trace_csv(result.trace, out / "trace.csv", result.report.rows)
     write_message_log(result.trace, out / "messages.csv")
     print(f"trial {result.index} seed {result.seed}: "
           f"convergence={result.report.convergence_round} "

@@ -497,9 +497,10 @@ TRACE_CSV_HEADER = "round,state_broadcasts,mass_transfers,transmitting_nodes,con
 MESSAGE_LOG_HEADER = "round,kind,src,dst,y,z"
 
 
-def trace_csv_lines(trace: SimTrace) -> list[str]:
+def trace_csv_lines(trace: SimTrace, rows: tuple[SeriesRow, ...] | None = None) -> list[str]:
+    """trace.csv's lines from `rows`, the trace's `round_rows` when not given."""
     lines = [TRACE_CSV_HEADER]
-    for row in round_rows(trace):
+    for row in round_rows(trace) if rows is None else rows:
         lines.append(
             f"{row.round},{row.broadcasts},{row.mass_transfers},"
             f"{row.transmitting_nodes},{row.converged_nodes}"
@@ -516,8 +517,8 @@ def message_log_lines(trace: SimTrace) -> list[str]:
     return lines
 
 
-def write_trace_csv(trace: SimTrace, path) -> None:
-    Path(path).write_text("\n".join(trace_csv_lines(trace)) + "\n", encoding="ascii")
+def write_trace_csv(trace: SimTrace, path, rows: tuple[SeriesRow, ...] | None = None) -> None:
+    Path(path).write_text("\n".join(trace_csv_lines(trace, rows)) + "\n", encoding="ascii")
 
 
 def write_message_log(trace: SimTrace, path) -> None:

@@ -1,6 +1,6 @@
 import pytest
 
-from privavg import cli
+from privavg import cli, engine
 from privavg.cli import main
 from privavg.graph import digraph_from_edges, save_edge_list
 from privavg.privacy import ReconstructionError, WitnessUnavailableError
@@ -36,6 +36,20 @@ class TestRunCommand:
         assert trace[0] == "round,state_broadcasts,mass_transfers,transmitting_nodes,converged_nodes"
         assert trace[1].startswith("-1,2,0,2,")
         assert (out / "messages.csv").read_text().splitlines()[0] == "round,kind,src,dst,y,z"
+
+    def test_counter_rows_built_once(self, pair_setup, monkeypatch):
+        config_path, tmp_path = pair_setup
+        calls = []
+        round_rows = engine.round_rows
+
+        def counting(trace):
+            calls.append(trace)
+            return round_rows(trace)
+
+        monkeypatch.setattr(engine, "round_rows", counting)
+        out = tmp_path / "out"
+        assert main(["--config", str(config_path), "--out-dir", str(out), "run"]) == 0
+        assert len(calls) == 1
 
     def test_rerun_is_byte_identical(self, pair_setup):
         config_path, tmp_path = pair_setup

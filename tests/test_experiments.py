@@ -1,7 +1,9 @@
+import gc
 import re
 
 import pytest
 
+from privavg import experiments
 from privavg.engine import trace_csv_lines
 from privavg.experiments import (
     ConfigError,
@@ -24,6 +26,43 @@ def two_node_graph_file(tmp_path):
     path = tmp_path / "pair.txt"
     save_edge_list(g, path)
     return str(path)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector_state(request):
+    """Switch the cyclic collector on or off for one test, then restore it."""
+    was_enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by one that maps serially and records its max_workers."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 def pair_config(graph_file, **kw):
@@ -168,6 +207,46 @@ class TestSingleTrial:
         assert result.roles.count(NodeRole.NEUTRAL) == 1
 
 
+class TestCollectorPause:
+    def test_collector_off_while_simulating(self, two_node_graph_file, monkeypatch):
+        seen = []
+        simulate = experiments.run_simulation
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return simulate(*args)
+
+        monkeypatch.setattr(experiments, "run_simulation", recording)
+        assert gc.isenabled()
+        run_single_trial(pair_config(two_node_graph_file), 0)
+        assert seen == [False]
+
+    def test_state_restored_after_trial(self, two_node_graph_file, collector_state):
+        run_single_trial(pair_config(two_node_graph_file), 0)
+        assert gc.isenabled() is collector_state
+
+    def test_state_restored_when_trial_raises(self, two_node_graph_file, collector_state):
+        cfg = pair_config(two_node_graph_file, states=(1, 2, 3))
+        with pytest.raises(ConfigError, match="states list has 3 entries, graph has 2"):
+            run_single_trial(cfg, 0)
+        assert gc.isenabled() is collector_state
+
+    def test_trials_leave_no_cyclic_garbage(self):
+        # The premise of the pause: reference counting alone frees a trial.
+        cfg = TrialConfig(seed=100, trials=4, n=20, p=0.1, states=REFERENCE_STATE_VECTOR)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for index in range(cfg.trials):
+                run_single_trial(cfg, index)
+            run_single_trial(cfg, cfg.trials, keep_trace=True)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
 class TestBatch:
     def test_reference_vector_average_is_exact_per_trial(self):
         cfg = TrialConfig(seed=5, trials=6, n=20, p=0.3, states=REFERENCE_STATE_VECTOR)
@@ -237,6 +316,13 @@ class TestBatch:
         serial = run_batch(cfg, jobs=1)
         parallel = run_batch(cfg, jobs=2)
         assert trials_csv_lines(serial) == trials_csv_lines(parallel)
+
+    @pytest.mark.parametrize(("trials", "jobs", "built"), [(3, 64, [3]), (1, 4, [])])
+    def test_pool_capped_at_trial_count(self, two_node_graph_file, pool_sizes, trials, jobs, built):
+        cfg = pair_config(two_node_graph_file, trials=trials)
+        pooled = run_batch(cfg, jobs=jobs)
+        assert pool_sizes == built
+        assert trials_csv_lines(pooled) == trials_csv_lines(run_batch(cfg))
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_refused(self, two_node_graph_file, jobs):
