@@ -101,6 +101,24 @@ def _load_config(args) -> TrialConfig:
     return cfg
 
 
+def _trial_index(args) -> int:
+    if args.trial < 0:
+        raise ConfigError(f"--trial must be >= 0, got {args.trial}")
+    return args.trial
+
+
+def _out_dir(args) -> Path:
+    """The --out-dir path, refused before any trial runs if a file stands on it.
+
+    Nothing is created here; the commands make the directory when they write.
+    """
+    out = Path(args.out_dir)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise NotADirectoryError(f"--out-dir {args.out_dir}: {nearest} is not a directory")
+    return out
+
+
 def _report_lines(result) -> list[str]:
     rep = result.report
     states = ";".join(f"{y}/{z}" for y, z in rep.final_states)
@@ -128,8 +146,9 @@ def _report_lines(result) -> list[str]:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    result = run_single_trial(cfg, args.trial, keep_trace=True)
-    out = Path(args.out_dir)
+    trial = _trial_index(args)
+    out = _out_dir(args)
+    result = run_single_trial(cfg, trial, keep_trace=True)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text("\n".join(_report_lines(result)) + "\n", encoding="ascii")
     write_trace_csv(result.trace, out / "trace.csv", result.report.rows)
@@ -142,8 +161,9 @@ def cmd_run(args) -> int:
 
 def cmd_batch(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args)
     summary = run_batch(cfg, jobs=args.jobs)
-    trials_path, series_path = emit_round_metrics(summary, args.out_dir)
+    trials_path, series_path = emit_round_metrics(summary, out)
     print(f"{summary.n_trials} trials -> {trials_path}, {series_path}")
     print(
         f"mean convergence {summary.mean_convergence_round:.2f}, "
@@ -159,7 +179,9 @@ def cmd_batch(args) -> int:
 
 def cmd_privacy_audit(args) -> int:
     cfg = _load_config(args)
-    rng = random.Random(trial_seed_token(cfg.seed, args.trial))
+    trial = _trial_index(args)
+    out = _out_dir(args)
+    rng = random.Random(trial_seed_token(cfg.seed, trial))
     g, roles, states, schedules = build_trial_inputs(cfg, rng)
     verdicts = classify_privacy(g, roles)
     lines = [f"{v.target},{v.classification.value},{v.justification}" for v in verdicts]
@@ -196,7 +218,6 @@ def cmd_privacy_audit(args) -> int:
                         f"attack,{v.target},witness,helper,{found.helper},"
                         f"delta,{found.delta},digest,{found.log_digest[:16]}"
                     )
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "privacy_audit.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     for line in lines:

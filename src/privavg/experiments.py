@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import gc
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -330,6 +329,9 @@ def run_batch(cfg: TrialConfig, jobs: int = 1) -> BatchSummary:
     # A fork-started pool forks every worker at the first submit, used or not.
     workers = min(jobs, cfg.trials)
     if workers > 1:
+        # Imported here: the pool loads multiprocessing, which a serial batch never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_single_trial, [cfg] * cfg.trials, indices))
     else:

@@ -11,7 +11,6 @@ neighbor exists.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -91,6 +90,9 @@ class ObservationLog:
         return lines
 
     def digest(self) -> str:
+        # Imported on first use: hashlib maps OpenSSL, which most runs never need.
+        import hashlib
+
         payload = "\n".join(self.canonical_lines()).encode("ascii")
         return hashlib.sha256(payload).hexdigest()
 

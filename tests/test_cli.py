@@ -269,3 +269,61 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("trial aborted: ") and "left the 64-bit range" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config", "{tmp}/none.cfg", "--out-dir", "{tmp}/o", "batch"],
+            ["--out-dir", "{tmp}/o", "validate-schedule", "{tmp}/none.sched"],
+        ],
+        ids=["missing-config", "missing-schedule"],
+    )
+    def test_io_error_is_one_line_and_no_outputs(self, pair_setup, capsys, argv):
+        _config_path, tmp_path = pair_setup
+        before = sorted(tmp_path.rglob("*"))
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: "), err
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+class TestRefusedBeforeAnyTrial:
+    """Bad arguments and a file in the way of --out-dir stop a command before it simulates."""
+
+    @pytest.fixture
+    def simulated(self, monkeypatch):
+        calls = []
+        for name in ("run_batch", "run_single_trial", "build_trial_inputs"):
+            fn = getattr(cli, name)
+
+            def counting(*args, _fn=fn, **kw):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kw)
+
+            monkeypatch.setattr(cli, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("out_dir", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("command", [["batch"], ["run"], ["privacy-audit", "--attack"]])
+    def test_out_dir_behind_a_file_is_io_error(self, pair_setup, capsys, simulated, command, out_dir):
+        config_path, tmp_path = pair_setup
+        (tmp_path / "taken").write_text("")
+        argv = ["--config", str(config_path), "--out-dir", str(tmp_path / out_dir), *command]
+        assert main(argv) == 3
+        assert simulated == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: --out-dir ")
+        assert err[0].endswith("taken is not a directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.cfg", "pair.txt", "taken"]
+
+    @pytest.mark.parametrize("command", ["run", "privacy-audit"])
+    def test_negative_trial_is_config_error(self, pair_setup, capsys, simulated, command):
+        config_path, tmp_path = pair_setup
+        out = tmp_path / "o"
+        argv = ["--config", str(config_path), "--out-dir", str(out), command, "--trial", "-1"]
+        assert main(argv) == 1
+        assert simulated == []
+        assert capsys.readouterr().err == "config error: --trial must be >= 0, got -1\n"
+        assert not out.exists()

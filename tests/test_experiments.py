@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import re
 
@@ -61,7 +62,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # run_batch imports the pool from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
