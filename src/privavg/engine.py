@@ -23,6 +23,15 @@ conservation audit pays only for that: it keeps running sums over the nodes
 and re-sums only the positions whose node object changed.  The dominance
 and absorption audits evaluate each record whole.  Messages stay one object
 per broadcast copy, so each audit still reads every evaluated record's outbox.
+
+Frozen values that trials repeat are shared, not rebuilt.  step_node returns
+one of eight shared TriggersFired objects and hands back a node whose
+successor would equal it (see protocol), and round_rows takes the row of a
+record without messages, a "silent row" such as each of the certification
+tail's, from a bounded module-level cache keyed by (round, converged nodes).
+All trials in one process then share one object per silent row.  A batch on
+worker processes unpickles each result on its own, so only a serial batch
+shares rows across its trials.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress, count
 from operator import is_not
 from pathlib import Path
@@ -93,6 +103,12 @@ class SeriesRow:
 # Built once per round and once per counter row (see protocol._builder).
 _build_record = _builder(RoundRecord)
 _build_row = _builder(SeriesRow)
+
+
+@lru_cache(maxsize=4096)  # a 5n-round certification tail fits whole up to n = 800
+def _silent_row(rnd: int, converged: int) -> SeriesRow:
+    """The shared counter row of a record without messages."""
+    return _build_row(rnd, 0, 0, 0, 0, converged)
 
 
 @dataclass(slots=True)
@@ -344,12 +360,19 @@ def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
 
 
 def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
-    """One counter row per record, round -1 included, from one pass over its messages."""
+    """One counter row per record, round -1 included, from one pass over its
+    messages; a record without messages gets its shared silent row."""
     q_num, q_den = exact_average(trace.schedules)
     rows = []
     last_nodes = None
     converged = 0
     for record in trace.records:
+        if record.nodes is not last_nodes:
+            last_nodes = record.nodes
+            converged = converged_nodes(last_nodes, q_num, q_den)
+        if not record.messages:
+            rows.append(_silent_row(record.round, converged))
+            continue
         copies = transfers = 0
         broadcasters: set[int] = set()
         senders: set[int] = set()
@@ -360,9 +383,6 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
             else:
                 copies += 1
                 broadcasters.add(msg.src)
-        if record.nodes is not last_nodes:
-            last_nodes = record.nodes
-            converged = converged_nodes(last_nodes, q_num, q_den)
         rows.append(
             _build_row(
                 record.round, len(broadcasters), copies, transfers, len(senders), converged

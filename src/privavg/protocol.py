@@ -17,11 +17,20 @@ member descriptor.  The object is the one __init__ makes (same class and
 slots, equal, same hash and repr, pickles and `dataclasses.replace`s the
 same, and still refuses assignment); the public classes and their __init__
 are unchanged.
+
+Where a step has nothing new to build, it builds nothing: evaluate_triggers
+returns one of eight module-level TriggersFired objects, one per outcome
+(_IDLE is the all-False one, shared by every step without mail), and
+step_node returns the NodeState it was given when the successor would equal
+it field for field, as it does for a node whose mail changes nothing.  All
+of these are frozen and compare by value, so sharing them changes no
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import product
 from types import MemberDescriptorType
 from typing import NamedTuple, Union
 
@@ -96,7 +105,9 @@ class TriggersFired(NamedTuple):
     hand_off: bool        # condition set 3
 
 
-_IDLE = TriggersFired(False, False, False)  # shared by every step without mail
+# Every trigger outcome, indexed by 4 * adopt_received + 2 * adopt_mass + hand_off.
+_OUTCOMES = tuple(TriggersFired(*bits) for bits in product((False, True), repeat=3))
+_IDLE = _OUTCOMES[0]  # shared by every step without mail
 
 _build_broadcast = _builder(StateBroadcast)
 _build_transfer = _builder(MassTransfer)
@@ -152,7 +163,8 @@ def evaluate_triggers(
 
     received_states holds (y, z) payloads.  Returns the updated state pair
     and which condition sets fired; sets 2 and 3 see the state as already
-    updated by set 1.
+    updated by set 1.  The outcome is one of the eight shared TriggersFired
+    objects.
     """
     fired1 = fired2 = fired3 = False
     if received_states:
@@ -165,7 +177,7 @@ def evaluate_triggers(
         fired2 = True
     if 0 < mass_z < state_z or (mass_z == state_z and mass_y < state_y):
         fired3 = True
-    return state_y, state_z, TriggersFired(fired1, fired2, fired3)
+    return state_y, state_z, _OUTCOMES[4 * fired1 + 2 * fired2 + fired3]
 
 
 def step_node(
@@ -175,7 +187,8 @@ def step_node(
 
     inbox must contain exactly the messages addressed to this node that were
     sent in round rnd - 1.  The returned outbox is stamped with round rnd
-    and is due for delivery at rnd + 1.
+    and is due for delivery at rnd + 1.  The successor is node itself when
+    it would equal node field for field.
     """
     node_id = node.id
     received_states: list[tuple[int, int]] = []
@@ -225,6 +238,17 @@ def step_node(
         s_br = False
 
     assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
+    # Both flags end clear, and s moves on with every hand-off (which alone
+    # moves the cursor): an unchanged s, mass and state leave nothing to build.
+    if (
+        s == node.s
+        and not (node.s_br or node.m_tr)
+        and mass_y == node.mass_y
+        and mass_z == node.mass_z
+        and state_y == node.state_y
+        and state_z == node.state_z
+    ):
+        return node, outbox, fired
     new_node = _build_node(
         node_id, out, node.schedule, mass_y, mass_z, state_y, state_z, s, s_br, m_tr, rr_cursor
     )

@@ -12,13 +12,16 @@ from privavg.engine import (
     AuditVerdict,
     InvalidScheduleError,
     RoundRecord,
+    SeriesRow,
     SimTrace,
     SimulationOverflowError,
+    _build_row,
     _evaluated,
     audit_absorption,
     audit_leading_mass_dominance,
     audit_mass_conservation,
     converged_nodes,
+    exact_average,
     message_log_lines,
     run_simulation,
     theoretical_bound,
@@ -29,6 +32,7 @@ from privavg.experiments import (
     REFERENCE_STATE_VECTOR,
     TrialConfig,
     build_trial_inputs,
+    run_batch,
     run_single_trial,
     trial_seed_token,
 )
@@ -178,6 +182,31 @@ class TestRowsOnce:
         assert rows[0].round == -1
         assert len(result.series) == len(rows) - 1
         assert all(a is b for a, b in zip(result.series, rows[1:]))
+
+
+class TestSharedRows:
+    def test_reproduction_batch_shares_its_silent_rows(self):
+        # Every trial ends in a 100-round silent tail of fully converged
+        # rows; a serial batch keeps one object per (round, converged nodes).
+        cfg = TrialConfig(
+            seed=100, trials=100, n=20, p=REFERENCE_EDGE_PROBABILITY,
+            states=REFERENCE_STATE_VECTOR,
+        )
+        reports = [result.report for result in run_batch(cfg).results]
+        rows = [row for report in reports for row in report.rows]
+        assert len({id(row) for row in rows}) <= 0.4 * len(rows)
+
+        def silent(report):
+            return {
+                (row.round, row.converged_nodes): row
+                for row in report.rows
+                if not row.transmitting_nodes
+            }
+
+        first, second = silent(reports[0]), silent(reports[1])
+        shared = first.keys() & second.keys()
+        assert shared
+        assert all(first[key] is second[key] for key in shared)
 
 
 class TestTheoreticalBound:
@@ -667,7 +696,37 @@ def assert_loops_agree(g, schedules, **limits):
             assert a.nodes == b.nodes, a.round
             last = (id(a.nodes), id(b.nodes))
     assert_audits_agree(got)
+    assert engine.round_rows(got) == reference_round_rows(got)
     return got, got_err
+
+
+def reference_round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
+    """engine.round_rows as it stood before silent rows were shared, kept
+    verbatim as its oracle; only the name differs."""
+    q_num, q_den = exact_average(trace.schedules)
+    rows = []
+    last_nodes = None
+    converged = 0
+    for record in trace.records:
+        copies = transfers = 0
+        broadcasters: set[int] = set()
+        senders: set[int] = set()
+        for msg in record.messages:
+            senders.add(msg.src)
+            if isinstance(msg, MassTransfer):
+                transfers += 1
+            else:
+                copies += 1
+                broadcasters.add(msg.src)
+        if record.nodes is not last_nodes:
+            last_nodes = record.nodes
+            converged = converged_nodes(last_nodes, q_num, q_den)
+        rows.append(
+            _build_row(
+                record.round, len(broadcasters), copies, transfers, len(senders), converged
+            )
+        )
+    return tuple(rows)
 
 
 def _pair_inputs(index: int):

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from privavg.engine import (
 from privavg.graph import Digraph, generate_random_strongly_connected, max_out_degree
 from privavg.protocol import (
     _IDLE,
+    _OUTCOMES,
     EngineContractError,
     MassTransfer,
     Message,
@@ -143,6 +145,22 @@ class TestEventTriggers:
         _, _, fired = evaluate_triggers(state_y, state_z, [], 0, 0)
         assert not fired.hand_off
 
+    def test_one_shared_object_per_outcome(self):
+        assert [tuple(o) for o in _OUTCOMES] == list(product((False, True), repeat=3))
+        assert _IDLE is _OUTCOMES[0]
+        small = (-1, 0, 1)
+        pairs = list(product(small, (0, 1, 2)))
+        reached = {}
+        for (sy, sz), (my, mz) in product(pairs, pairs):
+            for received in [[]] + [[pair] for pair in pairs]:
+                y, z, fired = evaluate_triggers(sy, sz, received, my, mz)
+                want = reference_evaluate_triggers(sy, sz, received, my, mz)
+                assert (y, z, fired) == want
+                assert fired is next(o for o in _OUTCOMES if o == want[2])
+                reached[id(fired)] = fired
+        # An adopted mass is the new state, so it cannot also be handed off.
+        assert sorted(reached.values()) == [o for o in _OUTCOMES if not (o[1] and o[2])]
+
 
 class TestStepNode:
     """The first round of the hand-traced bidirectional pair."""
@@ -174,6 +192,16 @@ class TestStepNode:
         out, emitted, fired = step_node(node, [], 5)
         assert emitted == [] and fired == (False, False, False)
         assert out == node
+
+    def test_mail_that_changes_nothing_hands_back_the_node(self):
+        node = make_node(state=(9, 3), mass=(0, 0), s=3)
+        out, emitted, fired = step_node(node, [StateBroadcast(1, 0, 1, 1, 4)], 5)
+        assert out is node and emitted == [] and fired is _IDLE
+        out, emitted, fired = step_node(node, [StateBroadcast(1, 0, 1, 4, 4)], 5)
+        assert out is not node and (out.state_y, out.state_z) == (1, 4) and len(emitted) == 1
+        flagged = dataclasses.replace(node, s_br=True)
+        out, emitted, _ = step_node(flagged, [], 5)
+        assert out == node and out is not flagged and len(emitted) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -415,9 +443,12 @@ class TestStepNodeMatchesReference:
             pos = data.draw(st.integers(0, len(inbox) - 1))
             inbox[pos] = dataclasses.replace(inbox[pos], dst=node.id + 1)
         got = _outcome(step_node, node, inbox, rnd)
-        assert got == _outcome(reference_step_node, node, inbox, rnd)
+        want = _outcome(reference_step_node, node, inbox, rnd)
+        assert got == want
         if misrouted:
             assert got[0] is EngineContractError
+        elif len(want) == 3:  # a step, not a refusal: node comes back iff nothing changed
+            assert (got[0] is node) == (want[0] == node)
 
 
 # The hot records are built through protocol._builder; each builder must make
