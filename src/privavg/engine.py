@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import compress, count
 from operator import is_not
@@ -222,7 +222,7 @@ def run_simulation(
     return trace, report
 
 
-def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
+def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[RoundRecord]:
     """Simulate trace's graph and schedules, yielding one record per round.
 
     Yields round -1 (the initial broadcasts), the active rounds up to
@@ -235,25 +235,43 @@ def iter_rounds(trace: SimTrace) -> Iterator[RoundRecord]:
     the offending record; trace.quiescence_round is set when silence is
     found.  A consumer may stop early.  The inputs are taken as valid:
     run_simulation checks them.
+
+    With `resume`, an active-round record of another run on the same graph
+    (one that had not found silence by then), the loop picks up after that
+    record instead of starting at round -1.  The record itself is neither
+    yielded nor appended, so trace.records starts at the next round, and each
+    of its nodes is carried over with trace's schedule swapped in.  The
+    records yielded are those of trace's own run exactly when trace's
+    schedules agree with the other run's on every substate not yet read at
+    `resume`; the caller vouches for that.  An overflow is then raised at the
+    round the whole run would raise it, but with the partial trace from the
+    resume point on.
     """
     g = trace.graph
-    nodes: list[NodeState] = []
-    init_msgs: list[Message] = []
-    for j in range(g.n):
-        node, broadcast = init_node(j, trace.schedules[j], g.out_neighbors(j))
-        nodes.append(node)
-        init_msgs.extend(broadcast)
-    idle_fired = tuple(_IDLE for _ in nodes)
-    record = _build_record(-1, tuple(init_msgs), tuple(nodes), idle_fired)
-    trace.records.append(record)
-    _check_overflow(record, trace, nodes)
-    yield record
+    idle_fired = (_IDLE,) * g.n
+    if resume is None:
+        nodes: list[NodeState] = []
+        init_msgs: list[Message] = []
+        for j in range(g.n):
+            node, broadcast = init_node(j, trace.schedules[j], g.out_neighbors(j))
+            nodes.append(node)
+            init_msgs.extend(broadcast)
+        record = _build_record(-1, tuple(init_msgs), tuple(nodes), idle_fired)
+        trace.records.append(record)
+        _check_overflow(record, trace, nodes)
+        yield record
+    else:
+        record = resume
+        nodes = [
+            node if node.schedule is sched else replace(node, schedule=sched)
+            for node, sched in zip(resume.nodes, trace.schedules)
+        ]
 
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
     no_mail: list[Message] = []
     unsettled = [j for j, node in enumerate(nodes) if not _settled(node)]
-    rnd = 0
+    rnd = record.round + 1
     while trace.quiescence_round is None and rnd < trace.max_rounds:
         inboxes: dict[int, list[Message]] = {}
         for msg in record.messages:

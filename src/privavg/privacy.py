@@ -7,16 +7,31 @@ argument: exact reconstruction of a node's initial state when the coalition
 surrounds it completely, and construction of alternative ground truths that
 replay to a byte-identical coalition log when a non-colluding private
 neighbor exists.
+
+A witness search screens many candidate ground truths against one log.
+Each differs from the original run only in two substates, read at known
+rounds, so the candidates share the replays of their common prefixes and
+each stops being replayed once it rejoins the original run (see
+ambiguity_witness).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
+from operator import attrgetter
+from typing import NamedTuple
 
-from .engine import RoundRecord, SimTrace, iter_rounds, run_simulation
+from .engine import (
+    RoundRecord,
+    SimTrace,
+    SimulationOverflowError,
+    iter_rounds,
+    run_simulation,
+)
 from .graph import Digraph, max_out_degree
-from .protocol import MassTransfer
+from .protocol import MassTransfer, NodeState
 from .schedule import NodeRole, SubstateSchedule, validate_schedule
 
 
@@ -90,11 +105,17 @@ class ObservationLog:
         return lines
 
     def digest(self) -> str:
-        # Imported on first use: hashlib maps OpenSSL, which most runs never need.
-        import hashlib
+        """SHA-256 of the canonical lines, computed once per distinct log value."""
+        return _log_digest(self)
 
-        payload = "\n".join(self.canonical_lines()).encode("ascii")
-        return hashlib.sha256(payload).hexdigest()
+
+@lru_cache(maxsize=8)
+def _log_digest(log: ObservationLog) -> str:
+    # Imported on first use: hashlib maps OpenSSL, which most runs never need.
+    import hashlib
+
+    payload = "\n".join(log.canonical_lines()).encode("ascii")
+    return hashlib.sha256(payload).hexdigest()
 
 
 def coalition_observations(trace: SimTrace, coalition) -> ObservationLog:
@@ -230,18 +251,31 @@ def ambiguity_witness(
 
     One target substate moves by delta times its schedule's length and one
     helper substate compensates, so the implied initial states move by
-    +delta and -delta while the network total is unchanged.  Every candidate
-    placement is re-simulated; a witness is returned only if the coalition's
-    observation log is identical to the original, event for event.
+    +delta and -delta while the network total is unchanged.  A candidate
+    placement is returned only if its full re-simulation passes the audits
+    and gives the coalition an observation log identical to the original,
+    event for event.
 
-    Each candidate is first replayed round by round and dropped at the
-    first round whose coalition view differs from the log's; past the log's
-    last round a non-empty coalition always sees a difference.  Only a
-    candidate whose whole view matched is simulated in full and checked.  The
-    search order, and so the witness returned, is that of checking every
-    candidate in full.  A SimulationOverflowError still escapes the search
-    when a replay reaches it, but a replay dropped at an earlier round no
-    longer does.
+    Candidates are screened first, on replays they share.  A validated
+    private schedule hands off one substate per round, so substate s is
+    read at round s - 1 whatever the mail, and candidate (i, j) is the run
+    that shifts only its earlier-read side (neither, when i == j) through
+    round max(i, j) - 2.  One lazily extended _Replay is kept for the base
+    schedules and one for each single shift; each candidate resumes from
+    its shared replay's record at that round and is dropped at the first
+    round whose coalition view differs from the log's (past the log's last
+    round a non-empty coalition always sees a difference).  It passes once
+    it rejoins the base replay (see _screen), so on the log of the trace's
+    own run the screen passes exactly the candidates whose whole view
+    matches; on another log it may pass more.  A passed candidate is
+    simulated in full and checked, which decides.  The search order, and so
+    the witness returned, is that of checking every candidate in full.
+
+    A SimulationOverflowError escapes the search when the candidate's own
+    replay from round -1 would reach it before its view differs, whether
+    the overflow shows in a screen or in the full run that follows; it is
+    raised from that replay, with the whole partial trace.  An overflow
+    that only a shared replay reaches does not escape.
     """
     if delta == 0:
         raise ValueError("delta must be a nonzero integer")
@@ -267,39 +301,65 @@ def ambiguity_witness(
             f"no mass transfer between target {target} and helper {helper}"
         )
 
-    # The log's events by round; each list comes out sorted, as the log is.
-    views: dict[int, tuple[list, list]] = {}
-    for ev in log.messages:
-        views.setdefault(ev[0], ([], []))[0].append(ev)
-    for ev in log.internal:
-        views.setdefault(ev[0], ([], []))[1].append(ev)
+    sight = _Sight.of(log)
+
+    def replay(schedules, shared: _Replay | None = None, start: int = -2) -> _Replay:
+        alt = SimTrace(trace.graph, tuple(schedules), trace.max_rounds, trace.quiescence_window)
+        return _Replay(alt, sight, shared, start)
+
+    base = replay(trace.schedules)
+    singles: dict[tuple[int, int], _Replay] = {}
+
+    def single_shift(node: int, index: int, sched: SubstateSchedule) -> _Replay:
+        # The run shifting one substate is the base run until it reads it.
+        key = (node, index)
+        if key not in singles:
+            schedules = list(trace.schedules)
+            schedules[node] = sched
+            singles[key] = replay(schedules, base, index - 2)
+        return singles[key]
+
     helper_placements = _shifted(sh, -delta)
     for i, alt_t in _shifted(st, delta):
         for j, alt_h in helper_placements:
             alt_schedules = list(trace.schedules)
             alt_schedules[target] = alt_t
             alt_schedules[helper] = alt_h
-            screen = SimTrace(
-                graph=trace.graph,
-                schedules=tuple(alt_schedules),
-                max_rounds=trace.max_rounds,
-                quiescence_window=trace.quiescence_window,
-            )
-            if not _replays_view(screen, log.coalition, views):
-                continue
-            alt_trace, alt_report = run_simulation(
-                trace.graph,
-                alt_schedules,
-                max_rounds=trace.max_rounds,
-                quiescence_window=trace.quiescence_window,
-            )
-            if not (
-                alt_report.quiescent
-                and alt_report.exactness_ok
-                and alt_report.conservation.ok
-            ):
-                continue
-            alt_log = coalition_observations(alt_trace, log.coalition)
+            # Through round max(i, j) - 2 the candidate is the run that
+            # shifts only its earlier-read side (neither, when i == j).
+            if i == j:
+                shared = base
+            elif j < i:
+                shared = single_shift(helper, j, alt_h)
+            else:
+                shared = single_shift(target, i, alt_t)
+            start = max(i, j) - 2
+            verdict = _screen(replay(alt_schedules, shared, start), start, base)
+            alt_log = None
+            if verdict == "pass":
+                try:
+                    alt_trace, alt_report = run_simulation(
+                        trace.graph,
+                        alt_schedules,
+                        max_rounds=trace.max_rounds,
+                        quiescence_window=trace.quiescence_window,
+                    )
+                except SimulationOverflowError:
+                    verdict = "overflow"  # in rounds after the candidate rejoined the base run
+                else:
+                    if (
+                        alt_report.quiescent
+                        and alt_report.exactness_ok
+                        and alt_report.conservation.ok
+                    ):
+                        alt_log = coalition_observations(alt_trace, log.coalition)
+            if verdict == "overflow":
+                # It escapes if the candidate's own replay reaches it before
+                # its view differs; replayed from round -1, the error then
+                # carries the whole partial trace.
+                whole = replay(alt_schedules)
+                if whole.finish() == "overflow":
+                    raise whole.error
             if alt_log == log:
                 return AmbiguityWitness(
                     target=target,
@@ -334,20 +394,139 @@ def _shifted(sched: SubstateSchedule, delta: int) -> list[tuple[int, SubstateSch
     return placements
 
 
-def _replays_view(trace: SimTrace, members: frozenset[int], views) -> bool:
-    """Whether trace's schedules replay to the coalition view `views`, the
-    sorted events of an observation log keyed by round.
+class _Sight(NamedTuple):
+    """What a coalition saw, keyed by round: the sorted message and internal
+    events of each round of an observation log, and the log's last round."""
 
-    Gives up at the first round whose view differs.  A round missing from
-    `views` is seen as empty, so a replay that runs past the log's last
-    round differs there unless the coalition is empty; one that ends
-    before that round is a mismatch too.
+    members: frozenset[int]
+    views: dict[int, tuple[list, list]]
+    last_round: int
+
+    @classmethod
+    def of(cls, log: ObservationLog) -> _Sight:
+        # Each list comes out sorted, as the log is.
+        views: dict[int, tuple[list, list]] = {}
+        for ev in log.messages:
+            views.setdefault(ev[0], ([], []))[0].append(ev)
+        for ev in log.internal:
+            views.setdefault(ev[0], ([], []))[1].append(ev)
+        return cls(log.coalition, views, max(views, default=-1))
+
+
+_UNSEEN: tuple[list, list] = ([], [])
+
+
+class _Replay:
+    """One run of fixed schedules, extended on demand and only while each of
+    its rounds shows the coalition what the log shows.
+
+    `records` holds the matched records, from `resume` on when the run picks
+    up after another run's record.  `verdict` stays None while the run can
+    be extended; then it reads "pass" (every round matched and the run ended
+    at or after the log's last round), "fail" (a round's view differed, or
+    the run ended before the log's last round) or "overflow" (the next
+    record left the 64-bit range; `error` holds the exception).  A round
+    missing from the log is seen as empty, so a run that goes on past the
+    log's last round differs there unless the coalition is empty.
     """
-    nothing = ([], [])
-    for record in iter_rounds(trace):
-        messages, internal = _observe(record, members)
+
+    __slots__ = ("trace", "records", "verdict", "error", "_sight", "_rounds")
+
+    def __init__(
+        self,
+        trace: SimTrace,
+        sight: _Sight,
+        shared: _Replay | None = None,
+        start: int = -2,
+    ):
+        """The run of trace's schedules, which is `shared`'s run through
+        round `start` (so it starts afresh when start < -1)."""
+        self.trace = trace
+        self.error: SimulationOverflowError | None = None
+        self._sight = sight
+        resume = shared.at(start) if start >= -1 else None
+        if start >= -1 and resume is None:
+            # shared stopped before round start, and this run stops with it.
+            self.records: list[RoundRecord] = []
+            self.verdict: str | None = shared.verdict
+            return
+        self.records = [] if resume is None else [resume]
+        self.verdict = None
+        self._rounds = iter_rounds(trace, resume)
+
+    def at(self, rnd: int) -> RoundRecord | None:
+        """The matched record of round rnd, extending the run up to it; None
+        when the run stopped before it (or the record predates the run)."""
+        records = self.records
+        while self.verdict is None and (not records or records[-1].round < rnd):
+            self._advance()
+        k = rnd - records[0].round if records else -1
+        return records[k] if 0 <= k < len(records) else None
+
+    def finish(self) -> str:
+        """Extend the run to its end, or to its first unmatched round."""
+        while self.verdict is None:
+            self._advance()
+        return self.verdict
+
+    def _advance(self) -> None:
+        sight = self._sight
+        try:
+            record = next(self._rounds)
+        except StopIteration:
+            last = self.records[-1].round if self.records else -2
+            self.verdict = "pass" if last >= sight.last_round else "fail"
+            return
+        except SimulationOverflowError as exc:
+            self.verdict, self.error = "overflow", exc
+            return
+        messages, internal = _observe(record, sight.members)
         messages.sort()
         internal.sort()
-        if (messages, internal) != views.get(record.round, nothing):
-            return False
-    return record.round >= max(views, default=-1)
+        if (messages, internal) != sight.views.get(record.round, _UNSEEN):
+            self.verdict = "fail"
+            return
+        self.records.append(record)
+
+
+def _screen(candidate: _Replay, start: int, base: _Replay) -> str:
+    """Screen a candidate checked from round `start` + 1 on: its own
+    verdict (see _Replay), unless it first rejoins `base`, the original
+    schedules' run, and passes there.
+
+    From round `start` + 1 on the candidate's shifted substates are all
+    read, so a round state (messages, and nodes but for their schedules)
+    equal to base's at the same round, with silence found at the same round
+    or not yet, makes every later record equal to base's too.  Base's later
+    rounds are not checked against the log, so the screen may pass a
+    candidate that a whole replay would fail, never the reverse.
+    """
+    rnd = start + 1
+    while (record := candidate.at(rnd)) is not None:
+        twin = base.at(rnd)
+        if (
+            twin is not None
+            and _same_state(record, twin)
+            and _quiet_by(candidate.trace, rnd) == _quiet_by(base.trace, rnd)
+        ):
+            return "pass"
+        rnd += 1
+    return candidate.verdict
+
+
+# Every NodeState field but the schedule: what a node carries into the next round.
+_ROUND_STATE = attrgetter(*(f.name for f in fields(NodeState) if f.name != "schedule"))
+
+
+def _same_state(a: RoundRecord, b: RoundRecord) -> bool:
+    """Whether two records of runs on one graph send the same messages and
+    leave every node with the same fields, its schedule aside."""
+    return a.messages == b.messages and all(
+        x is y or _ROUND_STATE(x) == _ROUND_STATE(y) for x, y in zip(a.nodes, b.nodes)
+    )
+
+
+def _quiet_by(trace: SimTrace, rnd: int) -> int | None:
+    """trace's quiescence round if it was found by round rnd, else None."""
+    q = trace.quiescence_round
+    return q if q is not None and q <= rnd else None

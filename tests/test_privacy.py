@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
-from privavg import privacy
+from privavg import engine, privacy
 from privavg.cli import WITNESS_DELTAS
-from privavg.engine import SimTrace, SimulationOverflowError, run_simulation
+from privavg.engine import SimTrace, SimulationOverflowError, iter_rounds, run_simulation
 from privavg.experiments import build_trial_inputs, parse_config, trial_seed_token
 from privavg.graph import (
+    Digraph,
     assign_edge_order,
     digraph_from_edges,
     generate_random_strongly_connected,
@@ -18,6 +20,8 @@ from privavg.privacy import (
     ObservationLog,
     PrivacyClass,
     WitnessUnavailableError,
+    _observe,
+    _shifted,
     ambiguity_witness,
     classify_privacy,
     coalition_observations,
@@ -113,6 +117,24 @@ class TestCoalitionObservations:
         a = coalition_observations(trace, {0})
         b = coalition_observations(trace, {0})
         assert a == b and a.digest() == b.digest()
+
+    def test_equal_logs_share_one_cached_digest(self):
+        trace, log, *_ = pair_case(0)
+        twin = coalition_observations(trace, log.coalition)
+        assert twin == log and twin is not log
+        payload = "\n".join(log.canonical_lines()).encode("ascii")
+        privacy._log_digest.cache_clear()
+        assert log.digest() == twin.digest() == hashlib.sha256(payload).hexdigest()
+        info = privacy._log_digest.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # Bounded: a stream of distinct logs keeps at most maxsize of them.
+        assert info.maxsize is not None
+        members = range(trace.graph.n)
+        distinct = {coalition_observations(trace, {v, w}) for v in members for w in members}
+        assert len(distinct) > info.maxsize
+        for other in distinct:
+            other.digest()
+        assert privacy._log_digest.cache_info().currsize == info.maxsize
 
 
 class TestReconstruction:
@@ -327,11 +349,147 @@ def reference_witness(
     )
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the witness search that screened each candidate by a whole replay
+# from round -1, before candidates shared their replays; kept verbatim (its
+# helpers _shifted and _observe are the module's).  It fixes which
+# candidates a screen passes on a trace's own log, and when an overflow
+# escapes: where a screen's replay reaches it, not wherever a full run would.
+# ---------------------------------------------------------------------------
+
+
+def screened_witness(
+    trace: SimTrace,
+    log: ObservationLog,
+    g: Digraph,
+    target: int,
+    helper: int,
+    delta: int,
+) -> AmbiguityWitness:
+    """Shift the target's hidden substate mass by delta and hide the change.
+
+    One target substate moves by delta times its schedule's length and one
+    helper substate compensates, so the implied initial states move by
+    +delta and -delta while the network total is unchanged.  Every candidate
+    placement is re-simulated; a witness is returned only if the coalition's
+    observation log is identical to the original, event for event.
+
+    Each candidate is first replayed round by round and dropped at the
+    first round whose coalition view differs from the log's; past the log's
+    last round a non-empty coalition always sees a difference.  Only a
+    candidate whose whole view matched is simulated in full and checked.  The
+    search order, and so the witness returned, is that of checking every
+    candidate in full.  A SimulationOverflowError still escapes the search
+    when a replay reaches it, but a replay dropped at an earlier round no
+    longer does.
+    """
+    if delta == 0:
+        raise ValueError("delta must be a nonzero integer")
+    if target in log.coalition or helper in log.coalition:
+        raise ValueError("target and helper must lie outside the coalition")
+    adjacency = set(g.in_neighbors(target)) | set(g.out_neighbors(target))
+    if helper not in adjacency:
+        raise ValueError(f"helper {helper} is not an in- or out-neighbor of target {target}")
+    dmax = max_out_degree(g)
+    st = trace.schedules[target]
+    sh = trace.schedules[helper]
+    for name, sched in (("target", st), ("helper", sh)):
+        if validate_schedule(sched, dmax, NodeRole.PRIVATE):
+            raise ValueError(f"{name} schedule is not a private decomposition")
+
+    exchanged = any(
+        isinstance(m, MassTransfer) and {m.src, m.dst} == {target, helper}
+        for record in trace.records
+        for m in record.messages
+    )
+    if not exchanged:
+        raise WitnessUnavailableError(
+            f"no mass transfer between target {target} and helper {helper}"
+        )
+
+    # The log's events by round; each list comes out sorted, as the log is.
+    views: dict[int, tuple[list, list]] = {}
+    for ev in log.messages:
+        views.setdefault(ev[0], ([], []))[0].append(ev)
+    for ev in log.internal:
+        views.setdefault(ev[0], ([], []))[1].append(ev)
+    helper_placements = _shifted(sh, -delta)
+    for i, alt_t in _shifted(st, delta):
+        for j, alt_h in helper_placements:
+            alt_schedules = list(trace.schedules)
+            alt_schedules[target] = alt_t
+            alt_schedules[helper] = alt_h
+            screen = SimTrace(
+                graph=trace.graph,
+                schedules=tuple(alt_schedules),
+                max_rounds=trace.max_rounds,
+                quiescence_window=trace.quiescence_window,
+            )
+            if not replays_view(screen, log.coalition, views):
+                continue
+            alt_trace, alt_report = run_simulation(
+                trace.graph,
+                alt_schedules,
+                max_rounds=trace.max_rounds,
+                quiescence_window=trace.quiescence_window,
+            )
+            if not (
+                alt_report.quiescent
+                and alt_report.exactness_ok
+                and alt_report.conservation.ok
+            ):
+                continue
+            alt_log = coalition_observations(alt_trace, log.coalition)
+            if alt_log == log:
+                return AmbiguityWitness(
+                    target=target,
+                    helper=helper,
+                    delta=delta,
+                    shifted_index=i,
+                    compensated_index=j,
+                    target_schedule=st,
+                    helper_schedule=sh,
+                    alt_target_schedule=alt_t,
+                    alt_helper_schedule=alt_h,
+                    log_digest=log.digest(),
+                )
+    raise WitnessUnavailableError(
+        f"no substate placement hides a shift of {delta} for target {target} "
+        f"with helper {helper}"
+    )
+
+
+def replays_view(trace: SimTrace, members: frozenset[int], views) -> bool:
+    """Whether trace's schedules replay to the coalition view `views`, the
+    sorted events of an observation log keyed by round.
+
+    Gives up at the first round whose view differs.  A round missing from
+    `views` is seen as empty, so a replay that runs past the log's last
+    round differs there unless the coalition is empty; one that ends
+    before that round is a mismatch too.
+    """
+    nothing = ([], [])
+    for record in iter_rounds(trace):
+        messages, internal = _observe(record, members)
+        messages.sort()
+        internal.sort()
+        if (messages, internal) != views.get(record.round, nothing):
+            return False
+    return record.round >= max(views, default=-1)
+
+
 def search_outcome(search, *args):
     try:
         return search(*args)
     except WitnessUnavailableError as exc:
         return f"unavailable: {exc}"
+
+
+def overflow_outcome(search, *args):
+    try:
+        return search_outcome(search, *args)
+    except SimulationOverflowError as exc:
+        return "overflow", str(exc), exc.trace.records
 
 
 def assert_searches_agree(trace, log, g, target, helper, deltas=WITNESS_DELTAS):
@@ -430,6 +588,212 @@ class TestScreenedSearchMatchesReference:
             reference_witness(*args)
         assert str(screened.value) == str(reference.value)
         assert screened.value.trace.records == reference.value.trace.records
+
+
+class TestSharedReplaysMatchReference:
+    """Inputs that the pair cases' own logs never give the shared replays."""
+
+    def test_log_of_another_run(self):
+        # The pair's schedules redrawn, the curious nodes' kept: the log comes
+        # from a run the trace's schedules do not replay.
+        for index in range(10):
+            trace, log, g, target, helper = pair_case(index)
+            rng = random.Random(f"redrawn:{index}")
+            dmax = max_out_degree(g)
+            schedules = list(trace.schedules)
+            for j in (0, 1):
+                schedules[j] = decompose_initial_state(schedules[j].y0, dmax, P, 100, rng)
+            other, _ = run_simulation(g, schedules)
+            other_log = coalition_observations(other, log.coalition)
+            assert_searches_agree(trace, other_log, g, target, helper)
+
+    def test_log_cut_or_altered_after_the_candidates_rejoin(self, monkeypatch):
+        # The base run matches such a log only up to its late change, so the
+        # screen passes candidates that rejoin it earlier; the confirmation
+        # must turn every one of them down, as the reference does.
+        confirmed = []
+        simulate = run_simulation
+
+        def counted(*args, **kwargs):
+            confirmed.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(privacy, "run_simulation", counted)
+        for index in range(10):
+            trace, log, g, target, helper = pair_case(index)
+            cut = ObservationLog(
+                log.coalition,
+                tuple(ev for ev in log.messages if ev[0] <= 8),
+                tuple(ev for ev in log.internal if ev[0] <= 8),
+            )
+            rnd, kind, src, dst, y, z = log.messages[-1]
+            altered = ObservationLog(
+                log.coalition,
+                log.messages[:-1] + ((rnd, kind, src, dst, y + 1, z),),
+                log.internal,
+            )
+            for untrusted in (cut, altered):
+                assert_searches_agree(trace, untrusted, g, target, helper)
+        assert confirmed  # the screen did pass candidates that the log rules out
+
+    @pytest.mark.parametrize("budget", [1, 2, 4, None])
+    def test_trace_cut_short_by_the_round_budget(self, budget):
+        # None: the budget ends the search for silence one round too early.
+        for index in range(6):
+            full, log, g, target, helper = pair_case(index)
+            max_rounds = full.quiescence_round if budget is None else budget
+            trace, _ = run_simulation(g, full.schedules, max_rounds=max_rounds)
+            assert trace.quiescence_round is None
+            log = coalition_observations(trace, log.coalition)
+            assert_searches_agree(trace, log, g, target, helper)
+
+    def test_overflow_reached_after_the_resume_point(self):
+        # A substate equal to y0 + delta on the target's side (y0 - delta on
+        # the helper's) leaves the other placements non-private, so the only
+        # candidate is (2, 2): it resumes from the base run's round 0 and
+        # leaves the 64-bit range at round 1, where it reads the substates.
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        delta = 2**61
+        schedules = (
+            SubstateSchedule(y0=0, uy=(1 - 2**60, -1 - 2**60, delta), uz=(1, 1, 1)),
+            SubstateSchedule(y0=0, uy=(1 + 2**60, 2**60 - 1, -delta), uz=(1, 1, 1)),
+        )
+        trace, report = run_simulation(g, schedules)
+        assert report.quiescent
+        log = coalition_observations(trace, ())
+        args = (trace, log, g, 0, 1, delta)
+        with pytest.raises(SimulationOverflowError) as screened:
+            ambiguity_witness(*args)
+        with pytest.raises(SimulationOverflowError) as reference:
+            reference_witness(*args)
+        assert str(screened.value) == str(reference.value)
+        assert screened.value.trace.records == reference.value.trace.records
+        assert [r.round for r in screened.value.trace.records] == [-1, 0, 1]
+
+    def test_overflow_in_a_shared_replay_only_does_not_escape(self):
+        # The trace is a run aborted at round 0, so the base replay, which
+        # the screens compare with, overflows there; the first candidate
+        # moves the offending substate back into range and is a witness.
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        t, h = 2**62, -(2**61)
+        schedules = (
+            SubstateSchedule(y0=t, uy=(t + 1, t + 2, t - 3), uz=(1, 1, 1)),
+            SubstateSchedule(y0=h, uy=(h + 1, h + 2, h - 3), uz=(1, 1, 1)),
+        )
+        with pytest.raises(SimulationOverflowError, match="round 0") as aborted:
+            run_simulation(g, schedules)
+        trace = aborted.value.trace
+        args = (trace, coalition_observations(trace, ()), g, 0, 1, -(2**61))
+        w = ambiguity_witness(*args)
+        assert w == reference_witness(*args)
+        assert (w.shifted_index, w.compensated_index) == (0, 0)
+
+
+class TestSharedReplaysMatchScreenedSearch:
+    """The whole-replay screen is the oracle where the reference, which runs
+    every candidate in full, would raise an overflow no screen reaches."""
+
+    @staticmethod
+    def lifted_pair_case():
+        # Adding one constant to every substate moves no event (a tie in z
+        # compares y values shifted alike), but a mass of z substates now
+        # carries z times the constant: the first mass with z = 20 forms at
+        # round 9, after the candidate (3, 2) rejoined the base run.
+        trace, log, g, target, helper = pair_case(0)
+        lift = 2**63 // 15
+        lifted = [
+            SubstateSchedule(s.y0 + lift, tuple(u + lift for u in s.uy), s.uz)
+            for s in trace.schedules
+        ]
+        with pytest.raises(SimulationOverflowError, match="^round 9:") as aborted:
+            run_simulation(g, lifted)
+        return aborted.value.trace, log.coalition, g, target, helper
+
+    def test_overflow_after_the_rejoin_escapes(self):
+        trace, coalition, g, target, helper = self.lifted_pair_case()
+        log = coalition_observations(trace, coalition)
+        args = (trace, log, g, target, helper, 1)
+        outcome = overflow_outcome(ambiguity_witness, *args)
+        assert outcome[0] == "overflow"
+        assert outcome == overflow_outcome(screened_witness, *args)
+
+    def test_overflow_after_a_late_difference_does_not_escape(self):
+        # The log ends at round 7, so a candidate that rejoins the base run
+        # by then passes the screen, and its confirmation overflows at round
+        # 9; its own replay differs at round 8 and never gets there.
+        trace, coalition, g, target, helper = self.lifted_pair_case()
+        log = coalition_observations(trace, coalition)
+        cut = ObservationLog(
+            coalition,
+            tuple(ev for ev in log.messages if ev[0] <= 7),
+            tuple(ev for ev in log.internal if ev[0] <= 7),
+        )
+        for delta in WITNESS_DELTAS:
+            args = (trace, cut, g, target, helper, delta)
+            outcome = overflow_outcome(ambiguity_witness, *args)
+            assert outcome == overflow_outcome(screened_witness, *args)
+            assert outcome.startswith("unavailable")
+        with pytest.raises(SimulationOverflowError):
+            reference_witness(trace, cut, g, target, helper, 1)
+
+    def test_own_logs_pass_the_same_candidates(self, monkeypatch):
+        # On a trace's own log the screen passes just the candidates a whole
+        # replay passes: each confirmation yields the witness.
+        passed = []
+        simulate = run_simulation
+
+        def counted(*args, **kwargs):
+            passed.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(privacy, "run_simulation", counted)
+        monkeypatch.setitem(globals(), "run_simulation", counted)
+        for index in range(20):
+            case = pair_case(index)
+            for delta in WITNESS_DELTAS:
+                del passed[:]
+                outcome = search_outcome(ambiguity_witness, *case, delta)
+                shared_runs = len(passed)
+                assert outcome == search_outcome(screened_witness, *case, delta)
+                assert shared_runs == len(passed) - shared_runs
+                assert shared_runs == isinstance(outcome, AmbiguityWitness)
+
+    def test_rejoin_needs_silence_found_at_the_same_round(self):
+        # A run resumed from the base run's quiescent record stays in base's
+        # silent state, but finds silence one round later, so its tail
+        # outlasts the log: the screen must not pass it on rejoining.
+        trace, log, g, _, _ = pair_case(0)
+        sight = privacy._Sight.of(log)
+
+        def run(shared=None, start=-2):
+            alt = SimTrace(g, trace.schedules, trace.max_rounds, trace.quiescence_window)
+            return privacy._Replay(alt, sight, shared, start)
+
+        base = run()
+        assert base.finish() == "pass"
+        quiet = trace.quiescence_round
+        assert run(base, quiet).finish() == "fail"
+        assert privacy._screen(run(base, quiet), quiet, base) == "fail"
+
+
+def test_search_steps_at_most_85_percent_of_the_reference(monkeypatch):
+    cases = [pair_case(index) for index in range(20)]
+    steps = [0]
+    step = engine.step_node
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(engine, "step_node", counted)
+    spent = {}
+    for search in (ambiguity_witness, reference_witness):
+        steps[0] = 0
+        for case in cases:
+            for delta in WITNESS_DELTAS:
+                search_outcome(search, *case, delta)
+        spent[search] = steps[0]
+    assert spent[ambiguity_witness] <= 0.85 * spent[reference_witness]
 
 
 def test_only_replays_with_a_matching_view_are_simulated_in_full(monkeypatch):
