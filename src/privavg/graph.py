@@ -131,6 +131,13 @@ def generate_random_strongly_connected(
     rng stream is that of drawing every pair.  Attempts with a node of
     in-degree 0 are rejected on the bitsets too; only the rest are built
     and checked for strong connectivity.
+
+    Below the connectivity threshold (p near ln(n)/n) the attempt count, and
+    with it the cost, grows steeply and swings with the seed.  At n = 100,
+    p = 0.03 (master seed 1, trial 0) it takes 4069 attempts, about 1.2 s on
+    CPython 3.11 (2-core x86-64); at p = 0.025 the max_attempts budget runs
+    out and GraphGenerationError is raised.  Sparse graphs need a model that
+    is strongly connected by construction (ROADMAP item 6).
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -111,11 +111,20 @@ class ObservationLog:
 
 @lru_cache(maxsize=8)
 def _log_digest(log: ObservationLog) -> str:
-    # Imported on first use: hashlib maps OpenSSL, which most runs never need.
-    import hashlib
+    # The interpreter's built-in SHA-256 first, as the stdlib's random does:
+    # hashlib would map OpenSSL's libcrypto (about 3.6 MB of RSS) for a few
+    # small hashes, so it is only the fallback for a build without the module.
+    # Imported here, on a cache miss, so a run without a digest loads neither.
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
 
     payload = "\n".join(log.canonical_lines()).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
+    return sha256(payload).hexdigest()
 
 
 def coalition_observations(trace: SimTrace, coalition) -> ObservationLog:

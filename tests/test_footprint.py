@@ -1,9 +1,11 @@
 """What a run does not use, it does not load.
 
-`hashlib` (which maps OpenSSL through `_hashlib`) is imported on the first
-`ObservationLog.digest()`, and the process pool (which loads
-`multiprocessing`) only by a batch on more than one worker.  The check runs
-in a fresh interpreter, because the test process has loaded both already.
+`ObservationLog.digest()` hashes with the interpreter's built-in SHA-256
+module, so no run loads `hashlib` (which maps OpenSSL through `_hashlib`),
+not even one whose attack finds a witness.  The process pool (which loads
+`multiprocessing`) is imported only by a batch on more than one worker.  The
+check runs in a fresh interpreter, because the test process has loaded all
+of them already.
 """
 
 import os
@@ -13,7 +15,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-LAZY_MODULES = ("_hashlib", "hashlib", "multiprocessing", "concurrent.futures.process")
+NEVER_MODULES = ("_hashlib", "hashlib")
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 CHILD = """
 import sys
@@ -24,11 +27,23 @@ import privavg.cli
 from privavg import NodeRole, coalition_observations, parse_config, run_batch, run_single_trial
 
 LAZY = {lazy!r}
+
+
+def loaded():
+    return sorted(m for m in LAZY if m in sys.modules)
+
+
 work = Path(sys.argv[1])
 (work / "pair.txt").write_text("2 2\\n0 1\\n1 0\\n", encoding="ascii")
 (work / "pair.cfg").write_text(
     f"graph_file = {{work / 'pair.txt'}}\\nseed = 1\\ntrials = 2\\n"
     "states = 4,6\\nroles = private,curious\\n",
+    encoding="ascii",
+)
+(work / "hub.txt").write_text("3 4\\n0 1\\n1 0\\n0 2\\n2 0\\n", encoding="ascii")
+(work / "hub.cfg").write_text(
+    f"graph_file = {{work / 'hub.txt'}}\\nseed = 6\\n"
+    "states = 4,7,-3\\nroles = private,private,curious\\n",
     encoding="ascii",
 )
 (work / "good.sched").write_text("y0 = 4\\ndmax = 3\\nrole = private\\nuy = 1,8,6,2,3\\n")
@@ -42,17 +57,25 @@ cfg = parse_config((work / "pair.cfg").read_text(encoding="ascii"))
 trial = run_single_trial(cfg, 0, keep_trace=True)
 curious = {{j for j, role in enumerate(trial.roles) if role is NodeRole.CURIOUS}}
 log = coalition_observations(trial.trace, curious)
-print("before", sorted(m for m in LAZY if m in sys.modules))
+print("before", loaded())
+
+hub = ["--config", str(work / "hub.cfg"), "--out-dir", str(work / "audit")]
+assert main(hub + ["privacy-audit", "--attack"]) == 0
+audit = (work / "audit" / "privacy_audit.txt").read_text(encoding="ascii")
+assert "attack,0,witness,helper,1,delta,1,digest," in audit, audit
+print("attack", loaded())
 
 digest = log.digest()
+print("digest", loaded())
+
 summary = run_batch(cfg, jobs=2)
 assert summary.n_trials == 2 and not summary.failed
-print("after", sorted(m for m in LAZY if m in sys.modules))
+print("after", loaded())
 
 import hashlib
 payload = "\\n".join(log.canonical_lines()).encode("ascii")
-print("digest", digest == hashlib.sha256(payload).hexdigest())
-""".format(lazy=LAZY_MODULES)
+print("sha256", digest == hashlib.sha256(payload).hexdigest())
+""".format(lazy=NEVER_MODULES + POOL_MODULES)
 
 
 def test_unused_modules_stay_unloaded_until_used(tmp_path):
@@ -66,9 +89,13 @@ def test_unused_modules_stay_unloaded_until_used(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    tail = proc.stdout.splitlines()[-3:]
-    assert tail == [
+    # The commands print their own lines; keep the child's checkpoints.
+    labels = ("before ", "attack ", "digest ", "after ", "sha256 ")
+    checkpoints = [line for line in proc.stdout.splitlines() if line.startswith(labels)]
+    assert checkpoints == [
         "before []",
-        f"after {sorted(LAZY_MODULES)}",
-        "digest True",
+        "attack []",
+        "digest []",
+        f"after {sorted(POOL_MODULES)}",
+        "sha256 True",
     ], proc.stdout

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import random
+import sys
 
 import pytest
 
@@ -70,6 +72,16 @@ def run_trial(g, roles, states, seed):
     return g, trace, report
 
 
+def hub_setup_run(config_path):
+    """Trial 0 of the hub_setup config and the log of its curious coalition."""
+    cfg = parse_config(config_path.read_text(encoding="ascii"))
+    rng = random.Random(trial_seed_token(cfg.seed, 0))
+    g, roles, _states, schedules = build_trial_inputs(cfg, rng)
+    trace, _ = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
+    log = coalition_observations(trace, [j for j in range(g.n) if roles[j] is C])
+    return trace, log, g
+
+
 class TestClassifyPrivacy:
     def test_two_private_neighbors_preserve_each_other(self):
         verdicts = classify_privacy(cycle3(), [P, P, C])
@@ -135,6 +147,32 @@ class TestCoalitionObservations:
         for other in distinct:
             other.digest()
         assert privacy._log_digest.cache_info().currsize == info.maxsize
+
+    @pytest.mark.parametrize("hidden", [("_sha2",), ("_sha2", "_sha256")])
+    def test_digest_falls_back_past_missing_builtin_hashes(self, hub_setup, monkeypatch, hidden):
+        # No supported CPython lacks both built-in modules, so only this test
+        # takes the hashlib path.  A module mapped to None fails to import.
+        config_path, _ = hub_setup
+        _, log, _ = hub_setup_run(config_path)
+        payload = "\n".join(log.canonical_lines()).encode("ascii")
+        privacy._log_digest.cache_clear()
+        unhidden = log.digest()
+        builtin = [m for m in ("_sha2", "_sha256") if m not in hidden and importlib.util.find_spec(m)]
+        calls = []
+
+        def spy(data):
+            calls.append(data)
+            return hashlib.new("sha256", data)
+
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        for name in hidden:
+            monkeypatch.setitem(sys.modules, name, None)
+        privacy._log_digest.cache_clear()
+        try:
+            assert log.digest() == unhidden == hashlib.new("sha256", payload).hexdigest()
+        finally:
+            privacy._log_digest.cache_clear()
+        assert calls == ([] if builtin else [payload])
 
 
 class TestReconstruction:
@@ -525,11 +563,7 @@ class TestScreenedSearchMatchesReference:
 
     def test_hub_setup_topology(self, hub_setup):
         config_path, _ = hub_setup
-        cfg = parse_config(config_path.read_text(encoding="ascii"))
-        rng = random.Random(trial_seed_token(cfg.seed, 0))
-        g, roles, _states, schedules = build_trial_inputs(cfg, rng)
-        trace, _ = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
-        log = coalition_observations(trace, [j for j in range(g.n) if roles[j] is C])
+        trace, log, g = hub_setup_run(config_path)
         assert_searches_agree(trace, log, g, 0, 1)
         assert_searches_agree(trace, log, g, 1, 0)
 
