@@ -10,17 +10,15 @@ neighbor exists.
 
 A witness search screens many candidate ground truths against one log.
 Each differs from the original run only in two substates, read at known
-rounds, so the candidates share the replays of their common prefixes and
-each stops being replayed once it rejoins the original run (see
+rounds, so the candidates share the replays of their common prefixes (see
 ambiguity_witness).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from operator import attrgetter
 from typing import NamedTuple
 
 from .engine import (
@@ -31,7 +29,7 @@ from .engine import (
     run_simulation,
 )
 from .graph import Digraph, max_out_degree
-from .protocol import MassTransfer, NodeState
+from .protocol import MassTransfer
 from .schedule import NodeRole, SubstateSchedule, validate_schedule
 
 
@@ -271,20 +269,18 @@ def ambiguity_witness(
     that shifts only its earlier-read side (neither, when i == j) through
     round max(i, j) - 2.  One lazily extended _Replay is kept for the base
     schedules and one for each single shift; each candidate resumes from
-    its shared replay's record at that round and is dropped at the first
-    round whose coalition view differs from the log's (past the log's last
-    round a non-empty coalition always sees a difference).  It passes once
-    it rejoins the base replay (see _screen), so on the log of the trace's
-    own run the screen passes exactly the candidates whose whole view
-    matches; on another log it may pass more.  A passed candidate is
-    simulated in full and checked, which decides.  The search order, and so
-    the witness returned, is that of checking every candidate in full.
+    its shared replay's record at that round and runs to its end, unless
+    it is dropped at the first round whose coalition view differs from the
+    log's (past the log's last round a non-empty coalition always sees a
+    difference).  So on any log the screen passes exactly the candidates
+    whose whole view matches.  A passed candidate is simulated in full and
+    checked, which decides.  The search order, and so the witness returned,
+    is that of checking every candidate in full.
 
     A SimulationOverflowError escapes the search when the candidate's own
-    replay from round -1 would reach it before its view differs, whether
-    the overflow shows in a screen or in the full run that follows; it is
-    raised from that replay, with the whole partial trace.  An overflow
-    that only a shared replay reaches does not escape.
+    run reaches it before its view differs; the full run then raises it,
+    with the whole partial trace.  An overflow that only a shared replay
+    reaches does not escape.
     """
     if delta == 0:
         raise ValueError("delta must be a nonzero integer")
@@ -342,34 +338,22 @@ def ambiguity_witness(
                 shared = single_shift(helper, j, alt_h)
             else:
                 shared = single_shift(target, i, alt_t)
-            start = max(i, j) - 2
-            verdict = _screen(replay(alt_schedules, shared, start), start, base)
-            alt_log = None
-            if verdict == "pass":
-                try:
-                    alt_trace, alt_report = run_simulation(
-                        trace.graph,
-                        alt_schedules,
-                        max_rounds=trace.max_rounds,
-                        quiescence_window=trace.quiescence_window,
-                    )
-                except SimulationOverflowError:
-                    verdict = "overflow"  # in rounds after the candidate rejoined the base run
-                else:
-                    if (
-                        alt_report.quiescent
-                        and alt_report.exactness_ok
-                        and alt_report.conservation.ok
-                    ):
-                        alt_log = coalition_observations(alt_trace, log.coalition)
-            if verdict == "overflow":
-                # It escapes if the candidate's own replay reaches it before
-                # its view differs; replayed from round -1, the error then
-                # carries the whole partial trace.
-                whole = replay(alt_schedules)
-                if whole.finish() == "overflow":
-                    raise whole.error
-            if alt_log == log:
+            if replay(alt_schedules, shared, max(i, j) - 2).finish() == "fail":
+                continue
+            # After "pass" this run cannot overflow; after "overflow" it
+            # raises the error the screen met, with the whole partial trace.
+            alt_trace, alt_report = run_simulation(
+                trace.graph,
+                alt_schedules,
+                max_rounds=trace.max_rounds,
+                quiescence_window=trace.quiescence_window,
+            )
+            if (
+                alt_report.quiescent
+                and alt_report.exactness_ok
+                and alt_report.conservation.ok
+                and coalition_observations(alt_trace, log.coalition) == log
+            ):
                 return AmbiguityWitness(
                     target=target,
                     helper=helper,
@@ -429,17 +413,19 @@ class _Replay:
     """One run of fixed schedules, extended on demand and only while each of
     its rounds shows the coalition what the log shows.
 
-    `records` holds the matched records, from `resume` on when the run picks
-    up after another run's record.  `verdict` stays None while the run can
-    be extended; then it reads "pass" (every round matched and the run ended
-    at or after the log's last round), "fail" (a round's view differed, or
-    the run ended before the log's last round) or "overflow" (the next
-    record left the 64-bit range; `error` holds the exception).  A round
-    missing from the log is seen as empty, so a run that goes on past the
-    log's last round differs there unless the coalition is empty.
+    A shared replay is extended round by round through `at`; a candidate's
+    is screened with `finish`, which runs it to its end unless a round's
+    view differs first.  `records` holds the matched records, from `resume`
+    on when the run picks up after another run's record.  `verdict` stays
+    None while the run can be extended; then it reads "pass" (every round
+    matched and the run ended at or after the log's last round), "fail" (a
+    round's view differed, or the run ended before the log's last round) or
+    "overflow" (the next record left the 64-bit range).  A round missing
+    from the log is seen as empty, so a run that goes on past the log's last
+    round differs there unless the coalition is empty.
     """
 
-    __slots__ = ("trace", "records", "verdict", "error", "_sight", "_rounds")
+    __slots__ = ("records", "verdict", "_sight", "_rounds")
 
     def __init__(
         self,
@@ -450,8 +436,6 @@ class _Replay:
     ):
         """The run of trace's schedules, which is `shared`'s run through
         round `start` (so it starts afresh when start < -1)."""
-        self.trace = trace
-        self.error: SimulationOverflowError | None = None
         self._sight = sight
         resume = shared.at(start) if start >= -1 else None
         if start >= -1 and resume is None:
@@ -486,8 +470,8 @@ class _Replay:
             last = self.records[-1].round if self.records else -2
             self.verdict = "pass" if last >= sight.last_round else "fail"
             return
-        except SimulationOverflowError as exc:
-            self.verdict, self.error = "overflow", exc
+        except SimulationOverflowError:
+            self.verdict = "overflow"
             return
         messages, internal = _observe(record, sight.members)
         messages.sort()
@@ -496,46 +480,3 @@ class _Replay:
             self.verdict = "fail"
             return
         self.records.append(record)
-
-
-def _screen(candidate: _Replay, start: int, base: _Replay) -> str:
-    """Screen a candidate checked from round `start` + 1 on: its own
-    verdict (see _Replay), unless it first rejoins `base`, the original
-    schedules' run, and passes there.
-
-    From round `start` + 1 on the candidate's shifted substates are all
-    read, so a round state (messages, and nodes but for their schedules)
-    equal to base's at the same round, with silence found at the same round
-    or not yet, makes every later record equal to base's too.  Base's later
-    rounds are not checked against the log, so the screen may pass a
-    candidate that a whole replay would fail, never the reverse.
-    """
-    rnd = start + 1
-    while (record := candidate.at(rnd)) is not None:
-        twin = base.at(rnd)
-        if (
-            twin is not None
-            and _same_state(record, twin)
-            and _quiet_by(candidate.trace, rnd) == _quiet_by(base.trace, rnd)
-        ):
-            return "pass"
-        rnd += 1
-    return candidate.verdict
-
-
-# Every NodeState field but the schedule: what a node carries into the next round.
-_ROUND_STATE = attrgetter(*(f.name for f in fields(NodeState) if f.name != "schedule"))
-
-
-def _same_state(a: RoundRecord, b: RoundRecord) -> bool:
-    """Whether two records of runs on one graph send the same messages and
-    leave every node with the same fields, its schedule aside."""
-    return a.messages == b.messages and all(
-        x is y or _ROUND_STATE(x) == _ROUND_STATE(y) for x, y in zip(a.nodes, b.nodes)
-    )
-
-
-def _quiet_by(trace: SimTrace, rnd: int) -> int | None:
-    """trace's quiescence round if it was found by round rnd, else None."""
-    q = trace.quiescence_round
-    return q if q is not None and q <= rnd else None

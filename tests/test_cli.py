@@ -175,6 +175,28 @@ class TestPrivacyAuditCommand:
         assert "attack,0,witness,unavailable" in lines
         assert "attack,1,witness,unavailable" in lines
 
+    def test_attack_on_a_relay_cycle_reports_unavailable_witnesses(self, tmp_path):
+        # On the directed 3-cycle 0 -> 1 -> 2 -> 0 the curious node relays
+        # every value the private pair exchanges, so no search finds a witness.
+        graph_path = tmp_path / "cycle.txt"
+        graph_path.write_text("3 3\n0 1\n1 2\n2 0\n", encoding="ascii")
+        config_path = tmp_path / "cycle.cfg"
+        config_path.write_text(
+            f"graph_file = {graph_path}\n"
+            "seed = 6\n"
+            "states = 4,7,-3\n"
+            "roles = private,private,curious\n",
+            encoding="ascii",
+        )
+        out = tmp_path / "audit"
+        code = main(
+            ["--config", str(config_path), "--out-dir", str(out), "privacy-audit", "--attack"]
+        )
+        assert code == 0
+        lines = (out / "privacy_audit.txt").read_text().splitlines()
+        assert "attack,0,witness,unavailable" in lines
+        assert "attack,1,witness,unavailable" in lines
+
 
 class TestValidateScheduleCommand:
     def test_valid_schedule(self, tmp_path, capsys):

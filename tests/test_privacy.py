@@ -555,6 +555,46 @@ def pair_case(index: int):
     return trace, log, g, target, helper
 
 
+def log_of_another_run(index: int) -> ObservationLog:
+    """The coalition log of pair case `index` run with the pair's schedules
+    redrawn and the curious nodes' kept, a run the case's trace does not
+    replay."""
+    trace, log, g, _, _ = pair_case(index)
+    rng = random.Random(f"redrawn:{index}")
+    dmax = max_out_degree(g)
+    schedules = list(trace.schedules)
+    for j in (0, 1):
+        schedules[j] = decompose_initial_state(schedules[j].y0, dmax, P, 100, rng)
+    other, _ = run_simulation(g, schedules)
+    return coalition_observations(other, log.coalition)
+
+
+def cut_log(log: ObservationLog, last: int) -> ObservationLog:
+    """log without its events after round `last`."""
+    return ObservationLog(
+        log.coalition,
+        tuple(ev for ev in log.messages if ev[0] <= last),
+        tuple(ev for ev in log.internal if ev[0] <= last),
+    )
+
+
+def altered_log(log: ObservationLog) -> ObservationLog:
+    """log with its last message's y value moved by one."""
+    rnd, kind, src, dst, y, z = log.messages[-1]
+    return ObservationLog(
+        log.coalition,
+        log.messages[:-1] + ((rnd, kind, src, dst, y + 1, z),),
+        log.internal,
+    )
+
+
+UNTRUSTED_LOGS = {
+    "another_run": lambda index, log: log_of_another_run(index),
+    "cut": lambda index, log: cut_log(log, 8),
+    "altered": lambda index, log: altered_log(log),
+}
+
+
 class TestScreenedSearchMatchesReference:
     @pytest.mark.parametrize("first", [0, 3_000_000])
     def test_pair_case_streams(self, first):
@@ -631,20 +671,13 @@ class TestSharedReplaysMatchReference:
         # The pair's schedules redrawn, the curious nodes' kept: the log comes
         # from a run the trace's schedules do not replay.
         for index in range(10):
-            trace, log, g, target, helper = pair_case(index)
-            rng = random.Random(f"redrawn:{index}")
-            dmax = max_out_degree(g)
-            schedules = list(trace.schedules)
-            for j in (0, 1):
-                schedules[j] = decompose_initial_state(schedules[j].y0, dmax, P, 100, rng)
-            other, _ = run_simulation(g, schedules)
-            other_log = coalition_observations(other, log.coalition)
-            assert_searches_agree(trace, other_log, g, target, helper)
+            trace, _, g, target, helper = pair_case(index)
+            assert_searches_agree(trace, log_of_another_run(index), g, target, helper)
 
     def test_log_cut_or_altered_after_the_candidates_rejoin(self, monkeypatch):
-        # The base run matches such a log only up to its late change, so the
-        # screen passes candidates that rejoin it earlier; the confirmation
-        # must turn every one of them down, as the reference does.
+        # The base run matches such a log only up to its late change, and so
+        # does every candidate that rejoins it earlier: each is screened to
+        # the end of its run, so none reaches a confirmation.
         confirmed = []
         simulate = run_simulation
 
@@ -655,20 +688,9 @@ class TestSharedReplaysMatchReference:
         monkeypatch.setattr(privacy, "run_simulation", counted)
         for index in range(10):
             trace, log, g, target, helper = pair_case(index)
-            cut = ObservationLog(
-                log.coalition,
-                tuple(ev for ev in log.messages if ev[0] <= 8),
-                tuple(ev for ev in log.internal if ev[0] <= 8),
-            )
-            rnd, kind, src, dst, y, z = log.messages[-1]
-            altered = ObservationLog(
-                log.coalition,
-                log.messages[:-1] + ((rnd, kind, src, dst, y + 1, z),),
-                log.internal,
-            )
-            for untrusted in (cut, altered):
+            for untrusted in (cut_log(log, 8), altered_log(log)):
                 assert_searches_agree(trace, untrusted, g, target, helper)
-        assert confirmed  # the screen did pass candidates that the log rules out
+        assert not confirmed  # the screen passes no candidate that the log rules out
 
     @pytest.mark.parametrize("budget", [1, 2, 4, None])
     def test_trace_cut_short_by_the_round_budget(self, budget):
@@ -752,16 +774,11 @@ class TestSharedReplaysMatchScreenedSearch:
         assert outcome == overflow_outcome(screened_witness, *args)
 
     def test_overflow_after_a_late_difference_does_not_escape(self):
-        # The log ends at round 7, so a candidate that rejoins the base run
-        # by then passes the screen, and its confirmation overflows at round
-        # 9; its own replay differs at round 8 and never gets there.
+        # The log ends at round 7.  A candidate that rejoins the base run by
+        # then would overflow at round 9 with it, but its own replay differs
+        # at round 8 and never gets there.
         trace, coalition, g, target, helper = self.lifted_pair_case()
-        log = coalition_observations(trace, coalition)
-        cut = ObservationLog(
-            coalition,
-            tuple(ev for ev in log.messages if ev[0] <= 7),
-            tuple(ev for ev in log.internal if ev[0] <= 7),
-        )
+        cut = cut_log(coalition_observations(trace, coalition), 7)
         for delta in WITNESS_DELTAS:
             args = (trace, cut, g, target, helper, delta)
             outcome = overflow_outcome(ambiguity_witness, *args)
@@ -770,9 +787,10 @@ class TestSharedReplaysMatchScreenedSearch:
         with pytest.raises(SimulationOverflowError):
             reference_witness(trace, cut, g, target, helper, 1)
 
-    def test_own_logs_pass_the_same_candidates(self, monkeypatch):
-        # On a trace's own log the screen passes just the candidates a whole
-        # replay passes: each confirmation yields the witness.
+    @staticmethod
+    def assert_same_candidates_pass(monkeypatch, cases):
+        # The screen passes just the candidates a whole replay passes, and at
+        # most one per search: the witness that its confirmation returns.
         passed = []
         simulate = run_simulation
 
@@ -782,8 +800,7 @@ class TestSharedReplaysMatchScreenedSearch:
 
         monkeypatch.setattr(privacy, "run_simulation", counted)
         monkeypatch.setitem(globals(), "run_simulation", counted)
-        for index in range(20):
-            case = pair_case(index)
+        for case in cases:
             for delta in WITNESS_DELTAS:
                 del passed[:]
                 outcome = search_outcome(ambiguity_witness, *case, delta)
@@ -792,10 +809,24 @@ class TestSharedReplaysMatchScreenedSearch:
                 assert shared_runs == len(passed) - shared_runs
                 assert shared_runs == isinstance(outcome, AmbiguityWitness)
 
+    def test_own_logs_pass_the_same_candidates(self, monkeypatch):
+        self.assert_same_candidates_pass(monkeypatch, [pair_case(index) for index in range(20)])
+
+    @pytest.mark.parametrize("kind", sorted(UNTRUSTED_LOGS))
+    def test_untrusted_logs_pass_the_same_candidates(self, monkeypatch, kind):
+        # The screen runs each candidate to its end, so it is exact on a log
+        # from elsewhere too, not only on the trace's own log.
+        cases = []
+        for index in range(10):
+            trace, log, g, target, helper = pair_case(index)
+            cases.append((trace, UNTRUSTED_LOGS[kind](index, log), g, target, helper))
+        self.assert_same_candidates_pass(monkeypatch, cases)
+
     def test_rejoin_needs_silence_found_at_the_same_round(self):
         # A run resumed from the base run's quiescent record stays in base's
         # silent state, but finds silence one round later, so its tail
-        # outlasts the log: the screen must not pass it on rejoining.
+        # outlasts the log: its screen must fail though it never leaves
+        # base's state.
         trace, log, g, _, _ = pair_case(0)
         sight = privacy._Sight.of(log)
 
@@ -807,7 +838,6 @@ class TestSharedReplaysMatchScreenedSearch:
         assert base.finish() == "pass"
         quiet = trace.quiescence_round
         assert run(base, quiet).finish() == "fail"
-        assert privacy._screen(run(base, quiet), quiet, base) == "fail"
 
 
 def test_search_steps_at_most_85_percent_of_the_reference(monkeypatch):
