@@ -1,9 +1,10 @@
 """Directed graphs with per-node round-robin transmission orders.
 
-Edges are stored as (receiver, sender) pairs: the edge (j, i) lets node j
-receive from node i.  Each node additionally carries a fixed priority order
-over its out-neighbors, used by the protocol to pick mass-transfer targets
-in a round-robin fashion.
+A digraph is its out-neighbor orders: out_order[i] lists node i's
+out-neighbors in i's priority order, which the protocol follows to pick
+mass-transfer targets in a round-robin fashion.  The edge view
+``Digraph.edges`` gives (receiver, sender) pairs: the edge (j, i) lets node
+j receive from node i.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class Digraph:
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]  # (receiver, sender)
     out_order: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
@@ -36,67 +36,61 @@ class Digraph:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
         if len(self.out_order) != self.n:
             raise ValueError("out_order must have one entry per node")
-        expected: list[set[int]] = [set() for _ in range(self.n)]
-        for dst, src in self.edges:
-            if dst == src:
-                raise ValueError(f"self-loop at node {dst}")
-            if not (0 <= dst < self.n and 0 <= src < self.n):
-                raise ValueError(f"edge ({dst}, {src}) out of range")
-            expected[src].add(dst)
-        for j in range(self.n):
-            order = self.out_order[j]
-            if len(order) != len(set(order)) or set(order) != expected[j]:
-                raise ValueError(
-                    f"out_order[{j}] is not a bijection onto the out-neighbors of {j}"
-                )
+        for j, order in enumerate(self.out_order):
+            for dst in order:
+                if dst == j:
+                    raise ValueError(f"self-loop at node {j}")
+                if not 0 <= dst < self.n:
+                    raise ValueError(f"edge ({dst}, {j}) out of range")
+            if len(set(order)) != len(order):
+                raise ValueError(f"out_order[{j}] repeats a neighbor")
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (receiver, sender) pairs."""
+        return frozenset(
+            (dst, src) for src, order in enumerate(self.out_order) for dst in order
+        )
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.out_order))
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         return self.out_order[j]
 
     def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return tuple(sorted(src for dst, src in self.edges if dst == j))
+        return tuple(src for src, order in enumerate(self.out_order) if j in order)
 
     def out_degree(self, j: int) -> int:
         return len(self.out_order[j])
 
-    def with_out_order(self, out_order: tuple[tuple[int, ...], ...]) -> "Digraph":
-        return Digraph(self.n, self.edges, out_order)
 
-
-def digraph_from_edges(n: int, edges, out_order=None) -> Digraph:
+def digraph_from_edges(n: int, edges) -> Digraph:
     """Build a digraph from (receiver, sender) pairs.
 
-    Without an explicit out_order each node gets its out-neighbors in
-    ascending id order.
+    Each node gets its out-neighbors in ascending id order.
     """
-    pairs = [(int(d), int(s)) for d, s in edges]
-    edge_set = frozenset(pairs)
-    if len(edge_set) != len(pairs):
-        raise ValueError("duplicate edge")
-    if out_order is None:
-        outs: list[list[int]] = [[] for _ in range(n)]
-        for dst, src in sorted(edge_set):
-            outs[src].append(dst)
-        out_order = tuple(tuple(sorted(o)) for o in outs)
-    return Digraph(n, edge_set, out_order)
+    outs: list[list[int]] = [[] for _ in range(n)]
+    for d, s in edges:
+        dst, src = int(d), int(s)
+        if not (0 <= dst < n and 0 <= src < n):
+            raise ValueError(f"edge ({dst}, {src}) out of range")
+        outs[src].append(dst)
+    return Digraph(n, tuple(tuple(sorted(o)) for o in outs))
 
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered node pair is joined by a directed path."""
-    return _reaches_all(g, forward=True) and _reaches_all(g, forward=False)
+    ins: list[list[int]] = [[] for _ in range(g.n)]
+    for src, order in enumerate(g.out_order):
+        for dst in order:
+            ins[dst].append(src)
+    return _reaches_all(g.out_order) and _reaches_all(ins)
 
 
-def _reaches_all(g: Digraph, forward: bool) -> bool:
-    if forward:
-        adj = {j: list(g.out_order[j]) for j in range(g.n)}
-    else:
-        adj = {j: [] for j in range(g.n)}
-        for dst, src in g.edges:
-            adj[dst].append(src)
+def _reaches_all(adj) -> bool:
+    """True iff node 0 reaches every node along the rows of adj."""
     seen = {0}
     stack = [0]
     while stack:
@@ -105,7 +99,7 @@ def _reaches_all(g: Digraph, forward: bool) -> bool:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == g.n
+    return len(seen) == len(adj)
 
 
 def max_out_degree(g: Digraph) -> int:
@@ -166,11 +160,7 @@ def generate_random_strongly_connected(
                 heard |= row
             if heard != everyone:
                 continue
-            out_order = tuple(_members(row) for row in rows)
-            edges = frozenset(
-                (j, i) for i, outs in enumerate(out_order) for j in outs
-            )
-            g = Digraph(n, edges, out_order)
+            g = Digraph(n, tuple(_members(row) for row in rows))
             if is_strongly_connected(g):
                 return assign_edge_order(g, rng)
     raise GraphGenerationError(
@@ -195,16 +185,16 @@ def assign_edge_order(g: Digraph, rng: random.Random) -> Digraph:
         order = sorted(g.out_order[j])
         rng.shuffle(order)
         orders.append(tuple(order))
-    return g.with_out_order(tuple(orders))
+    return Digraph(g.n, tuple(orders))
 
 
 # Edge-list text format: first line "n m", then m lines "src dst" where src
-# is the sender and dst the receiver (the reverse of the in-memory pairs).
+# is the sender and dst the receiver (the reverse of the Digraph.edges pairs).
 
 def format_edge_list(g: Digraph) -> str:
     lines = [f"{g.n} {g.m}"]
-    for dst, src in sorted(g.edges, key=lambda e: (e[1], e[0])):
-        lines.append(f"{src} {dst}")
+    for src, order in enumerate(g.out_order):
+        lines.extend(f"{src} {dst}" for dst in sorted(order))
     return "\n".join(lines) + "\n"
 
 

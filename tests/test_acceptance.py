@@ -39,6 +39,7 @@ from privavg.schedule import (
 )
 
 from handtrace import TWO_NODE_EXPECTED, record_view
+from topologies import pair_inputs
 
 P, C = NodeRole.PRIVATE, NodeRole.CURIOUS
 WITNESS_DELTAS = (1, -1, 2, -2, 3, -3)
@@ -220,32 +221,13 @@ def test_acceptance_06_breach_soundness_reconstruction():
     assert good == 100
 
 
-def pair_topology(rng):
-    """Private pair 0 <-> 1 with node 1 speaking only to 0; curious spokes."""
-    spokes = rng.randint(1, 3)
-    n = 2 + spokes
-    edges = [(1, 0), (0, 1)]
-    for x in range(2, n):
-        edges += [(x, 0), (0, x)]
-    return digraph_from_edges(n, edges), n
-
-
 def test_acceptance_07_preservation_soundness_witnesses():
     good = 0
     for t in range(100):
-        rng = random.Random(f"caseCD:{t}")
-        g, n = pair_topology(rng)
-        g = assign_edge_order(g, rng)
-        dmax = max_out_degree(g)
-        roles = [P, P] + [C] * (n - 2)
-        states = [rng.randint(-100, 100) for _ in range(n)]
-        schedules = [
-            decompose_initial_state(states[j], dmax, roles[j], 100, rng)
-            for j in range(n)
-        ]
+        g, roles, _, schedules = pair_inputs(t)
         trace, report = run_simulation(g, schedules)
         assert report.quiescent and report.exactness_ok
-        coalition = set(range(2, n))
+        coalition = set(range(2, g.n))
         log = coalition_observations(trace, coalition)
         target, helper = (0, 1) if t % 2 == 0 else (1, 0)
         verdicts = {v.target: v for v in classify_privacy(g, roles)}

@@ -37,7 +37,6 @@ from privavg.experiments import (
     trial_seed_token,
 )
 from privavg.graph import (
-    assign_edge_order,
     digraph_from_edges,
     generate_random_strongly_connected,
     max_out_degree,
@@ -54,6 +53,7 @@ from privavg.protocol import (
 from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
 from handtrace import TWO_NODE_EXPECTED, record_view
+from topologies import pair_inputs
 
 
 class TestTwoNodeFixture:
@@ -336,7 +336,7 @@ class TestEngineBehaviors:
             run_simulation(g, schedules, quiescence_window=0)
 
     def test_requires_strong_connectivity(self):
-        g = digraph_from_edges(2, [(1, 0)], out_order=((1,), ()))
+        g = digraph_from_edges(2, [(1, 0)])
         schedules = [SubstateSchedule(y0=1, uy=(1, 1, 1), uz=(1, 1, 1))] * 2
         with pytest.raises(ValueError):
             run_simulation(g, schedules)
@@ -729,23 +729,6 @@ def reference_round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     return tuple(rows)
 
 
-def _pair_inputs(index: int):
-    """The graph and schedules of acceptance-07's pair case `index`."""
-    rng = random.Random(f"caseCD:{index}")
-    spokes = rng.randint(1, 3)
-    edges = [(1, 0), (0, 1)]
-    for x in range(2, 2 + spokes):
-        edges += [(x, 0), (0, x)]
-    g = assign_edge_order(digraph_from_edges(2 + spokes, edges), rng)
-    dmax = max_out_degree(g)
-    roles = [NodeRole.PRIVATE] * 2 + [NodeRole.CURIOUS] * spokes
-    states = [rng.randint(-100, 100) for _ in range(g.n)]
-    schedules = [
-        decompose_initial_state(states[j], dmax, roles[j], 100, rng) for j in range(g.n)
-    ]
-    return g, schedules
-
-
 class TestEventLoopMatchesReference:
     def test_reproduction_seeds(self):
         cfg = TrialConfig(
@@ -772,7 +755,8 @@ class TestEventLoopMatchesReference:
 
     def test_acceptance_07_pair_cases(self):
         for index in range(100):
-            assert_loops_agree(*_pair_inputs(index))
+            g, _, _, schedules = pair_inputs(index)
+            assert_loops_agree(g, schedules)
 
     def test_overflow_aborts_identically(self):
         # the pair's round-0 hand-offs carry 2^63; the random cases overflow

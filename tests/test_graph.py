@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 
@@ -17,10 +18,7 @@ from privavg.graph import (
     parse_edge_list,
 )
 
-
-def cycle3():
-    # v0 -> v1 -> v2 -> v0, stored as (receiver, sender)
-    return digraph_from_edges(3, [(1, 0), (2, 1), (0, 2)])
+from topologies import cycle3, star
 
 
 def reference_generate(n, p, rng, max_attempts=10_000):
@@ -84,6 +82,11 @@ class TestStrongConnectivity:
         ]
         g = digraph_from_edges(n, edges)
         assert is_strongly_connected(g) == brute_force_strongly_connected(g)
+        assert g.edges == frozenset(edges) and g.m == len(edges)
+        for j in range(n):
+            assert g.in_neighbors(j) == tuple(sorted(s for d, s in edges if d == j))
+        assert parse_edge_list(format_edge_list(g)) == g
+        assert pickle.loads(pickle.dumps(g)) == g
 
 
 class TestMaxOutDegree:
@@ -95,9 +98,7 @@ class TestMaxOutDegree:
         assert max_out_degree(g) == 1
 
     def test_star_center_dominates(self):
-        # center 0 sends to 5 leaves, each leaf sends back
-        edges = [(leaf, 0) for leaf in range(1, 6)] + [(0, leaf) for leaf in range(1, 6)]
-        assert max_out_degree(digraph_from_edges(6, edges)) == 5
+        assert max_out_degree(star(5)) == 5
 
 
 class TestGeneration:
@@ -165,16 +166,26 @@ class TestDigraphValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             digraph_from_edges(2, [(0, 1), (2, 0)])
+        with pytest.raises(ValueError):
+            digraph_from_edges(2, [(0, 1), (1, 0), (0, 2)])
 
     def test_rejects_bad_out_order(self):
-        with pytest.raises(ValueError):
-            Digraph(2, frozenset({(0, 1), (1, 0)}), ((1,), (1,)))
+        with pytest.raises(ValueError, match="one entry per node"):
+            Digraph(2, ((1,),))
+        with pytest.raises(ValueError, match=r"edge \(2, 0\) out of range"):
+            Digraph(2, ((2,), (0,)))
+        with pytest.raises(ValueError, match=r"edge \(-1, 1\) out of range"):
+            Digraph(2, ((1,), (-1,)))
+        with pytest.raises(ValueError, match=r"out_order\[0\] repeats a neighbor"):
+            Digraph(2, ((1, 1), (0,)))
 
     def test_edge_errors_come_before_out_order_errors(self):
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            Digraph(2, ((1,), (1,)))
         with pytest.raises(ValueError, match="self-loop at node 0"):
-            Digraph(2, frozenset({(0, 0)}), ((1,), (1,)))
-        with pytest.raises(ValueError, match=r"out_order\[1\] is not a bijection"):
-            Digraph(2, frozenset({(0, 1), (1, 0)}), ((1,), (1,)))
+            Digraph(2, ((0, 0), (0,)))
+        with pytest.raises(ValueError, match=r"edge \(2, 0\) out of range"):
+            Digraph(2, ((2, 2), (0,)))
 
     def test_in_neighbors(self):
         g = cycle3()

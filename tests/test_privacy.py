@@ -37,26 +37,10 @@ from privavg.schedule import (
     validate_schedule,
 )
 
+from test_golden import GOLDEN_WITNESSES
+from topologies import cycle3, hub_pair, pair_inputs, star
+
 P, C, N = NodeRole.PRIVATE, NodeRole.CURIOUS, NodeRole.NEUTRAL
-
-
-def cycle3():
-    return digraph_from_edges(3, [(1, 0), (2, 1), (0, 2)])
-
-
-def star(leaves):
-    n = leaves + 1
-    edges = [(leaf, 0) for leaf in range(1, n)] + [(0, leaf) for leaf in range(1, n)]
-    return digraph_from_edges(n, edges)
-
-
-def hub_pair(spokes):
-    """Private pair 0 <-> 1 where 1 talks only to 0; curious spokes 2..k <-> 0."""
-    n = 2 + spokes
-    edges = [(1, 0), (0, 1)]
-    for x in range(2, n):
-        edges += [(x, 0), (0, x)]
-    return digraph_from_edges(n, edges)
 
 
 def run_trial(g, roles, states, seed):
@@ -540,19 +524,16 @@ def assert_searches_agree(trace, log, g, target, helper, deltas=WITNESS_DELTAS):
 
 def pair_case(index: int):
     """Acceptance-07 pair case `index`: trace, coalition log, graph, target, helper."""
-    rng = random.Random(f"caseCD:{index}")
-    spokes = rng.randint(1, 3)
-    g = assign_edge_order(hub_pair(spokes), rng)
-    dmax = max_out_degree(g)
-    roles = [P, P] + [C] * spokes
-    states = [rng.randint(-100, 100) for _ in range(g.n)]
-    schedules = [
-        decompose_initial_state(states[j], dmax, roles[j], 100, rng) for j in range(g.n)
-    ]
+    g, _, _, schedules = pair_inputs(index)
     trace, _ = run_simulation(g, schedules)
     log = coalition_observations(trace, range(2, g.n))
     target, helper = (0, 1) if index % 2 == 0 else (1, 0)
     return trace, log, g, target, helper
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_pair_case_logs_have_the_golden_digests(index):
+    assert pair_case(index)[1].digest() == GOLDEN_WITNESSES[f"caseCD:{index}"][0]
 
 
 def log_of_another_run(index: int) -> ObservationLog:
