@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, count
 from operator import is_not
@@ -239,21 +239,24 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     With `resume`, an active-round record of another run on the same graph
     (one that had not found silence by then), the loop picks up after that
     record instead of starting at round -1.  The record itself is neither
-    yielded nor appended, so trace.records starts at the next round, and each
-    of its nodes is carried over with trace's schedule swapped in.  The
-    records yielded are those of trace's own run exactly when trace's
-    schedules agree with the other run's on every substate not yet read at
-    `resume`; the caller vouches for that.  An overflow is then raised at the
-    round the whole run would raise it, but with the partial trace from the
-    resume point on.
+    yielded nor appended, so trace.records starts at the next round, and its
+    node states are carried over as they are.  A node state holds no
+    schedule, so the record is also that round's record of trace's own run
+    exactly when trace's schedules agree with the other run's on every
+    substate not yet read at `resume`; the caller vouches for that.  The
+    records yielded are then those of trace's own run, and an overflow is
+    raised at the round the whole run would raise it, but with the partial
+    trace from the resume point on.
     """
     g = trace.graph
+    schedules, out_order = trace.schedules, g.out_order
+    lengths = [len(sched.uy) for sched in schedules]
     idle_fired = (_IDLE,) * g.n
     if resume is None:
         nodes: list[NodeState] = []
         init_msgs: list[Message] = []
         for j in range(g.n):
-            node, broadcast = init_node(j, trace.schedules[j], g.out_neighbors(j))
+            node, broadcast = init_node(j, schedules[j], out_order[j])
             nodes.append(node)
             init_msgs.extend(broadcast)
         record = _build_record(-1, tuple(init_msgs), tuple(nodes), idle_fired)
@@ -262,15 +265,12 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
         yield record
     else:
         record = resume
-        nodes = [
-            node if node.schedule is sched else replace(node, schedule=sched)
-            for node, sched in zip(resume.nodes, trace.schedules)
-        ]
+        nodes = list(resume.nodes)
 
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
     no_mail: list[Message] = []
-    unsettled = [j for j, node in enumerate(nodes) if not _settled(node)]
+    unsettled = [j for j, node in enumerate(nodes) if not _settled(node, lengths[j])]
     rnd = record.round + 1
     while trace.quiescence_round is None and rnd < trace.max_rounds:
         inboxes: dict[int, list[Message]] = {}
@@ -280,14 +280,16 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
         outbox: list[Message] = []
         fired_list = list(idle_fired)
         for j in stepped:
-            node, emitted, fired = step_node(nodes[j], inboxes.get(j, no_mail), rnd)
+            node, emitted, fired = step_node(
+                nodes[j], schedules[j], out_order[j], inboxes.get(j, no_mail), rnd
+            )
             nodes[j] = node
             fired_list[j] = fired
             outbox.extend(emitted)
         record = _build_record(rnd, tuple(outbox), tuple(nodes), tuple(fired_list))
         trace.records.append(record)
         _check_overflow(record, trace, [nodes[j] for j in stepped])
-        unsettled = [j for j in stepped if not _settled(nodes[j])]
+        unsettled = [j for j in stepped if not _settled(nodes[j], lengths[j])]
         if not outbox and not unsettled:
             trace.quiescence_round = rnd
         yield record
@@ -305,9 +307,9 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
             yield record
 
 
-def _settled(node: NodeState) -> bool:
-    """Whether node is settled: past its own schedule, however long, with
-    both flags clear.
+def _settled(node: NodeState, length: int) -> bool:
+    """Whether node is settled: past its own schedule of `length`
+    substates, however long, with both flags clear.
 
     Silence is a fixed point of step_node for a settled node: an empty inbox
     fires no trigger, uz_at(s) == 0 past the schedule forces no hand-off,
@@ -315,7 +317,7 @@ def _settled(node: NodeState) -> bool:
     skips a settled node without mail, and a silent round with every node
     settled is quiescent.
     """
-    return node.s >= len(node.schedule.uy) and not node.s_br and not node.m_tr
+    return node.s >= length and not node.s_br and not node.m_tr
 
 
 def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:

@@ -34,9 +34,15 @@ class Digraph:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
+        # Rows stay as given, so a list would make a graph that neither
+        # hashes nor equals the same graph built from tuples.
+        if not isinstance(self.out_order, tuple):
+            raise ValueError("out_order must be a tuple of rows")
         if len(self.out_order) != self.n:
             raise ValueError("out_order must have one entry per node")
         for j, order in enumerate(self.out_order):
+            if not isinstance(order, tuple):
+                raise ValueError(f"out_order[{j}] must be a tuple")
             for dst in order:
                 if dst == j:
                     raise ValueError(f"self-loop at node {j}")

@@ -4,8 +4,11 @@ Each node keeps a mass pair (mass_y, mass_z) that physically moves through
 the network and a state pair (state_y, state_z) holding its current best
 estimate, whose exact ratio state_y / state_z is the answer.  Pairs compare
 lexicographically with z first; the state is monotone non-decreasing in
-that order.  One call to step_node consumes the node's inbox for a round
-and returns the successor state plus fully addressed outgoing messages.
+that order.  A NodeState holds only what changes from round to round: the
+node's substate schedule and its out-neighbor priority order are fixed
+before round 0, so init_node and step_node take them as arguments.  One
+call to step_node consumes the node's inbox for a round and returns the
+successor state plus fully addressed outgoing messages.
 
 The records built once per node step -- every message copy and every
 successor state -- are frozen slotted dataclasses, and their generated
@@ -115,9 +118,10 @@ _build_transfer = _builder(MassTransfer)
 
 @dataclass(frozen=True, slots=True)
 class NodeState:
+    """The part of a node that changes; its schedule and out-neighbor row
+    are passed to init_node and step_node."""
+
     id: int
-    out_neighbors: tuple[int, ...]  # round-robin priority order
-    schedule: SubstateSchedule
     mass_y: int
     mass_z: int
     state_y: int
@@ -125,7 +129,7 @@ class NodeState:
     s: int            # substate counter
     s_br: bool        # broadcast-state flag
     m_tr: bool        # transmit-mass flag
-    rr_cursor: int    # index into out_neighbors of the next transfer target
+    rr_cursor: int    # index into the out-neighbor row of the next transfer target
 
 
 _build_node = _builder(NodeState)
@@ -146,9 +150,8 @@ def init_node(
     if broken:
         raise ValueError(f"node {node_id}: {broken[0]}")
     y, z = schedule.uy_at(0), schedule.uz_at(0)
-    out = tuple(out_neighbors)
-    node = _build_node(node_id, out, schedule, y, z, y, z, 1, False, False, 0)
-    broadcast = tuple(_build_broadcast(node_id, dst, y, z, -1) for dst in out)
+    node = _build_node(node_id, y, z, y, z, 1, False, False, 0)
+    broadcast = tuple(_build_broadcast(node_id, dst, y, z, -1) for dst in out_neighbors)
     return node, broadcast
 
 
@@ -181,14 +184,20 @@ def evaluate_triggers(
 
 
 def step_node(
-    node: NodeState, inbox: list[Message], rnd: int
+    node: NodeState,
+    schedule: SubstateSchedule,
+    out: tuple[int, ...],
+    inbox: list[Message],
+    rnd: int,
 ) -> tuple[NodeState, list[Message], TriggersFired]:
     """Advance one node by one synchronous round.
 
-    inbox must contain exactly the messages addressed to this node that were
-    sent in round rnd - 1.  The returned outbox is stamped with round rnd
-    and is due for delivery at rnd + 1.  The successor is node itself when
-    it would equal node field for field.
+    schedule and out are the node's substate schedule and out-neighbor row,
+    the ones init_node set it up with.  inbox must contain exactly the
+    messages addressed to this node that were sent in round rnd - 1.  The
+    returned outbox is stamped with round rnd and is due for delivery at
+    rnd + 1.  The successor is node itself when it would equal node field
+    for field.
     """
     node_id = node.id
     received_states: list[tuple[int, int]] = []
@@ -218,15 +227,14 @@ def step_node(
 
     # Forced hand-off while the schedule still has carrier substates.
     s = node.s
-    if node.schedule.uz_at(s) == 1:
+    if schedule.uz_at(s) == 1:
         m_tr = True
 
     outbox: list[Message] = []
-    out = node.out_neighbors
     rr_cursor = node.rr_cursor
     if m_tr:
-        mass_y += node.schedule.uy_at(s)
-        mass_z += node.schedule.uz_at(s)
+        mass_y += schedule.uy_at(s)
+        mass_z += schedule.uz_at(s)
         assert mass_z >= 1, "a hand-off must carry positive z mass"
         outbox.append(_build_transfer(node_id, out[rr_cursor], mass_y, mass_z, rnd))
         rr_cursor = (rr_cursor + 1) % len(out)
@@ -249,7 +257,5 @@ def step_node(
         and state_z == node.state_z
     ):
         return node, outbox, fired
-    new_node = _build_node(
-        node_id, out, node.schedule, mass_y, mass_z, state_y, state_z, s, s_br, m_tr, rr_cursor
-    )
+    new_node = _build_node(node_id, mass_y, mass_z, state_y, state_z, s, s_br, m_tr, rr_cursor)
     return new_node, outbox, fired

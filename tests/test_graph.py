@@ -179,6 +179,16 @@ class TestDigraphValidation:
         with pytest.raises(ValueError, match=r"out_order\[0\] repeats a neighbor"):
             Digraph(2, ((1, 1), (0,)))
 
+    def test_rejects_list_rows(self):
+        # A list makes a graph that cannot be hashed and that differs from
+        # the same graph built by digraph_from_edges.
+        with pytest.raises(ValueError, match=r"out_order\[0\] must be a tuple"):
+            Digraph(2, ([1], [0]))
+        with pytest.raises(ValueError, match=r"out_order\[1\] must be a tuple"):
+            Digraph(2, ((1,), [0]))
+        with pytest.raises(ValueError, match="out_order must be a tuple of rows"):
+            Digraph(2, [(1,), (0,)])
+
     def test_edge_errors_come_before_out_order_errors(self):
         with pytest.raises(ValueError, match="self-loop at node 1"):
             Digraph(2, ((1,), (1,)))

@@ -36,14 +36,17 @@ from privavg.protocol import (
 )
 from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
+import legacy_node
+from legacy_node import reference_evaluate_triggers, reference_step_node
 
-def make_node(state=(3, 1), mass=(0, 0), s=1, out=(1,), schedule=None):
-    if schedule is None:
-        schedule = SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1))
+# The schedule and out-neighbor row of make_node's node 0.
+SCHEDULE = SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1))
+OUT = (1,)
+
+
+def make_node(state=(3, 1), mass=(0, 0), s=1):
     return NodeState(
         id=0,
-        out_neighbors=out,
-        schedule=schedule,
         mass_y=mass[0],
         mass_z=mass[1],
         state_y=state[0],
@@ -100,7 +103,7 @@ class TestEventTriggers:
     def test_received_with_larger_z_is_adopted(self):
         node = make_node(state=(3, 1), s=self.PAST_SCHEDULE)
         inbox = [StateBroadcast(src=1, dst=0, y=0, z=2, round=4)]
-        out, emitted, fired = step_node(node, inbox, 5)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (True, False, False)
         assert (out.state_y, out.state_z) == (0, 2)
         assert emitted == [StateBroadcast(src=0, dst=1, y=0, z=2, round=5)]
@@ -109,7 +112,7 @@ class TestEventTriggers:
     def test_mass_with_equal_z_larger_y_is_adopted(self):
         node = make_node(state=(3, 1), s=self.PAST_SCHEDULE)
         inbox = [MassTransfer(src=1, dst=0, y=5, z=1, round=4)]
-        out, emitted, fired = step_node(node, inbox, 5)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (False, True, False)
         assert (out.state_y, out.state_z) == (5, 1)
         assert emitted == [StateBroadcast(src=0, dst=1, y=5, z=1, round=5)]
@@ -118,7 +121,7 @@ class TestEventTriggers:
     def test_follower_mass_sets_hand_off_flag(self):
         node = make_node(state=(4, 2), s=self.PAST_SCHEDULE)
         inbox = [MassTransfer(src=1, dst=0, y=9, z=1, round=4)]
-        out, emitted, fired = step_node(node, inbox, 5)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (False, False, True)
         assert (out.state_y, out.state_z) == (4, 2)
         assert emitted == [MassTransfer(src=0, dst=1, y=9, z=1, round=5)]
@@ -169,7 +172,7 @@ class TestStepNode:
         schedule = SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1))
         node, _ = init_node(0, schedule, (1,))
         inbox = [StateBroadcast(src=1, dst=0, y=6, z=1, round=-1)]
-        out, emitted, fired = step_node(node, inbox, 0)
+        out, emitted, fired = step_node(node, schedule, (1,), inbox, 0)
         assert fired == (True, False, True)
         assert (out.state_y, out.state_z) == (6, 1)
         assert (out.mass_y, out.mass_z) == (0, 0) and out.s == 2
@@ -182,25 +185,25 @@ class TestStepNode:
         schedule = SubstateSchedule(y0=6, uy=(6, 6, 6), uz=(1, 1, 1))
         node, _ = init_node(1, schedule, (0,))
         inbox = [StateBroadcast(src=0, dst=1, y=4, z=1, round=-1)]
-        out, emitted, fired = step_node(node, inbox, 0)
+        out, emitted, fired = step_node(node, schedule, (0,), inbox, 0)
         assert fired == (False, False, False)
         assert len(emitted) == 1 and isinstance(emitted[0], MassTransfer)
         assert (emitted[0].y, emitted[0].z, emitted[0].dst) == (12, 2, 0)
 
     def test_exhausted_idle_node_does_nothing(self):
         node = make_node(state=(9, 3), mass=(0, 0), s=3)  # dmax=1, so s > dmax+1
-        out, emitted, fired = step_node(node, [], 5)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, [], 5)
         assert emitted == [] and fired == (False, False, False)
         assert out == node
 
     def test_mail_that_changes_nothing_hands_back_the_node(self):
         node = make_node(state=(9, 3), mass=(0, 0), s=3)
-        out, emitted, fired = step_node(node, [StateBroadcast(1, 0, 1, 1, 4)], 5)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 1, 4)], 5)
         assert out is node and emitted == [] and fired is _IDLE
-        out, emitted, fired = step_node(node, [StateBroadcast(1, 0, 1, 4, 4)], 5)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 4, 4)], 5)
         assert out is not node and (out.state_y, out.state_z) == (1, 4) and len(emitted) == 1
         flagged = dataclasses.replace(node, s_br=True)
-        out, emitted, _ = step_node(flagged, [], 5)
+        out, emitted, _ = step_node(flagged, SCHEDULE, OUT, [], 5)
         assert out == node and out is not flagged and len(emitted) == 1
 
     @settings(max_examples=300, deadline=None)
@@ -217,8 +220,6 @@ class TestStepNode:
         out = tuple(data.draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True)))
         node = NodeState(
             id=data.draw(st.integers(0, 50)),
-            out_neighbors=out,
-            schedule=schedule,
             mass_y=data.draw(values),
             mass_z=data.draw(st.integers(0, 10**6)),
             state_y=data.draw(values),
@@ -228,8 +229,8 @@ class TestStepNode:
             m_tr=False,
             rr_cursor=data.draw(st.integers(0, len(out) - 1)),
         )
-        assert _settled(node)
-        after, emitted, fired = step_node(node, [], data.draw(st.integers(0, 10**6)))
+        assert _settled(node, length)
+        after, emitted, fired = step_node(node, schedule, out, [], data.draw(st.integers(0, 10**6)))
         assert after == node
         assert emitted == []
         assert fired == TriggersFired(False, False, False)
@@ -237,14 +238,14 @@ class TestStepNode:
     def test_misrouted_message_is_a_contract_violation(self):
         node = make_node()
         with pytest.raises(EngineContractError):
-            step_node(node, [StateBroadcast(src=1, dst=9, y=1, z=1, round=0)], 1)
+            step_node(node, SCHEDULE, OUT, [StateBroadcast(src=1, dst=9, y=1, z=1, round=0)], 1)
 
     def test_round_robin_cursor_advances_cyclically(self):
         schedule = SubstateSchedule(y0=0, uy=(-1, 2, 3, -4), uz=(1, 1, 1, 1))
         node, _ = init_node(0, schedule, (3, 1, 2))
         targets = []
         for rnd in range(3):
-            node, emitted, _ = step_node(node, [], rnd)
+            node, emitted, _ = step_node(node, schedule, (3, 1, 2), [], rnd)
             transfers = [m for m in emitted if isinstance(m, MassTransfer)]
             assert len(transfers) == 1
             targets.append(transfers[0].dst)
@@ -288,114 +289,6 @@ class TestStepNode:
             previous = current
 
 
-# step_node and evaluate_triggers as they stood before messages were built
-# positionally and the schedule tuples read directly, kept verbatim as the
-# oracle for both; only the names differ.
-
-
-def reference_evaluate_triggers(
-    state_y: int,
-    state_z: int,
-    received_states: list[tuple[int, int]],
-    mass_y: int,
-    mass_z: int,
-) -> tuple[int, int, TriggersFired]:
-    """Run the three condition sets in order against a merged mass.
-
-    received_states holds (y, z) payloads.  Returns the updated state pair
-    and which condition sets fired; sets 2 and 3 see the state as already
-    updated by set 1.
-    """
-    fired1 = fired2 = fired3 = False
-    if received_states:
-        best_y, best_z = max(received_states, key=lambda p: (p[1], p[0]))
-        if (best_z, best_y) > (state_z, state_y):
-            state_y, state_z = best_y, best_z
-            fired1 = True
-    if (mass_z, mass_y) > (state_z, state_y):
-        state_y, state_z = mass_y, mass_z
-        fired2 = True
-    if 0 < mass_z < state_z or (mass_z == state_z and mass_y < state_y):
-        fired3 = True
-    return state_y, state_z, TriggersFired(fired1, fired2, fired3)
-
-
-def reference_step_node(
-    node: NodeState, inbox: list[Message], rnd: int
-) -> tuple[NodeState, list[Message], TriggersFired]:
-    """Advance one node by one synchronous round.
-
-    inbox must contain exactly the messages addressed to this node that were
-    sent in round rnd - 1.  The returned outbox is stamped with round rnd
-    and is due for delivery at rnd + 1.
-    """
-    received_states: list[tuple[int, int]] = []
-    add_y = add_z = 0
-    for msg in inbox:
-        if msg.dst != node.id:
-            raise EngineContractError(
-                f"round {rnd}: message for node {msg.dst} delivered to node {node.id}"
-            )
-        if isinstance(msg, MassTransfer):
-            add_y += msg.y
-            add_z += msg.z
-        else:
-            received_states.append((msg.y, msg.z))
-    mass_y = node.mass_y + add_y
-    mass_z = node.mass_z + add_z
-
-    state_y, state_z = node.state_y, node.state_z
-    s_br, m_tr = node.s_br, node.m_tr
-    fired = TriggersFired(False, False, False)
-    if inbox:
-        state_y, state_z, fired = reference_evaluate_triggers(
-            state_y, state_z, received_states, mass_y, mass_z
-        )
-        s_br = s_br or fired.adopt_received or fired.adopt_mass
-        m_tr = m_tr or fired.hand_off
-
-    # Forced hand-off while the schedule still has carrier substates.
-    s = node.s
-    if node.schedule.uz_at(s) == 1:
-        m_tr = True
-
-    outbox: list[Message] = []
-    rr_cursor = node.rr_cursor
-    if m_tr:
-        mass_y += node.schedule.uy_at(s)
-        mass_z += node.schedule.uz_at(s)
-        assert mass_z >= 1, "a hand-off must carry positive z mass"
-        target = node.out_neighbors[rr_cursor]
-        outbox.append(MassTransfer(src=node.id, dst=target, y=mass_y, z=mass_z, round=rnd))
-        rr_cursor = (rr_cursor + 1) % len(node.out_neighbors)
-        mass_y = mass_z = 0
-        m_tr = False
-        s += 1
-    if s_br:
-        for dst in node.out_neighbors:
-            outbox.append(
-                StateBroadcast(src=node.id, dst=dst, y=state_y, z=state_z, round=rnd)
-            )
-        s_br = False
-
-    assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
-    # Positional construction: this runs once per node step.
-    new_node = NodeState(
-        node.id,
-        node.out_neighbors,
-        node.schedule,
-        mass_y,
-        mass_z,
-        state_y,
-        state_z,
-        s,
-        s_br,
-        m_tr,
-        rr_cursor,
-    )
-    return new_node, outbox, fired
-
-
 def _outcome(fn, *args):
     """fn's result, or the type and first line of what it raised: pytest
     rewrites the asserts of this module's copies and appends a second line."""
@@ -417,7 +310,7 @@ class TestStepNodeMatchesReference:
         uz = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=7)))
         schedule = SubstateSchedule(y0=data.draw(small), uy=uy, uz=uz)
         out = tuple(data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True)))
-        node = NodeState(
+        legacy = legacy_node.NodeState(
             id=data.draw(st.integers(0, 30)),
             out_neighbors=out,
             schedule=schedule,
@@ -430,6 +323,7 @@ class TestStepNodeMatchesReference:
             m_tr=data.draw(st.booleans()),
             rr_cursor=data.draw(st.integers(0, len(out) - 1)),
         )
+        node = legacy_node.project(legacy)
         rnd = data.draw(st.integers(0, 10**4))
         inbox: list[Message] = [
             data.draw(st.sampled_from((StateBroadcast, MassTransfer)))(
@@ -442,12 +336,15 @@ class TestStepNodeMatchesReference:
         if misrouted:
             pos = data.draw(st.integers(0, len(inbox) - 1))
             inbox[pos] = dataclasses.replace(inbox[pos], dst=node.id + 1)
-        got = _outcome(step_node, node, inbox, rnd)
-        want = _outcome(reference_step_node, node, inbox, rnd)
+        got = _outcome(step_node, node, schedule, out, inbox, rnd)
+        want = _outcome(reference_step_node, legacy, inbox, rnd)
+        stepped = len(want) == 3  # a step, not a refusal
+        if stepped:
+            want = (legacy_node.project(want[0]),) + want[1:]
         assert got == want
         if misrouted:
             assert got[0] is EngineContractError
-        elif len(want) == 3:  # a step, not a refusal: node comes back iff nothing changed
+        elif stepped:  # node comes back iff nothing changed
             assert (got[0] is node) == (want[0] == node)
 
 
