@@ -36,6 +36,7 @@ from .privacy import (
     reconstruct_fully_surrounded,
 )
 from .protocol import (
+    Broadcast,
     MassTransfer,
     Message,
     NodeState,
@@ -64,6 +65,7 @@ __all__ = [
     "AmbiguityWitness",
     "AuditVerdict",
     "BatchSummary",
+    "Broadcast",
     "Digraph",
     "GraphGenerationError",
     "MassTransfer",

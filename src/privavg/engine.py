@@ -21,8 +21,15 @@ certification tail after quiescence without stepping at all.
 The records therefore change in few places from one to the next, and the
 conservation audit pays only for that: it keeps running sums over the nodes
 and re-sums only the positions whose node object changed.  The dominance
-and absorption audits evaluate each record whole.  Messages stay one object
-per broadcast copy, so each audit still reads every evaluated record's outbox.
+and absorption audits evaluate each record whole.
+
+A record stores the events of its round, one protocol.Broadcast per
+broadcasting node and one MassTransfer per hand-off, in a RoundMessages.
+Read as a sequence, it shows each Broadcast as one StateBroadcast copy
+per addressee, so the exports, the logs and any outside reader see
+per-copy messages.  The engine's own
+readers (the routing, the overflow check, round_rows, the audits) and the
+coalition projection walk the events and build no copy.
 
 Frozen values that trials repeat are shared, not rebuilt.  step_node returns
 one of eight shared TriggersFired objects and hands back a node whose
@@ -37,7 +44,7 @@ shares rows across its trials.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, count
@@ -46,11 +53,14 @@ from pathlib import Path
 
 from .graph import Digraph, is_strongly_connected, max_out_degree
 from .protocol import (
+    Broadcast,
+    Event,
     MassTransfer,
     Message,
     NodeState,
     TriggersFired,
     _IDLE,
+    _build_copy,
     _builder,
     init_node,
     step_node,
@@ -77,12 +87,64 @@ class SimulationOverflowError(RuntimeError):
         return type(self), (self.args[0], self.trace)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class RoundMessages(Sequence):
+    """The messages of one round, stored as its events.
+
+    `events` holds Broadcast and MassTransfer events (or per-copy messages)
+    in send order.  As a sequence -- iteration, indexing, len, ==, hash --
+    it is the tuple of per-copy messages: each Broadcast shows as one
+    StateBroadcast per member of its dsts, in order, built on each read.
+    It equals that tuple, either way round, and hashes like it; its truth
+    value is that of its events.
+    """
+
+    events: tuple[Event, ...] = ()
+
+    def __iter__(self) -> Iterator[Message]:
+        for ev in self.events:
+            if type(ev) is Broadcast:
+                src, y, z, rnd = ev.src, ev.y, ev.z, ev.round
+                for dst in ev.dsts:
+                    yield _build_copy(src, dst, y, z, rnd)
+            else:
+                yield ev
+
+    def __len__(self) -> int:
+        return sum(len(ev.dsts) if type(ev) is Broadcast else 1 for ev in self.events)
+
+    def __bool__(self) -> bool:
+        return bool(self.events)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RoundMessages):
+            return self.events == other.events or tuple(self) == tuple(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+_SILENT = RoundMessages()  # shared by every record without messages
+
+
+def _events(messages) -> tuple[Event, ...]:
+    """The events behind a record's messages; a record built by hand with
+    a plain tuple of per-copy messages has those copies as its events."""
+    return messages.events if type(messages) is RoundMessages else messages
+
+
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
     """Everything that happened in one round: outbox and post-step snapshots."""
 
     round: int
-    messages: tuple[Message, ...]
+    messages: RoundMessages | tuple[Message, ...]
     nodes: tuple[NodeState, ...]
     fired: tuple[TriggersFired, ...]
 
@@ -254,12 +316,12 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     idle_fired = (_IDLE,) * g.n
     if resume is None:
         nodes: list[NodeState] = []
-        init_msgs: list[Message] = []
+        init_msgs: list[Event] = []
         for j in range(g.n):
             node, broadcast = init_node(j, schedules[j], out_order[j])
             nodes.append(node)
-            init_msgs.extend(broadcast)
-        record = _build_record(-1, tuple(init_msgs), tuple(nodes), idle_fired)
+            init_msgs.append(broadcast)
+        record = _build_record(-1, RoundMessages(tuple(init_msgs)), tuple(nodes), idle_fired)
         trace.records.append(record)
         _check_overflow(record, trace, nodes)
         yield record
@@ -269,15 +331,19 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
 
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
-    no_mail: list[Message] = []
+    no_mail: list[Event] = []
     unsettled = [j for j, node in enumerate(nodes) if not _settled(node, lengths[j])]
     rnd = record.round + 1
     while trace.quiescence_round is None and rnd < trace.max_rounds:
-        inboxes: dict[int, list[Message]] = {}
-        for msg in record.messages:
-            inboxes.setdefault(msg.dst, []).append(msg)
+        inboxes: dict[int, list[Event]] = {}
+        for ev in _events(record.messages):
+            if type(ev) is MassTransfer:
+                inboxes.setdefault(ev.dst, []).append(ev)
+            else:
+                for dst in ev.dsts:
+                    inboxes.setdefault(dst, []).append(ev)
         stepped = sorted(inboxes.keys() | unsettled)
-        outbox: list[Message] = []
+        outbox: list[Event] = []
         fired_list = list(idle_fired)
         for j in stepped:
             node, emitted, fired = step_node(
@@ -286,7 +352,8 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
             nodes[j] = node
             fired_list[j] = fired
             outbox.extend(emitted)
-        record = _build_record(rnd, tuple(outbox), tuple(nodes), tuple(fired_list))
+        messages = RoundMessages(tuple(outbox)) if outbox else _SILENT
+        record = _build_record(rnd, messages, tuple(nodes), tuple(fired_list))
         trace.records.append(record)
         _check_overflow(record, trace, [nodes[j] for j in stepped])
         unsettled = [j for j in stepped if not _settled(nodes[j], lengths[j])]
@@ -302,7 +369,7 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
         frozen = record.nodes
         quiet = trace.quiescence_round
         for k in range(quiet + 1, quiet + trace.quiescence_window):
-            record = _build_record(k, (), frozen, idle_fired)
+            record = _build_record(k, _SILENT, frozen, idle_fired)
             trace.records.append(record)
             yield record
 
@@ -322,7 +389,10 @@ def _settled(node: NodeState, length: int) -> bool:
 
 def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
     """Raise if one of `nodes` (the record's nodes that changed this round,
-    in id order) or one of the record's messages left the 64-bit range."""
+    in id order) or one of the record's messages left the 64-bit range.
+
+    Each event is checked once; the copies of a broadcast share its values,
+    so the first copy of the first offending event is named."""
     for node in nodes:
         if (
             abs(node.mass_y) > INT64_MAX
@@ -333,10 +403,11 @@ def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
             raise SimulationOverflowError(
                 f"round {record.round}: node {node.id} left the 64-bit range", trace
             )
-    for msg in record.messages:
-        if abs(msg.y) > INT64_MAX or msg.z > INT64_MAX:
+    for ev in _events(record.messages):
+        if abs(ev.y) > INT64_MAX or ev.z > INT64_MAX:
+            dst = ev.dst if type(ev) is MassTransfer else ev.dsts[0]
             raise SimulationOverflowError(
-                f"round {record.round}: message from node {msg.src} to node {msg.dst} "
+                f"round {record.round}: message from node {ev.src} to node {dst} "
                 "left the 64-bit range",
                 trace,
             )
@@ -370,7 +441,7 @@ def _evaluated(trace: SimTrace, first_round: int = -1) -> Iterator[RoundRecord]:
 
 def _in_flight(record: RoundRecord) -> list[tuple[int, int]]:
     """The (z, y) pair of every mass transfer in the record's outbox."""
-    return [(m.z, m.y) for m in record.messages if type(m) is MassTransfer]
+    return [(m.z, m.y) for m in _events(record.messages) if type(m) is MassTransfer]
 
 
 def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
@@ -381,7 +452,8 @@ def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
 
 def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     """One counter row per record, round -1 included, from one pass over its
-    messages; a record without messages gets its shared silent row."""
+    events, each broadcast counting one copy per addressee; a record without
+    messages gets its shared silent row."""
     q_num, q_den = exact_average(trace.schedules)
     rows = []
     last_nodes = None
@@ -396,13 +468,13 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
         copies = transfers = 0
         broadcasters: set[int] = set()
         senders: set[int] = set()
-        for msg in record.messages:
-            senders.add(msg.src)
-            if isinstance(msg, MassTransfer):
+        for ev in _events(record.messages):
+            senders.add(ev.src)
+            if type(ev) is MassTransfer:
                 transfers += 1
             else:
-                copies += 1
-                broadcasters.add(msg.src)
+                copies += len(ev.dsts)
+                broadcasters.add(ev.src)
         rows.append(
             _build_row(
                 record.round, len(broadcasters), copies, transfers, len(senders), converged
@@ -549,11 +621,15 @@ def trace_csv_lines(trace: SimTrace, rows: tuple[SeriesRow, ...] | None = None) 
 
 
 def message_log_lines(trace: SimTrace) -> list[str]:
+    """messages.csv's lines: one per message copy, in record order."""
     lines = [MESSAGE_LOG_HEADER]
     for record in trace.records:
-        for msg in record.messages:
-            kind = "mass" if isinstance(msg, MassTransfer) else "state"
-            lines.append(f"{msg.round},{kind},{msg.src},{msg.dst},{msg.y},{msg.z}")
+        for ev in _events(record.messages):
+            if type(ev) is MassTransfer:
+                lines.append(f"{ev.round},mass,{ev.src},{ev.dst},{ev.y},{ev.z}")
+            else:
+                head, tail = f"{ev.round},state,{ev.src},", f",{ev.y},{ev.z}"
+                lines.extend([f"{head}{dst}{tail}" for dst in ev.dsts])
     return lines
 
 

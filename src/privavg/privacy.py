@@ -25,6 +25,7 @@ from .engine import (
     RoundRecord,
     SimTrace,
     SimulationOverflowError,
+    _events,
     iter_rounds,
     run_simulation,
 )
@@ -140,19 +141,23 @@ def coalition_observations(trace: SimTrace, coalition) -> ObservationLog:
 
 
 def _observe(record: RoundRecord, members: frozenset[int]) -> tuple[list, list]:
-    """The coalition's message and internal events of one record, unsorted."""
-    messages = [
-        (
-            msg.round,
-            "mass" if isinstance(msg, MassTransfer) else "state",
-            msg.src,
-            msg.dst,
-            msg.y,
-            msg.z,
-        )
-        for msg in record.messages
-        if msg.src in members or msg.dst in members
-    ]
+    """The coalition's message and internal events of one record, unsorted.
+
+    A broadcast is expanded only into the copies a member sends or receives."""
+    messages = []
+    for ev in _events(record.messages):
+        if type(ev) is MassTransfer:
+            if ev.src in members or ev.dst in members:
+                messages.append((ev.round, "mass", ev.src, ev.dst, ev.y, ev.z))
+        else:
+            sent = ev.src in members
+            messages.extend(
+                [
+                    (ev.round, "state", ev.src, dst, ev.y, ev.z)
+                    for dst in ev.dsts
+                    if sent or dst in members
+                ]
+            )
     internal = [
         (
             record.round,
@@ -297,9 +302,9 @@ def ambiguity_witness(
             raise ValueError(f"{name} schedule is not a private decomposition")
 
     exchanged = any(
-        isinstance(m, MassTransfer) and {m.src, m.dst} == {target, helper}
+        type(m) is MassTransfer and {m.src, m.dst} == {target, helper}
         for record in trace.records
-        for m in record.messages
+        for m in _events(record.messages)
     )
     if not exchanged:
         raise WitnessUnavailableError(

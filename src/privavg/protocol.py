@@ -8,9 +8,13 @@ that order.  A NodeState holds only what changes from round to round: the
 node's substate schedule and its out-neighbor priority order are fixed
 before round 0, so init_node and step_node take them as arguments.  One
 call to step_node consumes the node's inbox for a round and returns the
-successor state plus fully addressed outgoing messages.
+successor state plus its outgoing events: at most one MassTransfer, to one
+out-neighbor, and at most one Broadcast, whose dsts is the out-neighbor row
+itself, shared and not copied.  A Broadcast stands for one StateBroadcast
+copy per member of dsts, in order; the engine's records expand the copies
+only for readers that ask (see engine.RoundMessages).
 
-The records built once per node step -- every message copy and every
+The records built once per node step -- every event and every
 successor state -- are frozen slotted dataclasses, and their generated
 __init__ writes each field through object.__setattr__, which roughly
 doubles the cost of each object.  step_node and init_node therefore
@@ -78,14 +82,31 @@ def _builder(cls):
 
 
 @dataclass(frozen=True, slots=True)
+class Broadcast:
+    """One state announcement to every out-neighbor in dsts, the sender's
+    own out-neighbor row; it stands for one StateBroadcast copy per member."""
+
+    src: int
+    dsts: tuple[int, ...]
+    y: int
+    z: int
+    round: int
+
+
+@dataclass(frozen=True, slots=True)
 class StateBroadcast:
-    """One copy of a state announcement; a broadcast yields one per out-neighbor."""
+    """One per-neighbor copy of a Broadcast, as the records show it."""
 
     src: int
     dst: int
     y: int
     z: int
     round: int
+
+    @property
+    def dsts(self) -> tuple[int]:
+        """The one addressee, so a copy reads like the Broadcast it came from."""
+        return (self.dst,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +120,8 @@ class MassTransfer:
     round: int
 
 
-Message = Union[StateBroadcast, MassTransfer]
+Message = Union[StateBroadcast, MassTransfer]  # one per addressee
+Event = Union[Broadcast, StateBroadcast, MassTransfer]  # what a step emits or an inbox holds
 
 
 class TriggersFired(NamedTuple):
@@ -112,7 +134,8 @@ class TriggersFired(NamedTuple):
 _OUTCOMES = tuple(TriggersFired(*bits) for bits in product((False, True), repeat=3))
 _IDLE = _OUTCOMES[0]  # shared by every step without mail
 
-_build_broadcast = _builder(StateBroadcast)
+_build_broadcast = _builder(Broadcast)
+_build_copy = _builder(StateBroadcast)
 _build_transfer = _builder(MassTransfer)
 
 
@@ -137,12 +160,12 @@ _build_node = _builder(NodeState)
 
 def init_node(
     node_id: int, schedule: SubstateSchedule, out_neighbors: tuple[int, ...]
-) -> tuple[NodeState, tuple[StateBroadcast, ...]]:
+) -> tuple[NodeState, Broadcast]:
     """Set up a node on its first substate and emit its initial broadcast.
 
     The mass and state both start at (uy[0], 1), the counter moves to 1, and
-    the returned broadcast copies are stamped with send round -1 so that the
-    engine delivers them at round 0.
+    the returned broadcast, addressed to out_neighbors itself, is stamped
+    with send round -1 so that the engine delivers it at round 0.
     """
     if not out_neighbors:
         raise ValueError(f"node {node_id} has no out-neighbors")
@@ -151,8 +174,7 @@ def init_node(
         raise ValueError(f"node {node_id}: {broken[0]}")
     y, z = schedule.uy_at(0), schedule.uz_at(0)
     node = _build_node(node_id, y, z, y, z, 1, False, False, 0)
-    broadcast = tuple(_build_broadcast(node_id, dst, y, z, -1) for dst in out_neighbors)
-    return node, broadcast
+    return node, _build_broadcast(node_id, out_neighbors, y, z, -1)
 
 
 def evaluate_triggers(
@@ -187,31 +209,33 @@ def step_node(
     node: NodeState,
     schedule: SubstateSchedule,
     out: tuple[int, ...],
-    inbox: list[Message],
+    inbox: list[Event],
     rnd: int,
-) -> tuple[NodeState, list[Message], TriggersFired]:
+) -> tuple[NodeState, list[Event], TriggersFired]:
     """Advance one node by one synchronous round.
 
     schedule and out are the node's substate schedule and out-neighbor row,
     the ones init_node set it up with.  inbox must contain exactly the
-    messages addressed to this node that were sent in round rnd - 1.  The
-    returned outbox is stamped with round rnd and is due for delivery at
-    rnd + 1.  The successor is node itself when it would equal node field
-    for field.
+    events addressed to this node that were sent in round rnd - 1: a
+    transfer whose dst, or a broadcast (or per-neighbor copy) whose dsts
+    holds node.id.  The returned outbox, a transfer then a broadcast to
+    `out` when there are both, is stamped with round rnd and is due for
+    delivery at rnd + 1.  The successor is node itself when it would equal
+    node field for field.
     """
     node_id = node.id
     received_states: list[tuple[int, int]] = []
     add_y = add_z = 0
     for msg in inbox:
-        if msg.dst != node_id:
-            raise EngineContractError(
-                f"round {rnd}: message for node {msg.dst} delivered to node {node_id}"
-            )
         if type(msg) is MassTransfer:
+            if msg.dst != node_id:
+                raise _misrouted(rnd, (msg.dst,), node_id)
             add_y += msg.y
             add_z += msg.z
-        else:
+        elif node_id in msg.dsts:
             received_states.append((msg.y, msg.z))
+        else:
+            raise _misrouted(rnd, msg.dsts, node_id)
     mass_y = node.mass_y + add_y
     mass_z = node.mass_z + add_z
 
@@ -230,7 +254,7 @@ def step_node(
     if schedule.uz_at(s) == 1:
         m_tr = True
 
-    outbox: list[Message] = []
+    outbox: list[Event] = []
     rr_cursor = node.rr_cursor
     if m_tr:
         mass_y += schedule.uy_at(s)
@@ -242,7 +266,7 @@ def step_node(
         m_tr = False
         s += 1
     if s_br:
-        outbox.extend([_build_broadcast(node_id, dst, state_y, state_z, rnd) for dst in out])
+        outbox.append(_build_broadcast(node_id, out, state_y, state_z, rnd))
         s_br = False
 
     assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
@@ -259,3 +283,8 @@ def step_node(
         return node, outbox, fired
     new_node = _build_node(node_id, mass_y, mass_z, state_y, state_z, s, s_br, m_tr, rr_cursor)
     return new_node, outbox, fired
+
+
+def _misrouted(rnd: int, dsts: tuple[int, ...], node_id: int) -> EngineContractError:
+    to = f"node {dsts[0]}" if len(dsts) == 1 else f"nodes {', '.join(map(str, dsts))}"
+    return EngineContractError(f"round {rnd}: message for {to} delivered to node {node_id}")

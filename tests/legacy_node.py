@@ -3,10 +3,12 @@ out-neighbor row, for the oracles written against that API.
 
 NodeState is a verbatim copy of the 11-field node.  init_node and step_node
 are adapters over privavg.protocol's, which take the two fixed fields as
-arguments: they carry those fields along, so an oracle that reads
-node.schedule or node.out_neighbors, or calls init_node(id, schedule, out)
-and step_node(node, inbox, rnd), runs unchanged.  project drops the two
-fields, to compare an oracle's nodes with privavg's.
+arguments and emit one Broadcast event per broadcasting node: they carry
+those fields along and expand each event into one StateBroadcast copy per
+addressee, so an oracle that reads node.schedule or node.out_neighbors, or
+calls init_node(id, schedule, out) and step_node(node, inbox, rnd) and
+routes copies by dst, runs unchanged.  project drops the two fields, to
+compare an oracle's nodes with privavg's.
 
 The protocol oracles live here, so that the NodeState they build is this
 one.
@@ -61,16 +63,28 @@ def _carry(
     )
 
 
+def copies(events) -> list[Message]:
+    """events with each Broadcast expanded into one StateBroadcast per
+    member of its dsts, in order."""
+    expanded: list[Message] = []
+    for ev in events:
+        if isinstance(ev, protocol.Broadcast):
+            expanded.extend(StateBroadcast(ev.src, dst, ev.y, ev.z, ev.round) for dst in ev.dsts)
+        else:
+            expanded.append(ev)
+    return expanded
+
+
 def init_node(node_id, schedule, out_neighbors):
     node, broadcast = protocol.init_node(node_id, schedule, out_neighbors)
-    return _carry(node, schedule, tuple(out_neighbors)), broadcast
+    return _carry(node, schedule, tuple(out_neighbors)), tuple(copies([broadcast]))
 
 
 def step_node(node, inbox, rnd):
     after, outbox, fired = protocol.step_node(
         project(node), node.schedule, node.out_neighbors, inbox, rnd
     )
-    return _carry(after, node.schedule, node.out_neighbors), outbox, fired
+    return _carry(after, node.schedule, node.out_neighbors), copies(outbox), fired
 
 
 # step_node and evaluate_triggers as they stood before messages were built

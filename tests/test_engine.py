@@ -11,10 +11,12 @@ from privavg.engine import (
     INT64_MAX,
     AuditVerdict,
     InvalidScheduleError,
+    RoundMessages,
     RoundRecord,
     SeriesRow,
     SimTrace,
     SimulationOverflowError,
+    _SILENT,
     _build_row,
     _evaluated,
     audit_absorption,
@@ -42,6 +44,7 @@ from privavg.graph import (
     max_out_degree,
 )
 from privavg.protocol import (
+    Broadcast,
     MassTransfer,
     Message,
     NodeState,
@@ -780,6 +783,55 @@ class TestEventLoopMatchesReference:
             if err is not None:
                 kinds.add((err.split(": ")[1].startswith("node"), trace.final_round > dmax + 1))
         assert (True, True) in kinds
+
+
+class TestRoundMessages:
+    """A record stores one event per broadcast and shows one copy per addressee."""
+
+    def test_reproduction_seeds_store_one_event_per_broadcast(self):
+        cfg = TrialConfig(
+            seed=100, trials=100, n=20, p=REFERENCE_EDGE_PROBABILITY,
+            states=REFERENCE_STATE_VECTOR,
+        )
+        broadcasts = 0
+        for index in range(cfg.trials):
+            g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(100, index)))
+            trace, report = run_simulation(g, schedules)
+            for record, row in zip(trace.records, report.rows, strict=True):
+                events = record.messages.events
+                for ev in events:
+                    assert type(ev) in (Broadcast, MassTransfer)
+                    if type(ev) is Broadcast:
+                        assert ev.dsts is g.out_order[ev.src]
+                        broadcasts += 1
+                assert len(record.messages) == row.broadcast_copies + row.mass_transfers
+                assert (record.messages is _SILENT) == (not events)
+        assert broadcasts > 0
+
+    def test_a_sequence_of_copies(self):
+        events = (
+            MassTransfer(2, 0, 5, 2, 3),
+            Broadcast(2, (1, 0, 3), 7, 2, 3),
+            Broadcast(0, (2,), -1, 1, 3),
+        )
+        copies = (
+            MassTransfer(2, 0, 5, 2, 3),
+            StateBroadcast(2, 1, 7, 2, 3),
+            StateBroadcast(2, 0, 7, 2, 3),
+            StateBroadcast(2, 3, 7, 2, 3),
+            StateBroadcast(0, 2, -1, 1, 3),
+        )
+        messages = RoundMessages(events)
+        assert tuple(messages) == copies and list(reversed(messages)) == list(reversed(copies))
+        assert len(messages) == 5 and messages[3] == copies[3] and messages[1:3] == copies[1:3]
+        assert messages == copies and copies == messages and messages != copies[:-1]
+        assert messages == RoundMessages(copies) and RoundMessages(copies) == messages
+        assert hash(messages) == hash(copies) == hash(RoundMessages(copies))
+        back = pickle.loads(pickle.dumps(messages))
+        assert type(back) is RoundMessages and back.events == events and back == copies
+        assert messages and not RoundMessages() and RoundMessages() == () == _SILENT
+        with pytest.raises(AttributeError):
+            messages.events = ()
 
 
 def test_resumed_run_equals_fresh_run_record_for_record():

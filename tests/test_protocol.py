@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privavg.engine import (
+    RoundMessages,
     RoundRecord,
     SeriesRow,
     SimTrace,
@@ -20,6 +21,7 @@ from privavg.graph import Digraph, generate_random_strongly_connected, max_out_d
 from privavg.protocol import (
     _IDLE,
     _OUTCOMES,
+    Broadcast,
     EngineContractError,
     MassTransfer,
     Message,
@@ -27,6 +29,7 @@ from privavg.protocol import (
     StateBroadcast,
     TriggersFired,
     _build_broadcast,
+    _build_copy,
     _build_node,
     _build_transfer,
     _builder,
@@ -61,20 +64,19 @@ def make_node(state=(3, 1), mass=(0, 0), s=1):
 class TestInitNode:
     def test_private_example_starts_on_first_substate(self):
         schedule = SubstateSchedule(y0=4, uy=(1, 8, 6, 2, 3), uz=(1, 1, 1, 1, 1))
-        node, broadcast = init_node(7, schedule, (2, 5))
+        out = (2, 5)
+        node, broadcast = init_node(7, schedule, out)
         assert (node.mass_y, node.mass_z) == (1, 1)
         assert (node.state_y, node.state_z) == (1, 1)
         assert node.s == 1 and not node.s_br and not node.m_tr
-        assert [(b.dst, b.y, b.z, b.round) for b in broadcast] == [
-            (2, 1, 1, -1),
-            (5, 1, 1, -1),
-        ]
+        assert broadcast == Broadcast(src=7, dsts=(2, 5), y=1, z=1, round=-1)
+        assert broadcast.dsts is out
 
     def test_neutral_node(self):
         schedule = SubstateSchedule(y0=7, uy=(7, 7, 7), uz=(1, 1, 1))
         node, broadcast = init_node(0, schedule, (1,))
         assert (node.mass_y, node.mass_z) == (7, 1)
-        assert broadcast[0].y == 7 and broadcast[0].z == 1
+        assert broadcast.y == 7 and broadcast.z == 1
 
     def test_initial_ratio_is_first_substate_over_one(self):
         schedule = SubstateSchedule(y0=-2, uy=(-5, 1, -2 * 3 + 4), uz=(1, 1, 1))
@@ -106,7 +108,7 @@ class TestEventTriggers:
         out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (True, False, False)
         assert (out.state_y, out.state_z) == (0, 2)
-        assert emitted == [StateBroadcast(src=0, dst=1, y=0, z=2, round=5)]
+        assert emitted == [Broadcast(src=0, dsts=(1,), y=0, z=2, round=5)]
         assert (out.mass_y, out.mass_z) == (0, 0) and out.s == self.PAST_SCHEDULE
 
     def test_mass_with_equal_z_larger_y_is_adopted(self):
@@ -115,7 +117,7 @@ class TestEventTriggers:
         out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (False, True, False)
         assert (out.state_y, out.state_z) == (5, 1)
-        assert emitted == [StateBroadcast(src=0, dst=1, y=5, z=1, round=5)]
+        assert emitted == [Broadcast(src=0, dsts=(1,), y=5, z=1, round=5)]
         assert (out.mass_y, out.mass_z) == (5, 1)
 
     def test_follower_mass_sets_hand_off_flag(self):
@@ -176,7 +178,7 @@ class TestStepNode:
         assert fired == (True, False, True)
         assert (out.state_y, out.state_z) == (6, 1)
         assert (out.mass_y, out.mass_z) == (0, 0) and out.s == 2
-        assert [type(m).__name__ for m in emitted] == ["MassTransfer", "StateBroadcast"]
+        assert [type(m).__name__ for m in emitted] == ["MassTransfer", "Broadcast"]
         transfer, broadcast = emitted
         assert (transfer.y, transfer.z, transfer.dst) == (8, 2, 1)
         assert (broadcast.y, broadcast.z) == (6, 1)
@@ -239,6 +241,12 @@ class TestStepNode:
         node = make_node()
         with pytest.raises(EngineContractError):
             step_node(node, SCHEDULE, OUT, [StateBroadcast(src=1, dst=9, y=1, z=1, round=0)], 1)
+        stray = Broadcast(src=1, dsts=(2, 9), y=1, z=1, round=0)
+        with pytest.raises(EngineContractError, match="for nodes 2, 9 delivered to node 0"):
+            step_node(node, SCHEDULE, OUT, [stray], 1)
+        # the same event, addressed to the node among others, is accepted
+        out, _, fired = step_node(node, SCHEDULE, OUT, [Broadcast(1, (2, 0, 9), 1, 4, 0)], 1)
+        assert fired.adopt_received and (out.state_y, out.state_z) == (1, 4)
 
     def test_round_robin_cursor_advances_cyclically(self):
         schedule = SubstateSchedule(y0=0, uy=(-1, 2, 3, -4), uz=(1, 1, 1, 1))
@@ -341,6 +349,8 @@ class TestStepNodeMatchesReference:
         stepped = len(want) == 3  # a step, not a refusal
         if stepped:
             want = (legacy_node.project(want[0]),) + want[1:]
+        if len(got) == 3:  # the reference sends one copy per out-neighbor
+            got = (got[0], legacy_node.copies(got[1]), got[2])
         assert got == want
         if misrouted:
             assert got[0] is EngineContractError
@@ -353,7 +363,8 @@ class TestStepNodeMatchesReference:
 
 _NODE = make_node()
 _BUILT = [
-    (StateBroadcast, _build_broadcast, dict(src=1, dst=2, y=-3, z=4, round=5), "y", 7),
+    (Broadcast, _build_broadcast, dict(src=1, dsts=(2, 6), y=-3, z=4, round=5), "dsts", (0,)),
+    (StateBroadcast, _build_copy, dict(src=1, dst=2, y=-3, z=4, round=5), "y", 7),
     (MassTransfer, _build_transfer, dict(src=1, dst=2, y=-3, z=4, round=5), "dst", 0),
     (
         NodeState,
@@ -365,7 +376,12 @@ _BUILT = [
     (
         RoundRecord,
         _build_record,
-        dict(round=3, messages=(StateBroadcast(0, 1, 3, 1, 3),), nodes=(_NODE,), fired=(_IDLE,)),
+        dict(
+            round=3,
+            messages=RoundMessages((Broadcast(0, (1, 2), 3, 1, 3),)),
+            nodes=(_NODE,),
+            fired=(_IDLE,),
+        ),
         "messages",
         (),
     ),
