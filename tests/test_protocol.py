@@ -14,7 +14,6 @@ from privavg.engine import (
     SimTrace,
     _build_record,
     _build_row,
-    _settled,
     run_simulation,
 )
 from privavg.graph import Digraph, generate_random_strongly_connected, max_out_degree
@@ -55,8 +54,6 @@ def make_node(state=(3, 1), mass=(0, 0), s=1):
         state_y=state[0],
         state_z=state[1],
         s=s,
-        s_br=False,
-        m_tr=False,
         rr_cursor=0,
     )
 
@@ -204,9 +201,6 @@ class TestStepNode:
         assert out is node and emitted == [] and fired is _IDLE
         out, emitted, fired = step_node(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 4, 4)], 5)
         assert out is not node and (out.state_y, out.state_z) == (1, 4) and len(emitted) == 1
-        flagged = dataclasses.replace(node, s_br=True)
-        out, emitted, _ = step_node(flagged, SCHEDULE, OUT, [], 5)
-        assert out == node and out is not flagged and len(emitted) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -227,11 +221,9 @@ class TestStepNode:
             state_y=data.draw(values),
             state_z=data.draw(st.integers(1, 10**6)),
             s=data.draw(st.integers(length, length + 20)),
-            s_br=False,
-            m_tr=False,
             rr_cursor=data.draw(st.integers(0, len(out) - 1)),
         )
-        assert _settled(node, length)
+        assert node.s >= length  # settled
         after, emitted, fired = step_node(node, schedule, out, [], data.draw(st.integers(0, 10**6)))
         assert after == node
         assert emitted == []
@@ -297,6 +289,34 @@ class TestStepNode:
             previous = current
 
 
+class TestNodeStateFields:
+    """A NodeState holds what lasts from round to round; the trigger flags
+    are outcomes of one step and are no fields of it."""
+
+    def test_the_seven_fields(self):
+        assert [f.name for f in dataclasses.fields(NodeState)] == [
+            "id", "mass_y", "mass_z", "state_y", "state_z", "s", "rr_cursor",
+        ]
+        assert NodeState in [row[0] for row in _BUILT]  # TestBuilderMatchesInit covers it
+
+    def test_a_flag_cannot_be_set(self):
+        node = make_node()
+        with pytest.raises(TypeError):
+            dataclasses.replace(node, s_br=True)
+        with pytest.raises(TypeError):
+            NodeState(id=0, mass_y=0, mass_z=0, state_y=3, state_z=1, s=1, rr_cursor=0, m_tr=True)
+
+    def test_the_flags_read_clear(self):
+        node, _ = init_node(0, SCHEDULE, OUT)
+        stepped, emitted, fired = step_node(
+            node, SCHEDULE, OUT, [StateBroadcast(1, 0, 9, 1, -1)], 0
+        )
+        assert fired.adopt_received and len(emitted) == 2  # both flags fired this step
+        for made in (node, stepped):
+            for state in (made, pickle.loads(pickle.dumps(made))):
+                assert state.s_br is False and state.m_tr is False
+
+
 def _outcome(fn, *args):
     """fn's result, or the type and first line of what it raised: pytest
     rewrites the asserts of this module's copies and appends a second line."""
@@ -327,8 +347,9 @@ class TestStepNodeMatchesReference:
             state_y=data.draw(small),
             state_z=data.draw(st.integers(-2, 8)),
             s=data.draw(st.integers(0, max(len(uy), len(uz)) + 2)),
-            s_br=data.draw(st.booleans()),
-            m_tr=data.draw(st.booleans()),
+            # privavg's NodeState holds no flags, and project refuses a flagged node.
+            s_br=False,
+            m_tr=False,
             rr_cursor=data.draw(st.integers(0, len(out) - 1)),
         )
         node = legacy_node.project(legacy)
