@@ -13,10 +13,18 @@ dying out within n - 1 further rounds.
 
 The protocol is event-triggered, and silence is a fixed point of step_node
 per node: a settled node (past its schedule) with an empty inbox comes
-back unchanged, sends nothing and fires nothing.  The round loop
-therefore steps only the nodes that have mail or are not yet settled,
-carries every other node's state object forward, and emits the
-certification tail after quiescence without stepping at all.
+back unchanged, sends nothing and fires nothing.  Nor can a state copy
+that is not lex-greater than its addressee's state change anything: the
+triggers read only the lex-max of the received states, and adopt it only
+above the state, and at the start of every step a node's mass is (0, 0)
+or equal to its state, so a merged mass no greater than the state fires
+neither mass trigger.  (Set-up makes the two equal, a hand-off zeroes the
+mass, and a step that keeps a nonzero mass leaves the state equal to it.)
+So the round loop routes every transfer, and a broadcast only to the
+addressees whose state it exceeds, steps only the nodes that have mail or
+are not yet settled, carries every other node's state object forward,
+and emits the certification tail after quiescence without stepping at
+all.  The records store what was sent, so none of this shows in them.
 
 The records therefore change in few places from one to the next, and the
 conservation audit pays only for that: it keeps running sums over the nodes
@@ -289,17 +297,24 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
 
     Yields round -1 (the initial broadcasts), the active rounds up to
     quiescence or the max_rounds budget, then the rest of the certification
-    window.  An active round steps only the nodes with an inbox or not yet
-    settled, in id order.  A node is settled once its counter s has moved
-    past its own schedule, however long.  Silence is then a fixed point of
-    step_node: an empty inbox fires no trigger and uz_at(s) == 0 forces no
-    hand-off, so nothing is sent or changed.  So the other nodes keep their
-    state objects, a silent round with every node settled is quiescent, and
-    the tail is emitted without stepping.  Each record is appended to
-    trace.records and checked for 64-bit overflow before it is yielded, so
-    an aborted run's partial trace ends at the offending record;
-    trace.quiescence_round is set when silence is found.  A consumer may
-    stop early.  The inputs are taken as valid: run_simulation checks them.
+    window.  A transfer is delivered to its dst.  A broadcast is delivered
+    to an addressee only when its (z, y) exceeds the addressee's key,
+    which is the node's (state_z, state_y) at the end of the last round,
+    raised to each broadcast delivered to it; so an inbox holds its
+    transfers and a strictly increasing run of broadcasts, all above the
+    node's state, and a dropped copy could not have changed the step (see
+    the module docstring).  An active round steps only the nodes with an
+    inbox or not yet settled, in id order.  A node is settled once its
+    counter s has moved past its own schedule, however long.  Silence is
+    then a fixed point of step_node: an empty inbox fires no trigger and
+    uz_at(s) == 0 forces no hand-off, so nothing is sent or changed.  So
+    the other nodes keep their state objects, a silent round with every
+    node settled is quiescent, and the tail is emitted without stepping.
+    Each record is appended to trace.records and checked for 64-bit
+    overflow before it is yielded, so an aborted run's partial trace ends
+    at the offending record; trace.quiescence_round is set when silence is
+    found.  A consumer may stop early.  The inputs are taken as valid:
+    run_simulation checks them.
 
     With `resume`, an active-round record of another run on the same graph
     (one that had not found silence by then), the loop picks up after that
@@ -311,7 +326,9 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     substate not yet read at `resume`; the caller vouches for that.  The
     records yielded are then those of trace's own run, and an overflow is
     raised at the round the whole run would raise it, but with the partial
-    trace from the resume point on.
+    trace from the resume point on.  The record's nodes, like every node the
+    engine records, hold a mass of (0, 0) or equal to their state, which the
+    routing rests on.
     """
     g = trace.graph
     schedules, out_order = trace.schedules, g.out_order
@@ -336,6 +353,7 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     # certification window always runs to completion.
     no_mail: list[Event] = []
     unsettled = [j for j, node in enumerate(nodes) if node.s < lengths[j]]
+    keys = [(node.state_z, node.state_y) for node in nodes]
     rnd = record.round + 1
     while trace.quiescence_round is None and rnd < trace.max_rounds:
         inboxes: dict[int, list[Event]] = {}
@@ -343,8 +361,11 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
             if type(ev) is MassTransfer:
                 inboxes.setdefault(ev.dst, []).append(ev)
             else:
+                key = (ev.z, ev.y)
                 for dst in ev.dsts:
-                    inboxes.setdefault(dst, []).append(ev)
+                    if key > keys[dst]:
+                        keys[dst] = key
+                        inboxes.setdefault(dst, []).append(ev)
         stepped = sorted(inboxes.keys() | unsettled)
         outbox: list[Event] = []
         fired_list = list(idle_fired)
@@ -353,6 +374,7 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
                 nodes[j], schedules[j], out_order[j], inboxes.get(j, no_mail), rnd
             )
             nodes[j] = node
+            keys[j] = (node.state_z, node.state_y)
             fired_list[j] = fired
             outbox.extend(emitted)
         messages = RoundMessages(tuple(outbox)) if outbox else _SILENT

@@ -31,9 +31,9 @@ Where a step has nothing new to build, it builds nothing: evaluate_triggers
 returns one of eight module-level TriggersFired objects, one per outcome
 (_IDLE is the all-False one, shared by every step without mail), and
 step_node returns the NodeState it was given when the successor would equal
-it field for field, as it does for a node whose mail changes nothing.  All
-of these are frozen and compare by value, so sharing them changes no
-result.
+it field for field, as it does for a node whose mail changes nothing (the
+engine routes none such; see engine).  All of these are frozen and compare
+by value, so sharing them changes no result.
 """
 
 from __future__ import annotations
@@ -221,13 +221,17 @@ def step_node(
     """Advance one node by one synchronous round.
 
     schedule and out are the node's substate schedule and out-neighbor row,
-    the ones init_node set it up with.  inbox must contain exactly the
-    events addressed to this node that were sent in round rnd - 1: a
-    transfer whose dst, or a broadcast (or per-neighbor copy) whose dsts
-    holds node.id.  The returned outbox, a transfer then a broadcast to
-    `out` when there are both, is stamped with round rnd and is due for
-    delivery at rnd + 1.  The successor is node itself when it would equal
-    node field for field.
+    the ones init_node set it up with.  inbox holds events addressed to
+    this node that were sent in round rnd - 1: every transfer whose dst is
+    node.id, and the broadcasts (or per-neighbor copies) whose dsts holds
+    node.id.  A broadcast whose (z, y) is no greater than the node's
+    (state_z, state_y) or than the (z, y) of an earlier broadcast in the
+    inbox may be left out, and the engine leaves every such one out: for a
+    node whose mass is (0, 0) or equal to its state, as every node the
+    engine makes is, it changes nothing.  The returned outbox, a transfer
+    then a broadcast to `out` when there are both, is stamped with round
+    rnd and is due for delivery at rnd + 1.  The successor is node itself
+    when it would equal node field for field.
     """
     node_id = node.id
     received_states: list[tuple[int, int]] = []

@@ -422,14 +422,20 @@ def _recording_step_node(monkeypatch) -> list[tuple[int, int]]:
 
 
 def _expected_steps(trace, q: int) -> set[tuple[int, int]]:
-    """The (round, node id) pairs of rounds 0..q whose node had mail in the
-    previous record or was not settled there, read off trace.records."""
+    """The (round, node id) pairs of rounds 0..q whose node, in the previous
+    record, was not settled, was a transfer's dst, or was sent a state copy
+    lex-greater than its own state, read off trace.records."""
     dmax = max_out_degree(trace.graph)
     by_round = {r.round: r for r in trace.records}
     expected = set()
     for rnd in range(q + 1):
         prev = by_round[rnd - 1]
-        mailed = {m.dst for m in prev.messages}
+        mailed = {
+            m.dst
+            for m in prev.messages
+            if type(m) is MassTransfer
+            or (m.z, m.y) > (prev.nodes[m.dst].state_z, prev.nodes[m.dst].state_y)
+        }
         for node in prev.nodes:
             if node.id in mailed or node.s <= dmax + 1:
                 expected.add((rnd, node.id))
@@ -583,6 +589,111 @@ class TestCertificationTail:
         _replace_record(trace, bad_round, nodes=off)
         verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == bad_round
+
+
+REPRODUCTION = TrialConfig(
+    seed=100, trials=100, n=20, p=REFERENCE_EDGE_PROBABILITY, states=REFERENCE_STATE_VECTOR
+)
+# Private, curious and neutral nodes in one network.
+MIXED_ROLES = TrialConfig(
+    seed=5, trials=10, n=30, p=0.15, states_range=(-100, 100),
+    private_fraction=0.5, curious_fraction=0.25,
+)
+# Every node neutral on the initial state 7: every round-0 copy ties its
+# addressee's state, and ties stay the most common case after that.
+TIED_STATES = TrialConfig(
+    seed=5, trials=10, n=30, p=0.15, states_range=(7, 7), private_fraction=0.0
+)
+
+
+def _trial_inputs(cfg: TrialConfig):
+    """Each trial's (graph, roles, states, schedules), as a batch draws them."""
+    for index in range(cfg.trials):
+        yield build_trial_inputs(cfg, random.Random(trial_seed_token(cfg.seed, index)))
+
+
+def _run_trials(cfg: TrialConfig) -> None:
+    for g, _, _, schedules in _trial_inputs(cfg):
+        run_simulation(g, schedules)
+
+
+def _search_pair_witnesses() -> None:
+    """Acceptance-07's first ten pair cases, each searched for a delta = +-1
+    witness by the coalition of its curious spokes."""
+    for index in range(10):
+        g, roles, _, schedules = pair_inputs(index)
+        trace, _ = run_simulation(g, schedules)
+        curious = {j for j, role in enumerate(roles) if role is NodeRole.CURIOUS}
+        log = privacy.coalition_observations(trace, curious)
+        for delta in (1, -1):
+            try:
+                privacy.ambiguity_witness(trace, log, g, 0, 1, delta)
+            except privacy.WitnessUnavailableError:
+                pass
+
+
+ROUTED_RUNS = {
+    "reproduction": functools.partial(_run_trials, REPRODUCTION),
+    "mixed_roles": functools.partial(_run_trials, MIXED_ROLES),
+    "tied_states": functools.partial(_run_trials, TIED_STATES),
+    "pair_case_witness_search": _search_pair_witnesses,
+}
+
+
+def _recording_calls(monkeypatch) -> list[tuple[NodeState, tuple, NodeState]]:
+    """Wrap engine.step_node to record each call's node, inbox and successor."""
+    calls = []
+    original = engine.step_node
+
+    def recorded(node, schedule, out, inbox, rnd):
+        successor, emitted, fired = original(node, schedule, out, inbox, rnd)
+        calls.append((node, tuple(inbox), successor))
+        return successor, emitted, fired
+
+    monkeypatch.setattr(engine, "step_node", recorded)
+    return calls
+
+
+class TestRoutingFilter:
+    """iter_rounds delivers a broadcast only to the addressees whose state it
+    exceeds.  That drops nothing a step would use, because every node the
+    engine makes holds a mass of (0, 0) or equal to its state, and it leaves
+    no step that changes nothing."""
+
+    @pytest.mark.parametrize(
+        "cfg", [REPRODUCTION, MIXED_ROLES, TIED_STATES],
+        ids=["reproduction", "mixed_roles", "tied_states"],
+    )
+    def test_every_recorded_mass_is_zero_or_the_state(self, cfg):
+        nodes = 0
+        for g, _, _, schedules in _trial_inputs(cfg):
+            trace, _ = run_simulation(g, schedules)
+            for record in trace.records:
+                for node in record.nodes:
+                    mass = (node.mass_z, node.mass_y)
+                    assert mass in ((0, 0), (node.state_z, node.state_y)), (record.round, node)
+                    nodes += 1
+        assert nodes > 0
+
+    @pytest.mark.parametrize("run", ROUTED_RUNS.values(), ids=ROUTED_RUNS.keys())
+    def test_no_step_hands_back_its_node(self, run, monkeypatch):
+        calls = _recording_calls(monkeypatch)
+        run()
+        assert calls
+        for node, inbox, successor in calls:
+            assert successor is not node, (node, inbox)
+
+    @pytest.mark.parametrize("run", ROUTED_RUNS.values(), ids=ROUTED_RUNS.keys())
+    def test_inbox_broadcasts_rise_above_the_state(self, run, monkeypatch):
+        calls = _recording_calls(monkeypatch)
+        run()
+        with_broadcasts = 0
+        for node, inbox, _ in calls:
+            keys = [(node.state_z, node.state_y)]
+            keys += [(m.z, m.y) for m in inbox if type(m) is not MassTransfer]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (node, inbox)
+            with_broadcasts += len(keys) > 1
+        assert with_broadcasts > 0
 
 
 def reference_iter_rounds(trace):
@@ -754,6 +865,12 @@ class TestEventLoopMatchesReference:
         g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(1, 0)))
         trace, _ = assert_loops_agree(g, schedules)
         assert trace.quiescence_round is not None
+
+    @pytest.mark.parametrize("cfg", [MIXED_ROLES, TIED_STATES], ids=["mixed_roles", "tied_states"])
+    def test_filtered_routing_cases(self, cfg):
+        for g, _, _, schedules in _trial_inputs(cfg):
+            trace, _ = assert_loops_agree(g, schedules)
+            assert trace.quiescence_round is not None
 
     def test_acceptance_07_pair_cases(self):
         for index in range(100):
