@@ -12,8 +12,8 @@ masses remain the mass-adoption trigger must stay quiet with all traffic
 dying out within n - 1 further rounds.
 
 The protocol is event-triggered, and silence is a fixed point of step_node
-per node: a settled node (past its schedule) with an empty inbox comes
-back unchanged, sends nothing and fires nothing.  Nor can a state copy
+per node: a settled node (past its schedule) without mail comes back
+unchanged, sends nothing and fires nothing.  Nor can a state copy
 that is not lex-greater than its addressee's state change anything: the
 triggers read only the lex-max of the received states, and adopt it only
 above the state, and at the start of every step a node's mass is (0, 0)
@@ -21,10 +21,12 @@ or equal to its state, so a merged mass no greater than the state fires
 neither mass trigger.  (Set-up makes the two equal, a hand-off zeroes the
 mass, and a step that keeps a nonzero mass leaves the state equal to it.)
 So the round loop routes every transfer, and a broadcast only to the
-addressees whose state it exceeds, steps only the nodes that have mail or
-are not yet settled, carries every other node's state object forward,
-and emits the certification tail after quiescence without stepping at
-all.  The records store what was sent, so none of this shows in them.
+addressees whose state it exceeds, hands each addressee its mail as the
+sums of its transfers and the greatest state delivered to it, steps only
+the nodes that have mail or are not yet settled, carries every other
+node's state object forward, and emits the certification tail after
+quiescence without stepping at all.  The records store what was sent, so
+none of this shows in them.
 
 The records therefore change in few places from one to the next, and the
 conservation audit pays only for that: it keeps running sums over the nodes
@@ -40,10 +42,10 @@ readers (the routing, the overflow check, round_rows, the audits) and the
 coalition projection walk the events and build no copy.
 
 Frozen values that trials repeat are shared, not rebuilt.  step_node returns
-one of eight shared TriggersFired objects and hands back a node whose
-successor would equal it (see protocol), and round_rows takes the row of a
-record without messages, a "silent row" such as each of the certification
-tail's, from a bounded module-level cache keyed by (round, converged nodes).
+one of eight shared TriggersFired objects (see protocol), and round_rows
+takes the row of a record without messages, a "silent row" such as each of
+the certification tail's, from a bounded module-level cache keyed by
+(round, converged nodes).
 All trials in one process then share one object per silent row.  A batch on
 worker processes unpickles each result on its own, so only a serial batch
 shares rows across its trials.
@@ -300,15 +302,16 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     window.  A transfer is delivered to its dst.  A broadcast is delivered
     to an addressee only when its (z, y) exceeds the addressee's key,
     which is the node's (state_z, state_y) at the end of the last round,
-    raised to each broadcast delivered to it; so an inbox holds its
-    transfers and a strictly increasing run of broadcasts, all above the
-    node's state, and a dropped copy could not have changed the step (see
-    the module docstring).  An active round steps only the nodes with an
-    inbox or not yet settled, in id order.  A node is settled once its
-    counter s has moved past its own schedule, however long.  Silence is
-    then a fixed point of step_node: an empty inbox fires no trigger and
-    uz_at(s) == 0 forces no hand-off, so nothing is sent or changed.  So
-    the other nodes keep their state objects, a silent round with every
+    raised to each broadcast delivered to it; a dropped copy could not
+    have changed the step (see the module docstring).  Each addressee gets
+    one step_node mail entry, [add_y, add_z, best]: a transfer adds to the
+    two sums, and a delivered broadcast sets best, which by the filter is
+    the greatest key delivered so far.  An active round steps only the
+    nodes with mail or not yet settled, in id order.  A node is settled
+    once its counter s has moved past its own schedule, however long.
+    Silence is then a fixed point of step_node: no mail fires no trigger
+    and uz_at(s) == 0 forces no hand-off, so nothing is sent or changed.
+    So the other nodes keep their state objects, a silent round with every
     node settled is quiescent, and the tail is emitted without stepping.
     Each record is appended to trace.records and checked for 64-bit
     overflow before it is yielded, so an aborted run's partial trace ends
@@ -351,27 +354,28 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
 
     # max_rounds budgets the search for quiescence onset; once found, the
     # certification window always runs to completion.
-    no_mail: list[Event] = []
     unsettled = [j for j, node in enumerate(nodes) if node.s < lengths[j]]
     keys = [(node.state_z, node.state_y) for node in nodes]
     rnd = record.round + 1
     while trace.quiescence_round is None and rnd < trace.max_rounds:
-        inboxes: dict[int, list[Event]] = {}
+        mail: dict[int, list] = {}
         for ev in _events(record.messages):
             if type(ev) is MassTransfer:
-                inboxes.setdefault(ev.dst, []).append(ev)
+                entry = mail.setdefault(ev.dst, [0, 0, None])
+                entry[0] += ev.y
+                entry[1] += ev.z
             else:
                 key = (ev.z, ev.y)
                 for dst in ev.dsts:
                     if key > keys[dst]:
                         keys[dst] = key
-                        inboxes.setdefault(dst, []).append(ev)
-        stepped = sorted(inboxes.keys() | unsettled)
+                        mail.setdefault(dst, [0, 0, None])[2] = key
+        stepped = sorted(mail.keys() | unsettled)
         outbox: list[Event] = []
         fired_list = list(idle_fired)
         for j in stepped:
             node, emitted, fired = step_node(
-                nodes[j], schedules[j], out_order[j], inboxes.get(j, no_mail), rnd
+                nodes[j], schedules[j], out_order[j], mail.get(j), rnd
             )
             nodes[j] = node
             keys[j] = (node.state_z, node.state_y)

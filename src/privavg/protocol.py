@@ -7,12 +7,14 @@ lexicographically with z first; the state is monotone non-decreasing in
 that order.  A NodeState holds only what changes from round to round: the
 node's substate schedule and its out-neighbor priority order are fixed
 before round 0, so init_node and step_node take them as arguments.  One
-call to step_node consumes the node's inbox for a round and returns the
-successor state plus its outgoing events: at most one MassTransfer, to one
-out-neighbor, and at most one Broadcast, whose dsts is the out-neighbor row
-itself, shared and not copied.  A Broadcast stands for one StateBroadcast
-copy per member of dsts, in order; the engine's records expand the copies
-only for readers that ask (see engine.RoundMessages).
+call to step_node consumes the node's mail for a round -- the sums of the
+transfers delivered to it and the greatest state it received, which is all
+the triggers read -- and returns the successor state plus its outgoing
+events: at most one MassTransfer, to one out-neighbor, and at most one
+Broadcast, whose dsts is the out-neighbor row itself, shared and not
+copied.  A Broadcast stands for one StateBroadcast copy per member of dsts,
+in order; the engine's records expand the copies only for readers that ask
+(see engine.RoundMessages).
 
 The records built once per node step -- every event and every
 successor state -- are frozen slotted dataclasses, and their generated
@@ -27,13 +29,10 @@ makes (same class and slots, equal, same hash and repr, pickles and
 `dataclasses.replace`s the same, and still refuses assignment); the public
 classes and their __init__ are unchanged.
 
-Where a step has nothing new to build, it builds nothing: evaluate_triggers
-returns one of eight module-level TriggersFired objects, one per outcome
-(_IDLE is the all-False one, shared by every step without mail), and
-step_node returns the NodeState it was given when the successor would equal
-it field for field, as it does for a node whose mail changes nothing (the
-engine routes none such; see engine).  All of these are frozen and compare
-by value, so sharing them changes no result.
+evaluate_triggers returns one of eight module-level TriggersFired objects,
+one per outcome (_IDLE is the all-False one, shared by every step without
+mail); they are immutable and compare by value, so sharing them changes no
+result.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ from types import MemberDescriptorType
 from typing import ClassVar, NamedTuple, Union
 
 from .schedule import SubstateSchedule, structural_violations
-
-
-class EngineContractError(RuntimeError):
-    """A message reached a node it was not addressed to."""
 
 
 def _builder(cls):
@@ -123,7 +118,7 @@ class MassTransfer:
 
 
 Message = Union[StateBroadcast, MassTransfer]  # one per addressee
-Event = Union[Broadcast, StateBroadcast, MassTransfer]  # what a step emits or an inbox holds
+Event = Union[Broadcast, StateBroadcast, MassTransfer]  # what a step emits or a record holds
 
 
 class TriggersFired(NamedTuple):
@@ -186,23 +181,21 @@ def init_node(
 def evaluate_triggers(
     state_y: int,
     state_z: int,
-    received_states: list[tuple[int, int]],
+    best: tuple[int, int] | None,
     mass_y: int,
     mass_z: int,
 ) -> tuple[int, int, TriggersFired]:
     """Run the three condition sets in order against a merged mass.
 
-    received_states holds (y, z) payloads.  Returns the updated state pair
-    and which condition sets fired; sets 2 and 3 see the state as already
-    updated by set 1.  The outcome is one of the eight shared TriggersFired
-    objects.
+    best is the (z, y) key of the lex-greatest received state, or None when
+    no state was received.  Returns the updated state pair and which
+    condition sets fired; sets 2 and 3 see the state as already updated by
+    set 1.  The outcome is one of the eight shared TriggersFired objects.
     """
     fired1 = fired2 = fired3 = False
-    if received_states:
-        best = max([(z, y) for y, z in received_states])
-        if best > (state_z, state_y):
-            state_z, state_y = best
-            fired1 = True
+    if best is not None and best > (state_z, state_y):
+        state_z, state_y = best
+        fired1 = True
     if (mass_z, mass_y) > (state_z, state_y):
         state_y, state_z = mass_y, mass_z
         fired2 = True
@@ -215,46 +208,31 @@ def step_node(
     node: NodeState,
     schedule: SubstateSchedule,
     out: tuple[int, ...],
-    inbox: list[Event],
+    mail: list | None,
     rnd: int,
 ) -> tuple[NodeState, list[Event], TriggersFired]:
     """Advance one node by one synchronous round.
 
     schedule and out are the node's substate schedule and out-neighbor row,
-    the ones init_node set it up with.  inbox holds events addressed to
-    this node that were sent in round rnd - 1: every transfer whose dst is
-    node.id, and the broadcasts (or per-neighbor copies) whose dsts holds
-    node.id.  A broadcast whose (z, y) is no greater than the node's
-    (state_z, state_y) or than the (z, y) of an earlier broadcast in the
-    inbox may be left out, and the engine leaves every such one out: for a
-    node whose mass is (0, 0) or equal to its state, as every node the
-    engine makes is, it changes nothing.  The returned outbox, a transfer
-    then a broadcast to `out` when there are both, is stamped with round
-    rnd and is due for delivery at rnd + 1.  The successor is node itself
-    when it would equal node field for field.
+    the ones init_node set it up with.  mail is what was delivered to the
+    node from round rnd - 1: None when nothing was, and otherwise [add_y,
+    add_z, best], the sums of the delivered transfers' y and z and the
+    (z, y) key of the lex-greatest delivered broadcast, or None when no
+    broadcast was delivered.  The triggers are evaluated exactly when mail
+    is not None, so a delivered transfer of (0, 0) still makes a node whose
+    mass trails its state hand that mass off.  The returned outbox, a
+    transfer then a broadcast to `out` when there are both, is stamped with
+    round rnd and is due for delivery at rnd + 1.
     """
     node_id = node.id
-    received_states: list[tuple[int, int]] = []
-    add_y = add_z = 0
-    for msg in inbox:
-        if type(msg) is MassTransfer:
-            if msg.dst != node_id:
-                raise _misrouted(rnd, (msg.dst,), node_id)
-            add_y += msg.y
-            add_z += msg.z
-        elif node_id in msg.dsts:
-            received_states.append((msg.y, msg.z))
-        else:
-            raise _misrouted(rnd, msg.dsts, node_id)
-    mass_y = node.mass_y + add_y
-    mass_z = node.mass_z + add_z
-
+    mass_y, mass_z = node.mass_y, node.mass_z
     state_y, state_z = node.state_y, node.state_z
     fired = _IDLE
-    if inbox:
-        state_y, state_z, fired = evaluate_triggers(
-            state_y, state_z, received_states, mass_y, mass_z
-        )
+    if mail is not None:
+        add_y, add_z, best = mail
+        mass_y += add_y
+        mass_z += add_z
+        state_y, state_z, fired = evaluate_triggers(state_y, state_z, best, mass_y, mass_z)
 
     # The flags are this round's outcome: a hand-off is forced while the
     # schedule still has carrier substates.
@@ -276,20 +254,5 @@ def step_node(
         outbox.append(_build_broadcast(node_id, out, state_y, state_z, rnd))
 
     assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
-    # s moves on with every hand-off (which alone moves the cursor): an
-    # unchanged s, mass and state leave nothing to build.
-    if (
-        s == node.s
-        and mass_y == node.mass_y
-        and mass_z == node.mass_z
-        and state_y == node.state_y
-        and state_z == node.state_z
-    ):
-        return node, outbox, fired
     new_node = _build_node(node_id, mass_y, mass_z, state_y, state_z, s, rr_cursor)
     return new_node, outbox, fired
-
-
-def _misrouted(rnd: int, dsts: tuple[int, ...], node_id: int) -> EngineContractError:
-    to = f"node {dsts[0]}" if len(dsts) == 1 else f"nodes {', '.join(map(str, dsts))}"
-    return EngineContractError(f"round {rnd}: message for {to} delivered to node {node_id}")

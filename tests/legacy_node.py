@@ -3,17 +3,19 @@ out-neighbor row, for the oracles written against that API.
 
 NodeState is a verbatim copy of the 11-field node.  init_node and step_node
 are adapters over privavg.protocol's, which take the two fixed fields as
-arguments and emit one Broadcast event per broadcasting node: they carry
-those fields along and expand each event into one StateBroadcast copy per
-addressee, so an oracle that reads node.schedule or node.out_neighbors, or
-calls init_node(id, schedule, out) and step_node(node, inbox, rnd) and
-routes copies by dst, runs unchanged.  privavg's NodeState also holds no
-trigger flags, which a step consumes before it returns: _carry fills them
-clear, and project drops the two fixed fields and refuses a node with a
-flag set, to compare an oracle's nodes with privavg's.
+arguments, take a node's mail as two sums and a best state, and emit one
+Broadcast event per broadcasting node: they carry those fields along, fold
+a list inbox into mail (step_inbox) and expand each event into one
+StateBroadcast copy per addressee, so an oracle that reads node.schedule or
+node.out_neighbors, or calls init_node(id, schedule, out) and
+step_node(node, inbox, rnd) and routes copies by dst, runs unchanged.
+privavg's NodeState also holds no trigger flags, which a step consumes
+before it returns: _carry fills them clear, and project drops the two fixed
+fields and refuses a node with a flag set, to compare an oracle's nodes
+with privavg's.
 
 The protocol oracles live here, so that the NodeState they build is this
-one.
+one, and so does the EngineContractError they raise.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ from dataclasses import dataclass, fields
 
 from privavg import protocol
 from privavg.protocol import (
-    EngineContractError,
     MassTransfer,
     Message,
     StateBroadcast,
     TriggersFired,
 )
 from privavg.schedule import SubstateSchedule
+
+
+class EngineContractError(RuntimeError):
+    """A message reached a node it was not addressed to."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,8 +93,37 @@ def init_node(node_id, schedule, out_neighbors):
     return _carry(node, schedule, tuple(out_neighbors)), tuple(copies([broadcast]))
 
 
+def step_inbox(node, schedule, out, inbox, rnd):
+    """protocol.step_node on a list inbox of events.
+
+    Each event must be addressed to the node -- a transfer by its dst, a
+    broadcast or a copy by its dsts -- or EngineContractError is raised.
+    The transfers are summed, the lex-greatest broadcast (z first) is the
+    best state, and an empty inbox is no mail.
+    """
+    add_y = add_z = 0
+    keys = []
+    for ev in inbox:
+        if type(ev) is MassTransfer:
+            if ev.dst != node.id:
+                raise _misrouted(rnd, (ev.dst,), node.id)
+            add_y += ev.y
+            add_z += ev.z
+        elif node.id in ev.dsts:
+            keys.append((ev.z, ev.y))
+        else:
+            raise _misrouted(rnd, ev.dsts, node.id)
+    mail = [add_y, add_z, max(keys, default=None)] if inbox else None
+    return protocol.step_node(node, schedule, out, mail, rnd)
+
+
+def _misrouted(rnd: int, dsts: tuple[int, ...], node_id: int) -> EngineContractError:
+    to = f"node {dsts[0]}" if len(dsts) == 1 else f"nodes {', '.join(map(str, dsts))}"
+    return EngineContractError(f"round {rnd}: message for {to} delivered to node {node_id}")
+
+
 def step_node(node, inbox, rnd):
-    after, outbox, fired = protocol.step_node(
+    after, outbox, fired = step_inbox(
         project(node), node.schedule, node.out_neighbors, inbox, rnd
     )
     return _carry(after, node.schedule, node.out_neighbors), copies(outbox), fired

@@ -21,7 +21,6 @@ from privavg.protocol import (
     _IDLE,
     _OUTCOMES,
     Broadcast,
-    EngineContractError,
     MassTransfer,
     Message,
     NodeState,
@@ -39,7 +38,12 @@ from privavg.protocol import (
 from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
 import legacy_node
-from legacy_node import reference_evaluate_triggers, reference_step_node
+from legacy_node import (
+    EngineContractError,
+    reference_evaluate_triggers,
+    reference_step_node,
+    step_inbox,
+)
 
 # The schedule and out-neighbor row of make_node's node 0.
 SCHEDULE = SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1))
@@ -102,7 +106,7 @@ class TestEventTriggers:
     def test_received_with_larger_z_is_adopted(self):
         node = make_node(state=(3, 1), s=self.PAST_SCHEDULE)
         inbox = [StateBroadcast(src=1, dst=0, y=0, z=2, round=4)]
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
+        out, emitted, fired = step_inbox(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (True, False, False)
         assert (out.state_y, out.state_z) == (0, 2)
         assert emitted == [Broadcast(src=0, dsts=(1,), y=0, z=2, round=5)]
@@ -111,7 +115,7 @@ class TestEventTriggers:
     def test_mass_with_equal_z_larger_y_is_adopted(self):
         node = make_node(state=(3, 1), s=self.PAST_SCHEDULE)
         inbox = [MassTransfer(src=1, dst=0, y=5, z=1, round=4)]
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
+        out, emitted, fired = step_inbox(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (False, True, False)
         assert (out.state_y, out.state_z) == (5, 1)
         assert emitted == [Broadcast(src=0, dsts=(1,), y=5, z=1, round=5)]
@@ -120,31 +124,32 @@ class TestEventTriggers:
     def test_follower_mass_sets_hand_off_flag(self):
         node = make_node(state=(4, 2), s=self.PAST_SCHEDULE)
         inbox = [MassTransfer(src=1, dst=0, y=9, z=1, round=4)]
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, inbox, 5)
+        out, emitted, fired = step_inbox(node, SCHEDULE, OUT, inbox, 5)
         assert fired == (False, False, True)
         assert (out.state_y, out.state_z) == (4, 2)
         assert emitted == [MassTransfer(src=0, dst=1, y=9, z=1, round=5)]
         assert (out.mass_y, out.mass_z) == (0, 0) and not out.m_tr and not out.s_br
 
     def test_adoption_uses_lex_max_of_received(self):
-        y, z, fired = evaluate_triggers(0, 1, [(7, 2), (100, 1), (3, 3)], 0, 0)
+        # (y, z) payloads (7, 2), (100, 1) and (3, 3): z compares first
+        y, z, fired = evaluate_triggers(0, 1, max((2, 7), (1, 100), (3, 3)), 0, 0)
         assert (y, z) == (3, 3)
         assert fired.adopt_received and not fired.adopt_mass
 
     def test_mass_comparison_happens_after_state_adoption(self):
         # received lifts the state first; the mass then loses the comparison
-        y, z, fired = evaluate_triggers(1, 1, [(10, 3)], 5, 2)
+        y, z, fired = evaluate_triggers(1, 1, (3, 10), 5, 2)
         assert (y, z) == (10, 3)
         assert fired.adopt_received and not fired.adopt_mass and fired.hand_off
 
     def test_equal_pairs_fire_nothing(self):
-        y, z, fired = evaluate_triggers(6, 1, [(6, 1)], 6, 1)
+        y, z, fired = evaluate_triggers(6, 1, (1, 6), 6, 1)
         assert (y, z) == (6, 1) and fired == (False, False, False)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-50, 50), st.integers(1, 20))
     def test_zero_mass_never_requests_hand_off(self, state_y, state_z):
-        _, _, fired = evaluate_triggers(state_y, state_z, [], 0, 0)
+        _, _, fired = evaluate_triggers(state_y, state_z, None, 0, 0)
         assert not fired.hand_off
 
     def test_one_shared_object_per_outcome(self):
@@ -155,7 +160,8 @@ class TestEventTriggers:
         reached = {}
         for (sy, sz), (my, mz) in product(pairs, pairs):
             for received in [[]] + [[pair] for pair in pairs]:
-                y, z, fired = evaluate_triggers(sy, sz, received, my, mz)
+                best = max(((z, y) for y, z in received), default=None)
+                y, z, fired = evaluate_triggers(sy, sz, best, my, mz)
                 want = reference_evaluate_triggers(sy, sz, received, my, mz)
                 assert (y, z, fired) == want
                 assert fired is next(o for o in _OUTCOMES if o == want[2])
@@ -171,7 +177,7 @@ class TestStepNode:
         schedule = SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1))
         node, _ = init_node(0, schedule, (1,))
         inbox = [StateBroadcast(src=1, dst=0, y=6, z=1, round=-1)]
-        out, emitted, fired = step_node(node, schedule, (1,), inbox, 0)
+        out, emitted, fired = step_inbox(node, schedule, (1,), inbox, 0)
         assert fired == (True, False, True)
         assert (out.state_y, out.state_z) == (6, 1)
         assert (out.mass_y, out.mass_z) == (0, 0) and out.s == 2
@@ -184,23 +190,41 @@ class TestStepNode:
         schedule = SubstateSchedule(y0=6, uy=(6, 6, 6), uz=(1, 1, 1))
         node, _ = init_node(1, schedule, (0,))
         inbox = [StateBroadcast(src=0, dst=1, y=4, z=1, round=-1)]
-        out, emitted, fired = step_node(node, schedule, (0,), inbox, 0)
+        out, emitted, fired = step_inbox(node, schedule, (0,), inbox, 0)
         assert fired == (False, False, False)
         assert len(emitted) == 1 and isinstance(emitted[0], MassTransfer)
         assert (emitted[0].y, emitted[0].z, emitted[0].dst) == (12, 2, 0)
 
     def test_exhausted_idle_node_does_nothing(self):
         node = make_node(state=(9, 3), mass=(0, 0), s=3)  # dmax=1, so s > dmax+1
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, [], 5)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, None, 5)
         assert emitted == [] and fired == (False, False, False)
         assert out == node
 
     def test_mail_that_changes_nothing_hands_back_the_node(self):
         node = make_node(state=(9, 3), mass=(0, 0), s=3)
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 1, 4)], 5)
-        assert out is node and emitted == [] and fired is _IDLE
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 4, 4)], 5)
-        assert out is not node and (out.state_y, out.state_z) == (1, 4) and len(emitted) == 1
+        out, emitted, fired = step_inbox(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 1, 4)], 5)
+        assert out == node and emitted == [] and fired is _IDLE
+        out, emitted, fired = step_inbox(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 4, 4)], 5)
+        assert out != node and (out.state_y, out.state_z) == (1, 4) and len(emitted) == 1
+
+    def test_triggers_run_exactly_when_mail_is_delivered(self):
+        # The node's mass (2, 1) trails its state (3, 1), and it is past its
+        # schedule, so only condition set 3 can make it send: a delivered
+        # transfer of (0, 0) is mail, and no mail evaluates no trigger.
+        node = make_node(state=(3, 1), mass=(2, 1), s=3)
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, None, 5)
+        assert out == node and emitted == [] and fired is _IDLE
+        out, emitted, fired = step_node(node, SCHEDULE, OUT, [0, 0, None], 5)
+        assert fired == (False, False, True)
+        assert emitted == [MassTransfer(src=0, dst=1, y=2, z=1, round=5)]
+        assert (out.mass_y, out.mass_z, out.s) == (0, 0, 4)
+        inbox = [MassTransfer(src=1, dst=0, y=0, z=0, round=4)]
+        got = step_inbox(node, SCHEDULE, OUT, inbox, 5)
+        want = reference_step_node(legacy_node._carry(node, SCHEDULE, OUT), inbox, 5)
+        assert (got[0], legacy_node.copies(got[1]), got[2]) == (
+            legacy_node.project(want[0]), *want[1:]
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -224,7 +248,8 @@ class TestStepNode:
             rr_cursor=data.draw(st.integers(0, len(out) - 1)),
         )
         assert node.s >= length  # settled
-        after, emitted, fired = step_node(node, schedule, out, [], data.draw(st.integers(0, 10**6)))
+        rnd = data.draw(st.integers(0, 10**6))
+        after, emitted, fired = step_node(node, schedule, out, None, rnd)
         assert after == node
         assert emitted == []
         assert fired == TriggersFired(False, False, False)
@@ -232,12 +257,12 @@ class TestStepNode:
     def test_misrouted_message_is_a_contract_violation(self):
         node = make_node()
         with pytest.raises(EngineContractError):
-            step_node(node, SCHEDULE, OUT, [StateBroadcast(src=1, dst=9, y=1, z=1, round=0)], 1)
+            step_inbox(node, SCHEDULE, OUT, [StateBroadcast(src=1, dst=9, y=1, z=1, round=0)], 1)
         stray = Broadcast(src=1, dsts=(2, 9), y=1, z=1, round=0)
         with pytest.raises(EngineContractError, match="for nodes 2, 9 delivered to node 0"):
-            step_node(node, SCHEDULE, OUT, [stray], 1)
+            step_inbox(node, SCHEDULE, OUT, [stray], 1)
         # the same event, addressed to the node among others, is accepted
-        out, _, fired = step_node(node, SCHEDULE, OUT, [Broadcast(1, (2, 0, 9), 1, 4, 0)], 1)
+        out, _, fired = step_inbox(node, SCHEDULE, OUT, [Broadcast(1, (2, 0, 9), 1, 4, 0)], 1)
         assert fired.adopt_received and (out.state_y, out.state_z) == (1, 4)
 
     def test_round_robin_cursor_advances_cyclically(self):
@@ -245,7 +270,7 @@ class TestStepNode:
         node, _ = init_node(0, schedule, (3, 1, 2))
         targets = []
         for rnd in range(3):
-            node, emitted, _ = step_node(node, schedule, (3, 1, 2), [], rnd)
+            node, emitted, _ = step_node(node, schedule, (3, 1, 2), None, rnd)
             transfers = [m for m in emitted if isinstance(m, MassTransfer)]
             assert len(transfers) == 1
             targets.append(transfers[0].dst)
@@ -308,7 +333,7 @@ class TestNodeStateFields:
 
     def test_the_flags_read_clear(self):
         node, _ = init_node(0, SCHEDULE, OUT)
-        stepped, emitted, fired = step_node(
+        stepped, emitted, fired = step_inbox(
             node, SCHEDULE, OUT, [StateBroadcast(1, 0, 9, 1, -1)], 0
         )
         assert fired.adopt_received and len(emitted) == 2  # both flags fired this step
@@ -365,7 +390,7 @@ class TestStepNodeMatchesReference:
         if misrouted:
             pos = data.draw(st.integers(0, len(inbox) - 1))
             inbox[pos] = dataclasses.replace(inbox[pos], dst=node.id + 1)
-        got = _outcome(step_node, node, schedule, out, inbox, rnd)
+        got = _outcome(step_inbox, node, schedule, out, inbox, rnd)
         want = _outcome(reference_step_node, legacy, inbox, rnd)
         stepped = len(want) == 3  # a step, not a refusal
         if stepped:
@@ -375,8 +400,6 @@ class TestStepNodeMatchesReference:
         assert got == want
         if misrouted:
             assert got[0] is EngineContractError
-        elif stepped:  # node comes back iff nothing changed
-            assert (got[0] is node) == (want[0] == node)
 
 
 # The hot records are built through protocol._builder; each builder must make
