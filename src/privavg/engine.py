@@ -48,7 +48,10 @@ the certification tail's, from a bounded module-level cache keyed by
 (round, converged nodes).
 All trials in one process then share one object per silent row.  A batch on
 worker processes unpickles each result on its own, so only a serial batch
-shares rows across its trials.
+shares rows across its trials.  Within a trial, the report's final_states
+keeps one (state_y, state_z) tuple per distinct value, so a converged
+trial's n slots refer to one pair; pickling memoizes shared objects, so
+an unpickled report shares them too.
 """
 
 from __future__ import annotations
@@ -228,7 +231,8 @@ class TrialReport:
     conservation: AuditVerdict
     dominance: AuditVerdict
     absorption: AuditVerdict
-    final_states: tuple[tuple[int, int], ...]  # (state_y, state_z) per node
+    # (state_y, state_z) per node; nodes on equal states share one tuple
+    final_states: tuple[tuple[int, int], ...]
     rows: tuple[SeriesRow, ...]  # round_rows of the trace, round -1 included
 
 
@@ -591,6 +595,9 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         conv = None
     quiesc = trace.quiescence_round
     bound_ok = conv is not None and quiesc is not None and conv <= quiesc <= bound
+    # One tuple per distinct final state: a converged trial's n nodes share one.
+    pairs = [(n.state_y, n.state_z) for n in trace.records[-1].nodes]
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
     return TrialReport(
         n=g.n,
         m=g.m,
@@ -612,7 +619,7 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         conservation=audit_mass_conservation(trace),
         dominance=audit_leading_mass_dominance(trace),
         absorption=audit_absorption(trace),
-        final_states=tuple((n.state_y, n.state_z) for n in trace.records[-1].nodes),
+        final_states=tuple(shared.setdefault(pair, pair) for pair in pairs),
         rows=rows,
     )
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import pickle
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -693,6 +694,36 @@ class TestRoutingFilter:
             assert best is None or best > (node.state_z, node.state_y), (node, mail)
             with_broadcasts += best is not None
         assert with_broadcasts > 0
+
+
+def assert_final_states_shared(trace: SimTrace, report) -> None:
+    """report.final_states is each node's last (state_y, state_z), with one
+    tuple object per distinct pair."""
+    final_states = report.final_states
+    assert final_states == tuple((n.state_y, n.state_z) for n in trace.records[-1].nodes)
+    assert len({id(pair) for pair in final_states}) == len(set(final_states))
+
+
+class TestFinalStates:
+    @pytest.mark.parametrize(
+        "cfg", [REPRODUCTION, MIXED_ROLES], ids=["reproduction", "mixed_roles"]
+    )
+    def test_a_converged_trial_keeps_one_pair(self, cfg):
+        for g, _, _, schedules in _trial_inputs(cfg):
+            trace, report = run_simulation(g, schedules)
+            assert_final_states_shared(trace, report)
+            assert report.converged and len(set(report.final_states)) == 1
+
+    def test_a_cut_trial_keeps_one_object_per_distinct_pair(self):
+        distinct = []
+        for g, _, _, schedules in islice(_trial_inputs(REPRODUCTION), 10):
+            full, _ = run_simulation(g, schedules)
+            trace, report = run_simulation(
+                g, schedules, max_rounds=full.quiescence_round // 2
+            )
+            assert_final_states_shared(trace, report)
+            distinct.append(len(set(report.final_states)))
+        assert max(distinct) > 1
 
 
 def reference_iter_rounds(trace):
