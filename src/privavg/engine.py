@@ -35,11 +35,10 @@ and absorption audits evaluate each record whole.
 
 A record stores the events of its round, one protocol.Broadcast per
 broadcasting node and one MassTransfer per hand-off, in a RoundMessages.
-Read as a sequence, it shows each Broadcast as one StateBroadcast copy
-per addressee, so the exports, the logs and any outside reader see
-per-copy messages.  The engine's own
-readers (the routing, the overflow check, round_rows, the audits) and the
-coalition projection walk the events and build no copy.
+Iterating it yields each Broadcast as one StateBroadcast copy per
+addressee, so an outside reader sees per-copy messages.  The engine's own
+readers (the routing, the overflow check, round_rows, the audits, the
+exports) and the coalition projection walk its events and build no copy.
 
 Frozen values that trials repeat are shared, not rebuilt.  step_node returns
 one of eight shared TriggersFired objects (see protocol), and round_rows
@@ -57,7 +56,7 @@ an unpickled report shares them too.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, count
@@ -100,16 +99,13 @@ class SimulationOverflowError(RuntimeError):
         return type(self), (self.args[0], self.trace)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class RoundMessages(Sequence):
-    """The messages of one round, stored as its events.
+@dataclass(frozen=True, slots=True)
+class RoundMessages:
+    """The events of one round, Broadcast and MassTransfer, in send order.
 
-    `events` holds Broadcast and MassTransfer events (or per-copy messages)
-    in send order.  As a sequence -- iteration, indexing, len, ==, hash --
-    it is the tuple of per-copy messages: each Broadcast shows as one
-    StateBroadcast per member of its dsts, in order, built on each read.
-    It equals that tuple, either way round, and hashes like it; its truth
-    value is that of its events.
+    Iterating yields the per-copy messages: one StateBroadcast per member of
+    a Broadcast's dsts, in order, built on each read.  It is true when the
+    round has events, and compares and hashes by them.
     """
 
     events: tuple[Event, ...] = ()
@@ -123,41 +119,19 @@ class RoundMessages(Sequence):
             else:
                 yield ev
 
-    def __len__(self) -> int:
-        return sum(len(ev.dsts) if type(ev) is Broadcast else 1 for ev in self.events)
-
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RoundMessages):
-            return self.events == other.events or tuple(self) == tuple(other)
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 _SILENT = RoundMessages()  # shared by every record without messages
 
 
-def _events(messages) -> tuple[Event, ...]:
-    """The events behind a record's messages; a record built by hand with
-    a plain tuple of per-copy messages has those copies as its events."""
-    return messages.events if type(messages) is RoundMessages else messages
-
-
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """Everything that happened in one round: outbox and post-step snapshots."""
+    """Everything that happened in one round: its events and post-step snapshots."""
 
     round: int
-    messages: RoundMessages | tuple[Message, ...]
+    messages: RoundMessages
     nodes: tuple[NodeState, ...]
     fired: tuple[TriggersFired, ...]
 
@@ -286,16 +260,10 @@ def run_simulation(
     if max_rounds is None:
         max_rounds = theoretical_bound(g.n, g.m, dmax)
 
-    trace = SimTrace(
-        graph=g,
-        schedules=schedules,
-        max_rounds=max_rounds,
-        quiescence_window=quiescence_window,
-    )
+    trace = SimTrace(g, schedules, max_rounds, quiescence_window)
     for _ in iter_rounds(trace):
         pass
-    report = _build_report(trace, dmax)
-    return trace, report
+    return trace, _build_report(trace, dmax)
 
 
 def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[RoundRecord]:
@@ -363,7 +331,7 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     rnd = record.round + 1
     while trace.quiescence_round is None and rnd < trace.max_rounds:
         mail: dict[int, list] = {}
-        for ev in _events(record.messages):
+        for ev in record.messages.events:
             if type(ev) is MassTransfer:
                 entry = mail.setdefault(ev.dst, [0, 0, None])
                 entry[0] += ev.y
@@ -423,7 +391,7 @@ def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
             raise SimulationOverflowError(
                 f"round {record.round}: node {node.id} left the 64-bit range", trace
             )
-    for ev in _events(record.messages):
+    for ev in record.messages.events:
         if abs(ev.y) > INT64_MAX or ev.z > INT64_MAX:
             dst = ev.dst if type(ev) is MassTransfer else ev.dsts[0]
             raise SimulationOverflowError(
@@ -461,7 +429,7 @@ def _evaluated(trace: SimTrace, first_round: int = -1) -> Iterator[RoundRecord]:
 
 def _in_flight(record: RoundRecord) -> list[tuple[int, int]]:
     """The (z, y) pair of every mass transfer in the record's outbox."""
-    return [(m.z, m.y) for m in _events(record.messages) if type(m) is MassTransfer]
+    return [(m.z, m.y) for m in record.messages.events if type(m) is MassTransfer]
 
 
 def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
@@ -472,7 +440,8 @@ def _nonzero_masses(record: RoundRecord) -> list[tuple[int, int]]:
 
 def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
     """One counter row per record, round -1 included, from one pass over its
-    events, each broadcast counting one copy per addressee; a record without
+    events: a step emits at most one Broadcast, so each counts one
+    broadcasting node, and one copy per addressee.  A record without
     messages gets its shared silent row."""
     q_num, q_den = exact_average(trace.schedules)
     rows = []
@@ -485,20 +454,17 @@ def round_rows(trace: SimTrace) -> tuple[SeriesRow, ...]:
         if not record.messages:
             rows.append(_silent_row(record.round, converged))
             continue
-        copies = transfers = 0
-        broadcasters: set[int] = set()
+        broadcasts = copies = transfers = 0
         senders: set[int] = set()
-        for ev in _events(record.messages):
+        for ev in record.messages.events:
             senders.add(ev.src)
             if type(ev) is MassTransfer:
                 transfers += 1
             else:
+                broadcasts += 1
                 copies += len(ev.dsts)
-                broadcasters.add(ev.src)
         rows.append(
-            _build_row(
-                record.round, len(broadcasters), copies, transfers, len(senders), converged
-            )
+            _build_row(record.round, broadcasts, copies, transfers, len(senders), converged)
         )
     return tuple(rows)
 
@@ -647,7 +613,7 @@ def message_log_lines(trace: SimTrace) -> list[str]:
     """messages.csv's lines: one per message copy, in record order."""
     lines = [MESSAGE_LOG_HEADER]
     for record in trace.records:
-        for ev in _events(record.messages):
+        for ev in record.messages.events:
             if type(ev) is MassTransfer:
                 lines.append(f"{ev.round},mass,{ev.src},{ev.dst},{ev.y},{ev.z}")
             else:

@@ -25,7 +25,6 @@ from .engine import (
     RoundRecord,
     SimTrace,
     SimulationOverflowError,
-    _events,
     iter_rounds,
     run_simulation,
 )
@@ -145,7 +144,7 @@ def _observe(record: RoundRecord, members: frozenset[int]) -> tuple[list, list]:
 
     A broadcast is expanded only into the copies a member sends or receives."""
     messages = []
-    for ev in _events(record.messages):
+    for ev in record.messages.events:
         if type(ev) is MassTransfer:
             if ev.src in members or ev.dst in members:
                 messages.append((ev.round, "mass", ev.src, ev.dst, ev.y, ev.z))
@@ -305,7 +304,7 @@ def ambiguity_witness(
     exchanged = any(
         type(m) is MassTransfer and {m.src, m.dst} == {target, helper}
         for record in trace.records
-        for m in _events(record.messages)
+        for m in record.messages.events
     )
     if not exchanged:
         raise WitnessUnavailableError(

@@ -12,9 +12,10 @@ transfers delivered to it and the greatest state it received, which is all
 the triggers read -- and returns the successor state plus its outgoing
 events: at most one MassTransfer, to one out-neighbor, and at most one
 Broadcast, whose dsts is the out-neighbor row itself, shared and not
-copied.  A Broadcast stands for one StateBroadcast copy per member of dsts,
-in order; the engine's records expand the copies only for readers that ask
-(see engine.RoundMessages).
+copied.  A Broadcast is one transmission that every member of dsts hears;
+the engine's records store it as it is, and build one StateBroadcast copy
+per addressee, in order, only for a reader that iterates them (see
+engine.RoundMessages).
 
 The records built once per node step -- every event and every
 successor state -- are frozen slotted dataclasses, and their generated
@@ -92,18 +93,13 @@ class Broadcast:
 
 @dataclass(frozen=True, slots=True)
 class StateBroadcast:
-    """One per-neighbor copy of a Broadcast, as the records show it."""
+    """One per-neighbor copy of a Broadcast, as iterating a record shows it."""
 
     src: int
     dst: int
     y: int
     z: int
     round: int
-
-    @property
-    def dsts(self) -> tuple[int]:
-        """The one addressee, so a copy reads like the Broadcast it came from."""
-        return (self.dst,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +114,7 @@ class MassTransfer:
 
 
 Message = Union[StateBroadcast, MassTransfer]  # one per addressee
-Event = Union[Broadcast, StateBroadcast, MassTransfer]  # what a step emits or a record holds
+Event = Union[Broadcast, MassTransfer]  # what a step emits or a record holds
 
 
 class TriggersFired(NamedTuple):

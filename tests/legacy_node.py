@@ -5,10 +5,12 @@ NodeState is a verbatim copy of the 11-field node.  init_node and step_node
 are adapters over privavg.protocol's, which take the two fixed fields as
 arguments, take a node's mail as two sums and a best state, and emit one
 Broadcast event per broadcasting node: they carry those fields along, fold
-a list inbox into mail (step_inbox) and expand each event into one
-StateBroadcast copy per addressee, so an oracle that reads node.schedule or
-node.out_neighbors, or calls init_node(id, schedule, out) and
-step_node(node, inbox, rnd) and routes copies by dst, runs unchanged.
+a list inbox of events or copies into mail (step_inbox, which reads a
+copy's or a transfer's addressee from dst and a broadcast's from dsts) and
+expand each event into one StateBroadcast copy per addressee, so an oracle
+that reads node.schedule or node.out_neighbors, or calls init_node(id,
+schedule, out) and step_node(node, inbox, rnd) and routes copies by dst,
+runs unchanged.
 privavg's NodeState also holds no trigger flags, which a step consumes
 before it returns: _carry fills them clear, and project drops the two fixed
 fields and refuses a node with a flag set, to compare an oracle's nodes
@@ -96,23 +98,22 @@ def init_node(node_id, schedule, out_neighbors):
 def step_inbox(node, schedule, out, inbox, rnd):
     """protocol.step_node on a list inbox of events.
 
-    Each event must be addressed to the node -- a transfer by its dst, a
-    broadcast or a copy by its dsts -- or EngineContractError is raised.
-    The transfers are summed, the lex-greatest broadcast (z first) is the
-    best state, and an empty inbox is no mail.
+    Each event must be addressed to the node -- a transfer or a copy by
+    its dst, a broadcast by its dsts -- or EngineContractError is raised.
+    The transfers are summed, the lex-greatest broadcast or copy (z first)
+    is the best state, and an empty inbox is no mail.
     """
     add_y = add_z = 0
     keys = []
     for ev in inbox:
+        dsts = ev.dsts if type(ev) is protocol.Broadcast else (ev.dst,)
+        if node.id not in dsts:
+            raise _misrouted(rnd, dsts, node.id)
         if type(ev) is MassTransfer:
-            if ev.dst != node.id:
-                raise _misrouted(rnd, (ev.dst,), node.id)
             add_y += ev.y
             add_z += ev.z
-        elif node.id in ev.dsts:
-            keys.append((ev.z, ev.y))
         else:
-            raise _misrouted(rnd, ev.dsts, node.id)
+            keys.append((ev.z, ev.y))
     mail = [add_y, add_z, max(keys, default=None)] if inbox else None
     return protocol.step_node(node, schedule, out, mail, rnd)
 

@@ -2,11 +2,15 @@
 directory, with this checkout's `src` on PYTHONPATH, so nothing needs
 installing.  Each test is one check of the command line: an exit code, the
 files a run writes or refuses to write, CSVs that must be equal across
-worker counts, and whole lines of the output."""
+worker counts, and whole lines of the output.  One more test calls the
+console-script target that pyproject.toml names, which an installed
+`privavg` runs."""
 
 from __future__ import annotations
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,3 +187,14 @@ def test_three_cycle_attack_has_no_witness(tmp_path):
     lines = _attack(tmp_path, cycle, (*HUB, "roles = private,private,curious"))
     assert "attack,0,witness,unavailable" in lines
     assert "attack,1,witness,unavailable" in lines
+
+
+def test_the_console_script_target_prints_help(capsys):
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    target = re.search(r'^privavg\s*=\s*"([\w.]+):(\w+)"', scripts.group(1), re.M)
+    module, function = target.groups()
+    main = getattr(importlib.import_module(module), function)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: privavg")

@@ -240,13 +240,13 @@ class TestMassConservation:
         target_round = 1
         idx = next(i for i, r in enumerate(trace.records) if r.round == target_round)
         record = trace.records[idx]
-        messages = list(record.messages)
+        events = list(record.messages.events)
         pos, transfer = next(
-            (i, m) for i, m in enumerate(messages) if isinstance(m, MassTransfer)
+            (i, ev) for i, ev in enumerate(events) if isinstance(ev, MassTransfer)
         )
-        messages[pos] = dataclasses.replace(transfer, y=transfer.y + 1)
+        events[pos] = dataclasses.replace(transfer, y=transfer.y + 1)
         trace.records[idx] = RoundRecord(
-            record.round, tuple(messages), record.nodes, record.fired
+            record.round, RoundMessages(tuple(events)), record.nodes, record.fired
         )
         verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == target_round
@@ -492,7 +492,7 @@ class TestCertificationTail:
         idle = TriggersFired(False, False, False)
         for record in tail:
             assert record.nodes is quiescent.nodes
-            assert record.messages == ()
+            assert record.messages is _SILENT
             assert record.fired is tail[0].fired
             assert record.fired == (idle,) * trace.graph.n
 
@@ -521,7 +521,7 @@ class TestCertificationTail:
         trace, report = two_node_run
         bad_round = report.quiescence_round + 3
         stray = MassTransfer(src=0, dst=1, y=1, z=1, round=bad_round)
-        _replace_record(trace, bad_round, messages=(stray,))
+        _replace_record(trace, bad_round, messages=RoundMessages((stray,)))
         assert trace.records[-1].nodes is next(
             r.nodes for r in trace.records if r.round == bad_round
         )
@@ -534,8 +534,8 @@ class TestCertificationTail:
         trace, _ = two_node_run
         at2 = next(r for r in trace.records if r.round == 2)
         high = (dataclasses.replace(at2.nodes[0], state_z=100),) + at2.nodes[1:]
-        _replace_record(trace, 1, nodes=high, messages=())
-        _replace_record(trace, 2, nodes=high, messages=())
+        _replace_record(trace, 1, nodes=high, messages=_SILENT)
+        _replace_record(trace, 2, nodes=high, messages=_SILENT)
         verdict = audit_leading_mass_dominance(trace)
         assert not verdict.ok and verdict.first_violation_round == 2
 
@@ -556,7 +556,7 @@ class TestCertificationTail:
         at_settle = next(r for r in trace.records if r.round == settle)
         adopted = (TriggersFired(False, True, False),) * trace.graph.n
         for rnd in (settle, settle + 1):
-            _replace_record(trace, rnd, nodes=at_settle.nodes, messages=(), fired=adopted)
+            _replace_record(trace, rnd, nodes=at_settle.nodes, messages=_SILENT, fired=adopted)
         verdict = audit_absorption(trace)
         assert verdict.detail == f"mass adoption fired after settle round {settle}"
         assert not verdict.ok and verdict.first_violation_round == settle + 1
@@ -565,15 +565,15 @@ class TestCertificationTail:
         trace, _ = two_node_run
         at3 = next(r for r in trace.records if r.round == 3)
         empty = tuple(dataclasses.replace(node, mass_y=0, mass_z=0) for node in at3.nodes)
-        _replace_record(trace, 3, nodes=empty, messages=())
+        _replace_record(trace, 3, nodes=empty, messages=_SILENT)
         verdict = audit_leading_mass_dominance(trace)
         assert verdict == engine.AuditVerdict(False, 3, "no nonzero mass anywhere")
 
     def test_broadcast_in_a_tail_record_is_flagged(self, two_node_run):
         trace, report = two_node_run
         bad_round = report.quiescence_round + 3
-        stray = StateBroadcast(src=0, dst=1, y=1, z=1, round=bad_round)
-        _replace_record(trace, bad_round, messages=(stray,))
+        stray = Broadcast(src=0, dsts=(1,), y=1, z=1, round=bad_round)
+        _replace_record(trace, bad_round, messages=RoundMessages((stray,)))
         verdict = audit_absorption(trace)
         assert verdict.detail == "traffic after settle round 4 + n - 1"
         assert not verdict.ok and verdict.first_violation_round == 9
@@ -586,7 +586,7 @@ class TestCertificationTail:
         frozen = trace.records[-1].nodes
         off = (dataclasses.replace(frozen[0], mass_y=frozen[0].mass_y - 1),) + frozen[1:]
         stray = MassTransfer(src=0, dst=1, y=1, z=0, round=bad_round - 1)
-        _replace_record(trace, bad_round - 1, nodes=off, messages=(stray,))
+        _replace_record(trace, bad_round - 1, nodes=off, messages=RoundMessages((stray,)))
         _replace_record(trace, bad_round, nodes=off)
         verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == bad_round
@@ -833,7 +833,7 @@ def assert_loops_agree(g, schedules, **limits):
     assert len(got.records) == len(want.records)
     last = None
     for a, b in zip(got.records, want.records):
-        assert (a.round, a.messages, a.fired) == (b.round, b.messages, b.fired)
+        assert (a.round, tuple(a.messages), a.fired) == (b.round, b.messages, b.fired)
         # a repeat of the last compared tuple pair needs no second comparison
         if last != (id(a.nodes), id(b.nodes)):
             assert a.nodes == tuple(map(project, b.nodes)), a.round
@@ -908,28 +908,83 @@ class TestEventLoopMatchesReference:
             assert_loops_agree(g, schedules)
 
     def test_overflow_aborts_identically(self):
-        # the pair's round-0 hand-offs carry 2^63; the random cases overflow
-        # a node's held mass, some after every node settled, where only the
-        # stepped nodes are checked
-        pair = digraph_from_edges(2, [(0, 1), (1, 0)])
-        _, err = assert_loops_agree(
-            pair, [SubstateSchedule(y0=2**62, uy=(2**62,) * 3, uz=(1, 1, 1))] * 2
-        )
+        # the random cases overflow a node's held mass, some after every
+        # node settled, where only the stepped nodes are checked
+        inputs = _overflow_inputs()
+        _, err = assert_loops_agree(*next(inputs))
         assert err.startswith("round 0: message")
         kinds = set()
-        for seed in range(40):
-            rng = random.Random(seed)
-            n = rng.randint(3, 8)
-            g = generate_random_strongly_connected(n, 0.4, rng)
-            dmax = max_out_degree(g)
-            schedules = []
-            for _ in range(n):
-                v = rng.randint(2**56, 2**58)
-                schedules.append(SubstateSchedule(y0=v, uy=(v,) * (dmax + 2), uz=(1,) * (dmax + 2)))
+        for g, schedules in inputs:
             trace, err = assert_loops_agree(g, schedules)
             if err is not None:
-                kinds.add((err.split(": ")[1].startswith("node"), trace.final_round > dmax + 1))
+                late = trace.final_round > max_out_degree(g) + 1
+                kinds.add((err.split(": ")[1].startswith("node"), late))
         assert (True, True) in kinds
+
+
+def _overflow_inputs():
+    """A pair whose round-0 hand-offs carry 2^63, then 40 random graphs on
+    values near 2^57, some of which overflow."""
+    pair = digraph_from_edges(2, [(0, 1), (1, 0)])
+    yield pair, [SubstateSchedule(y0=2**62, uy=(2**62,) * 3, uz=(1, 1, 1))] * 2
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(3, 8)
+        g = generate_random_strongly_connected(n, 0.4, rng)
+        k = max_out_degree(g) + 2
+        values = [rng.randint(2**56, 2**58) for _ in range(n)]
+        yield g, [SubstateSchedule(y0=v, uy=(v,) * k, uz=(1,) * k) for v in values]
+
+
+def assert_copies_read_like_the_log(trace, rows):
+    """For every record of trace: the round,kind,src,dst,y,z lines built by
+    iterating its messages are its lines of message_log_lines, the copies
+    number its row's broadcast_copies + mass_transfers, and every event is
+    a Broadcast or a MassTransfer."""
+    for record, row in zip(trace.records, rows, strict=True):
+        lines = [
+            f"{m.round},{'mass' if type(m) is MassTransfer else 'state'},{m.src},{m.dst},{m.y},{m.z}"
+            for m in record.messages
+        ]
+        assert lines == message_log_lines(dataclasses.replace(trace, records=[record]))[1:]
+        assert len(lines) == row.broadcast_copies + row.mass_transfers
+        assert all(type(ev) in (Broadcast, MassTransfer) for ev in record.messages.events)
+
+
+def _resumed_replays(index: int) -> list[SimTrace]:
+    """The records of pair case `index`'s replays with one substate of node
+    0 shifted, each resumed from the base replay's record of the round
+    before that substate is read, as traces of their schedules."""
+    g, _, _, schedules = pair_inputs(index)
+    base_trace, _ = run_simulation(g, schedules)
+    log = privacy.coalition_observations(base_trace, range(2, g.n))
+    sight = privacy._Sight.of(log)
+
+    def trace_of(alt):
+        return SimTrace(g, tuple(alt), base_trace.max_rounds, base_trace.quiescence_window)
+
+    base = privacy._Replay(trace_of(schedules), sight)
+    assert base.finish() == "pass"
+    traces = []
+    for i, alt in privacy._shifted(schedules[0], 1):
+        if i == 0:  # substate 0 is read at set-up, before round -1
+            continue
+        alt_trace = trace_of([alt] + schedules[1:])
+        replay = privacy._Replay(alt_trace, sight, base, i - 1)
+        replay.finish()
+        traces.append(dataclasses.replace(alt_trace, records=replay.records))
+    return traces
+
+
+def _overflow_traces() -> list[SimTrace]:
+    """The partial traces that the overflow aborts of _overflow_inputs carry."""
+    traces = []
+    for g, schedules in _overflow_inputs():
+        try:
+            run_simulation(g, schedules)
+        except SimulationOverflowError as err:
+            traces.append(err.trace)
+    return traces
 
 
 class TestRoundMessages:
@@ -944,16 +999,20 @@ class TestRoundMessages:
         for index in range(cfg.trials):
             g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(100, index)))
             trace, report = run_simulation(g, schedules)
-            for record, row in zip(trace.records, report.rows, strict=True):
+            assert_copies_read_like_the_log(trace, report.rows)
+            for record in trace.records:
                 events = record.messages.events
                 for ev in events:
-                    assert type(ev) in (Broadcast, MassTransfer)
                     if type(ev) is Broadcast:
                         assert ev.dsts is g.out_order[ev.src]
                         broadcasts += 1
-                assert len(record.messages) == row.broadcast_copies + row.mass_transfers
                 assert (record.messages is _SILENT) == (not events)
         assert broadcasts > 0
+        # Records that did not come from one fresh run keep the same contract.
+        replays, aborted = _resumed_replays(0), _overflow_traces()
+        assert sum(len(trace.records) for trace in replays) > len(replays) and len(aborted) > 1
+        for trace in replays + aborted:
+            assert_copies_read_like_the_log(trace, engine.round_rows(trace))
 
     def test_a_sequence_of_copies(self):
         events = (
@@ -969,14 +1028,11 @@ class TestRoundMessages:
             StateBroadcast(0, 2, -1, 1, 3),
         )
         messages = RoundMessages(events)
-        assert tuple(messages) == copies and list(reversed(messages)) == list(reversed(copies))
-        assert len(messages) == 5 and messages[3] == copies[3] and messages[1:3] == copies[1:3]
-        assert messages == copies and copies == messages and messages != copies[:-1]
-        assert messages == RoundMessages(copies) and RoundMessages(copies) == messages
-        assert hash(messages) == hash(copies) == hash(RoundMessages(copies))
+        assert tuple(messages) == copies
         back = pickle.loads(pickle.dumps(messages))
-        assert type(back) is RoundMessages and back.events == events and back == copies
-        assert messages and not RoundMessages() and RoundMessages() == () == _SILENT
+        assert type(back) is RoundMessages and back.events == events and tuple(back) == copies
+        assert back == messages and hash(back) == hash(messages)  # by events
+        assert messages and not RoundMessages() and RoundMessages() == _SILENT
         with pytest.raises(AttributeError):
             messages.events = ()
 
@@ -1107,8 +1163,9 @@ MESSAGE_FIELDS = ("y", "z", "src", "dst", "round")
 
 @st.composite
 def corruptions(draw, trace):
-    """A copy of trace with one field of one node, message or fired entry
-    changed, or one node dropped, in one record, tail records included."""
+    """A copy of trace with one field of one node, event or fired entry
+    changed, or one node dropped, in one record, tail records included; a
+    broadcast's dst field is each member of its dsts."""
     records = list(trace.records)
     idx = draw(st.integers(0, len(records) - 1))
     record = records[idx]
@@ -1116,12 +1173,16 @@ def corruptions(draw, trace):
     kind = draw(st.sampled_from(kinds))
     delta = draw(st.integers(-40, 40).filter(bool))
     if kind == "message":
-        pos = draw(st.integers(0, len(record.messages) - 1))
+        events = list(record.messages.events)
+        pos = draw(st.integers(0, len(events) - 1))
         field = draw(st.sampled_from(MESSAGE_FIELDS))
-        msg = record.messages[pos]
-        msgs = list(record.messages)
-        msgs[pos] = dataclasses.replace(msg, **{field: getattr(msg, field) + delta})
-        records[idx] = dataclasses.replace(record, messages=tuple(msgs))
+        ev = events[pos]
+        if field == "dst" and type(ev) is Broadcast:
+            changed = {"dsts": tuple(dst + delta for dst in ev.dsts)}
+        else:
+            changed = {field: getattr(ev, field) + delta}
+        events[pos] = dataclasses.replace(ev, **changed)
+        records[idx] = dataclasses.replace(record, messages=RoundMessages(tuple(events)))
     elif kind == "fired":
         pos = draw(st.integers(0, len(record.fired) - 1))
         fired = list(record.fired)
@@ -1159,9 +1220,10 @@ def small_traces(draw):
             draw(st.integers(0, k + 1)), 0,
         )
 
-    def message(rnd):
-        kind = draw(st.sampled_from((MassTransfer, StateBroadcast)))
-        return kind(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(small), draw(small), rnd)
+    def event(rnd):
+        kind = draw(st.sampled_from((MassTransfer, Broadcast)))
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        return kind(src, dst if kind is MassTransfer else (dst,), draw(small), draw(small), rnd)
 
     nodes = tuple(fresh(j) for j in range(n))
     fired = tuple(TriggersFired(False, False, False) for _ in nodes)
@@ -1182,8 +1244,8 @@ def small_traces(draw):
                 TriggersFired(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
                 for _ in nodes
             )
-        messages = tuple(message(rnd) for _ in range(draw(st.sampled_from((0, 0, 1, 2)))))
-        records.append(RoundRecord(rnd, messages, nodes, fired))
+        events = tuple(event(rnd) for _ in range(draw(st.sampled_from((0, 0, 1, 2)))))
+        records.append(RoundRecord(rnd, RoundMessages(events), nodes, fired))
     return SimTrace(g, schedules, 100, 5, records)
 
 
@@ -1227,7 +1289,7 @@ class TestAuditsMatchReference:
                 )
                 if prev is not None:
                     nodes = tuple(old if old == new else new for old, new in zip(prev, nodes))
-                records.append(RoundRecord(rnd, (), nodes, idle))
+                records.append(RoundRecord(rnd, _SILENT, nodes, idle))
                 prev = nodes
             return SimTrace(g, (sched,) * 3, 100, 5, records)
 
