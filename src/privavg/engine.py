@@ -41,13 +41,16 @@ readers (the routing, the overflow check, round_rows, the audits, the
 exports) and the coalition projection walk its events and build no copy.
 
 Frozen values that trials repeat are shared, not rebuilt.  step_node returns
-one of eight shared TriggersFired objects (see protocol), and round_rows
-takes the row of a record without messages, a "silent row" such as each of
-the certification tail's, from a bounded module-level cache keyed by
-(round, converged nodes).
-All trials in one process then share one object per silent row.  A batch on
-worker processes unpickles each result on its own, so only a serial batch
-shares rows across its trials.  Within a trial, the report's final_states
+one of eight shared TriggersFired objects (see protocol), and a record
+stores its nodes' outcomes as a protocol.FiredRow, one byte per node (the
+outcome's index) where a tuple would hold an 8-byte pointer; indexing the
+row gives the shared object back.  Round -1 and the certification tail
+share one all-idle row.  round_rows takes the row of a record without
+messages, a "silent row" such as each of the certification tail's, from a
+bounded module-level cache keyed by (round, converged nodes).  All trials
+in one process then share one object per silent row.  A batch on worker
+processes unpickles each result on its own, so only a serial batch shares
+rows across its trials.  Within a trial, the report's final_states
 keeps one (state_y, state_z) tuple per distinct value, so a converged
 trial's n slots refer to one pair; pickling memoizes shared objects, so
 an unpickled report shares them too.
@@ -56,7 +59,7 @@ an unpickled report shares them too.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, count
@@ -67,12 +70,14 @@ from .graph import Digraph, is_strongly_connected, max_out_degree
 from .protocol import (
     Broadcast,
     Event,
+    FiredRow,
     MassTransfer,
     Message,
     NodeState,
     TriggersFired,
-    _IDLE,
+    _CODES,
     _build_copy,
+    _build_fired,
     _builder,
     init_node,
     step_node,
@@ -133,7 +138,7 @@ class RoundRecord:
     round: int
     messages: RoundMessages
     nodes: tuple[NodeState, ...]
-    fired: tuple[TriggersFired, ...]
+    fired: Sequence[TriggersFired]  # a FiredRow from the engine
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,7 +313,7 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     g = trace.graph
     schedules, out_order = trace.schedules, g.out_order
     lengths = [len(sched.uy) for sched in schedules]
-    idle_fired = (_IDLE,) * g.n
+    idle_fired = FiredRow(bytes(g.n))
     if resume is None:
         nodes: list[NodeState] = []
         init_msgs: list[Event] = []
@@ -344,17 +349,17 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
                         mail.setdefault(dst, [0, 0, None])[2] = key
         stepped = sorted(mail.keys() | unsettled)
         outbox: list[Event] = []
-        fired_list = list(idle_fired)
+        codes = bytearray(g.n)
         for j in stepped:
             node, emitted, fired = step_node(
                 nodes[j], schedules[j], out_order[j], mail.get(j), rnd
             )
             nodes[j] = node
             keys[j] = (node.state_z, node.state_y)
-            fired_list[j] = fired
+            codes[j] = _CODES[fired]
             outbox.extend(emitted)
         messages = RoundMessages(tuple(outbox)) if outbox else _SILENT
-        record = _build_record(rnd, messages, tuple(nodes), tuple(fired_list))
+        record = _build_record(rnd, messages, tuple(nodes), _build_fired(bytes(codes)))
         trace.records.append(record)
         _check_overflow(record, trace, [nodes[j] for j in stepped])
         unsettled = [j for j in stepped if nodes[j].s < lengths[j]]
@@ -408,7 +413,7 @@ def converged_nodes(nodes, q_num: int, q_den: int) -> int:
 
 def _evaluated(trace: SimTrace, first_round: int = -1) -> Iterator[RoundRecord]:
     """The records from first_round on that an audit must evaluate: a record
-    with the same node tuple object and the same fired tuple object as the
+    with the same node tuple object and the same fired row object as the
     last one yielded, and no messages in either, evaluates like it and is
     skipped.  Holds for any trace; the engine's certification tail is the
     case that matters.  Each call starts with no last record, so no record

@@ -33,11 +33,13 @@ classes and their __init__ are unchanged.
 evaluate_triggers returns one of eight module-level TriggersFired objects,
 one per outcome (_IDLE is the all-False one, shared by every step without
 mail); they are immutable and compare by value, so sharing them changes no
-result.
+result.  A FiredRow stores one outcome per node as its one-byte index into
+them, and reads back the shared objects.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from itertools import product
 from types import MemberDescriptorType
@@ -126,10 +128,50 @@ class TriggersFired(NamedTuple):
 # Every trigger outcome, indexed by 4 * adopt_received + 2 * adopt_mass + hand_off.
 _OUTCOMES = tuple(TriggersFired(*bits) for bits in product((False, True), repeat=3))
 _IDLE = _OUTCOMES[0]  # shared by every step without mail
+_CODES = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # outcome -> index
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class FiredRow(Sequence):
+    """One trigger outcome per node, stored as one byte each: codes holds
+    each outcome's index into _OUTCOMES, as _CODES gives it.
+
+    An entry reads as the shared TriggersFired object and a slice as a
+    FiredRow.  The row compares and hashes like the tuple of its outcomes,
+    so it equals a plain tuple of them, and its repr reads like one.
+    """
+
+    codes: bytes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FiredRow(self.codes[index])
+        return _OUTCOMES[self.codes[index]]
+
+    def __iter__(self) -> Iterator[TriggersFired]:
+        return map(_OUTCOMES.__getitem__, self.codes)
+
+    def __eq__(self, other):
+        if type(other) is FiredRow:
+            return self.codes == other.codes
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
 
 _build_broadcast = _builder(Broadcast)
 _build_copy = _builder(StateBroadcast)
 _build_transfer = _builder(MassTransfer)
+_build_fired = _builder(FiredRow)  # built once per active round
 
 
 @dataclass(frozen=True, slots=True)

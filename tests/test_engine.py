@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import pickle
 import random
+import sys
 from itertools import islice
 
 import pytest
@@ -35,6 +36,7 @@ from privavg.experiments import (
     REFERENCE_STATE_VECTOR,
     TrialConfig,
     build_trial_inputs,
+    parse_config,
     run_batch,
     run_single_trial,
     trial_seed_token,
@@ -46,11 +48,13 @@ from privavg.graph import (
 )
 from privavg.protocol import (
     Broadcast,
+    FiredRow,
     MassTransfer,
     Message,
     NodeState,
     StateBroadcast,
     TriggersFired,
+    _OUTCOMES,
 )
 from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
@@ -1035,6 +1039,55 @@ class TestRoundMessages:
         assert messages and not RoundMessages() and RoundMessages() == _SILENT
         with pytest.raises(AttributeError):
             messages.events = ()
+
+
+class TestFiredRow:
+    """A record stores one byte per node for its trigger outcomes and reads
+    back the shared TriggersFired objects."""
+
+    def test_reads_like_the_tuple_of_its_outcomes(self):
+        trace = run_single_trial(_reproduction_config(), 0, keep_trace=True).trace
+        row = max((record.fired for record in trace.records), key=lambda r: len(set(r)))
+        plain = tuple(row)
+        n = trace.graph.n
+        assert type(row) is FiredRow and len(row) == len(plain) == n and len(set(plain)) > 2
+        for j in range(-n, n):
+            assert row[j] is next(o for o in _OUTCOMES if o == plain[j])
+        with pytest.raises(IndexError):
+            row[n]
+        assert all(outcome is row[j] for j, outcome in enumerate(row))
+        for part in (slice(3, 9), slice(None, None, -2), slice(n, None)):
+            assert type(row[part]) is FiredRow and row[part] == plain[part]
+        assert row == plain and plain == row and hash(row) == hash(plain)
+        assert row != plain[:-1] and row != list(plain) and row != row[1:]
+        other = next(o for o in _OUTCOMES if o is not plain[0])
+        assert row != (other,) + plain[1:]
+        assert repr(row) == repr(plain)
+        with pytest.raises(TypeError):
+            row[0] = _OUTCOMES[0]
+        with pytest.raises(AttributeError):
+            row.codes = bytes(n)
+        back = pickle.loads(pickle.dumps(row))
+        assert type(back) is FiredRow and back == row and hash(back) == hash(row)
+
+    def test_round_minus_one_and_the_tail_share_one_idle_row(self):
+        trace = run_single_trial(_reproduction_config(), 0, keep_trace=True).trace
+        first, last = trace.records[0], trace.records[-1]
+        assert first.fired is last.fired and first.fired == (_OUTCOMES[0],) * trace.graph.n
+        back = pickle.loads(pickle.dumps(trace.records))  # memoized: still one row
+        assert back == trace.records and back[0].fired is back[-1].fired
+
+    def test_a_row_takes_about_a_byte_per_node(self):
+        # The largest trial of the n = 200 benchmark batch at seed 1.
+        cfg = parse_config(
+            "seed = 1\ntrials = 9\nn = 200\np = 0.04\nprivate_fraction = 1.0\n"
+            "states_range = -100,100\n"
+        )
+        trace = run_single_trial(cfg, 4, keep_trace=True).trace
+        rows = {id(record.fired): record.fired for record in trace.records}.values()
+        assert trace.quiescence_round > 300 and len(rows) > 300
+        for row in rows:  # a tuple of n outcomes would take 8n + 40 bytes
+            assert sys.getsizeof(row) + sys.getsizeof(row.codes) <= cfg.n + 100
 
 
 def test_resumed_run_equals_fresh_run_record_for_record():
