@@ -9,8 +9,10 @@ j receive from node i.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 GENERATION_RETRY_BUDGET = 10_000
@@ -120,68 +122,81 @@ def generate_random_strongly_connected(
 
     Each ordered pair (i, j), i != j, becomes an edge i -> j independently
     with probability p.  Out-edge orders are shuffled from the same rng, so
-    the result is a pure function of (n, p, rng state).
+    the result is a pure function of (n, p, rng state); the rng stream is
+    that of one ``rng.random() < p`` per pair on every attempt.
 
-    An attempt draws sender i's row, receivers in ascending order, with one
-    ``rng.random()`` per pair, into a bitset.  An empty row dooms the
-    attempt, so its remaining (n-1-i)(n-1) draws are consumed in a single
-    ``rng.getrandbits(64 * k)``: ``random()`` reads two 32-bit Mersenne
-    Twister words and ``getrandbits(64 * k)`` reads the same 2k words in the
-    same order, so every attempt still spends exactly n(n-1) draws and the
-    rng stream is that of drawing every pair.  Attempts with a node of
-    in-degree 0 are rejected on the bitsets too; only the rest are built
-    and checked for strong connectivity.
+    random() reads words a, b and returns ``(a >> 5 << 26 | b >> 6) / 2**53``,
+    below p exactly when that key is below ``t = ceil(p * 2**53)``.
+    getrandbits lays out the same words low first, so sender i's row is one
+    ``getrandbits(64 * (n - 1))`` with a in the low half of each 64-bit lane.
+    Three big-int operations mark each lane whose ``a >> 5`` exceeds
+    ``t >> 26``; if all are marked the row is empty and the attempt's other
+    words are skipped in one call.  An attempt with no empty row is decided
+    on bytes: a table of ``a >> 24`` says below p or not, and the whole key
+    settles a tie with ``t >> 45``.  Bytes keep n = 200 as fast as the
+    per-pair loop.  One getrandbits per attempt is slower: its 24-kbit
+    operations cost more than stopping at the first empty row saves.
 
-    Below the connectivity threshold (p near ln(n)/n) the attempt count, and
-    with it the cost, grows steeply and swings with the seed.  At n = 100,
-    p = 0.03 (master seed 1, trial 0) it takes 4069 attempts, about 1.2 s on
-    CPython 3.11 (2-core x86-64); at p = 0.025 the max_attempts budget runs
-    out and GraphGenerationError is raised.  Sparse graphs need a model that
-    is strongly connected by construction (ROADMAP item 6).
+    At n = 100, p = 0.03 (master seed 1, trial 0) it takes 4069 attempts,
+    about 1.1 s on CPython 3.11 (2-core x86-64); at p = 0.025 the
+    max_attempts budget runs out and GraphGenerationError is raised.  Sparse
+    graphs need a model that is strongly connected by construction (ROADMAP
+    item 6).
     """
+    return _sample(n, p, rng, max_attempts)[0]
+
+
+def _sample(n: int, p: float, rng: random.Random, max_attempts: int) -> tuple[Digraph, int]:
+    """generate_random_strongly_connected and the attempts it took."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not (0.0 < p <= 1.0):
         raise ValueError("p must be in (0, 1]")
-    rand = rng.random
-    everyone = (1 << n) - 1
-    draw_bits = [1 << k for k in range(n - 1)]
-    for _ in range(max_attempts):
+    getrandbits = rng.getrandbits
+    size = 8 * (n - 1)  # bytes per row
+    width = 8 * size
+    t = math.ceil(p * 2**53)  # random() < p iff its 53-bit key is below t
+    lane = ((1 << width) - 1) // ((1 << 64) - 1)  # bit 0 of every lane
+    low, carry = lane * 0xFFFFFFFF, lane << 32
+    # (row & low) + add sets bit 32 of each lane with a >> 5 > t >> 26.
+    add = lane * ((1 << 32) - min(((t >> 26) + 1) << 5, 1 << 32))
+    # Entry a >> 24: 1 below p, 0 not below p, 2 the whole key decides.
+    table = (b"\1" * (t >> 45) + b"\2" + bytes(255))[:256]
+    nobody = bytes(n)
+    skips = [width * k for k in range(n - 1, -1, -1)]  # bits after row i
+    nodes = range(n)
+    cells = range(0, n * n, n)
+    for attempt in range(1, max_attempts + 1):
         rows = []
-        for i in range(n):  # sender
-            drawn = 0  # bit k: i's k-th receiver, node k + (k >= i)
-            for bit in draw_bits:
-                if rand() < p:
-                    drawn |= bit
-            if not drawn:
-                skipped = (n - 1 - i) * (n - 1)
-                if skipped:
-                    rng.getrandbits(64 * skipped)
+        for skip in skips:
+            row = getrandbits(width)
+            if (row & low) + add & carry == carry:  # no draw below p
+                getrandbits(skip)
                 break
-            below = drawn & ((1 << i) - 1)  # row: bit j for receiver j
-            rows.append(below | (drawn ^ below) << 1)
+            rows.append(row)
         else:
-            heard = 0
-            for row in rows:
-                heard |= row
-            if heard != everyone:
-                continue
-            g = Digraph(n, tuple(_members(row) for row in rows))
-            if is_strongly_connected(g):
-                return assign_edge_order(g, rng)
+            # Byte k: 1 iff the attempt's k-th pair is an edge.
+            words = [row.to_bytes(size, "little") for row in rows]
+            flags = b"".join([w[3::8] for w in words]).translate(table)
+            k = flags.find(2)
+            if k >= 0:
+                flags = bytearray(flags)
+                while k >= 0:
+                    i, j = divmod(8 * k, size)
+                    word = int.from_bytes(words[i][j:j + 8], "little")
+                    flags[k] = ((word & 0xFFFFFFFF) >> 5 << 26 | word >> 38) < t
+                    k = flags.find(2, k + 1)
+            # The n - 1 pairs between two diagonal cells are consecutive.
+            adjacency = b"\0".join([b"", *(flags[c:c + n] for c in cells[:-1]), b""])
+            if all(1 in adjacency[j::n] for j in nodes):  # every node is heard
+                out = [adjacency[c:c + n] for c in cells]
+                if nobody not in out:
+                    g = Digraph(n, tuple((*compress(nodes, r),) for r in out))
+                    if is_strongly_connected(g):
+                        return assign_edge_order(g, rng), attempt
     raise GraphGenerationError(
         f"no strongly connected digraph after {max_attempts} attempts (n={n}, p={p})"
     )
-
-
-def _members(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits, ascending."""
-    members = []
-    while bits:
-        low = bits & -bits
-        members.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(members)
 
 
 def assign_edge_order(g: Digraph, rng: random.Random) -> Digraph:

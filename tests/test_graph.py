@@ -1,6 +1,12 @@
+import inspect
+import math
+import os
 import pickle
+import platform
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +237,19 @@ class TestEdgeListFormat:
             parse_edge_list(text)
 
 
+def count_checks(monkeypatch, module):
+    """Record every graph passed to module.is_strongly_connected: one per attempt checked."""
+    calls = []
+    original = module.is_strongly_connected
+
+    def check(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(module, "is_strongly_connected", check)
+    return calls
+
+
 def assert_same_as_reference(n, p, seed, max_attempts=10_000):
     ours, theirs = random.Random(seed), random.Random(seed)
     g = generate_random_strongly_connected(n, p, ours, max_attempts)
@@ -243,9 +262,16 @@ def assert_same_as_reference(n, p, seed, max_attempts=10_000):
 class TestSamplerMatchesReference:
     """The sampler returns the reference's graph and leaves the rng where it does."""
 
-    def test_reproduction_seeds(self):
+    def test_reproduction_seeds(self, monkeypatch):
+        """_sample also counts the attempts the reference makes."""
+        checks = count_checks(monkeypatch, sys.modules[__name__])
         for i in range(200):
-            assert_same_as_reference(20, 0.1, f"100:{i}")
+            ours, theirs = random.Random(f"100:{i}"), random.Random(f"100:{i}")
+            g, attempts = graph._sample(20, 0.1, ours, 10_000)
+            checks.clear()
+            assert g == reference_generate(20, 0.1, theirs)
+            assert attempts == len(checks)
+            assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize(
         "n, p, seed",
@@ -286,23 +312,182 @@ def test_getrandbits_consumes_the_words_of_random(k):
     assert drawn.getstate() == skipped.getstate()
 
 
+@pytest.mark.parametrize("seed, k", [(0, 1), (1, 2), (2, 3), (3, 19), ("100:0", 19), (4, 199)])
+def test_getrandbits_lanes_hold_the_draws_of_random(seed, k):
+    """Lane j of getrandbits(64 * k) holds the two words of the j-th random().
+
+    random() reads a word a, then b, and returns
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  The sampler reads each draw out
+    of its 64-bit lane, a in the low half; if a Python release breaks this,
+    this test names the cause.
+    """
+    drawn, lanes = random.Random(seed), random.Random(seed)
+    row = lanes.getrandbits(64 * k)
+    for j in range(k):
+        a, b = row >> 64 * j & 0xFFFFFFFF, row >> 64 * j + 32 & 0xFFFFFFFF
+        assert drawn.random() == ((a >> 5) * 2**26 + (b >> 6)) / 2**53
+    assert drawn.getstate() == lanes.getstate()
+
+
+class WordStream(random.Random):
+    """A Random that reads one list of 32-bit words the way CPython's does.
+
+    random() takes two words a, b; getrandbits(k) takes ceil(k / 32) words,
+    low word first, and keeps the top bits of a partial last word.  So the
+    sampler, reference_generate and rng.shuffle all run on it unchanged.
+    """
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = words
+        self.used = 0
+
+    def _word(self):
+        self.used += 1
+        return self.words[self.used - 1]
+
+    def random(self):
+        a, b = self._word() >> 5, self._word() >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def getrandbits(self, k):
+        bits = 0
+        for shift in range(0, k, 32):
+            word = self._word()
+            bits |= (word >> max(32 - (k - shift), 0)) << shift
+        return bits
+
+
+def tie_words(p, count, seed):
+    """Uniform words mixed with words that sit on p's decision boundaries.
+
+    A draw is below p iff its key (a >> 5) << 26 | b >> 6 is below
+    t = ceil(p * 2**53).  Ties: a >> 5 == t >> 26 (the row screen's
+    boundary), a >> 24 == t >> 45 (the top byte), and b >> 6 just below or
+    at t's low 26 bits (the key's last word).
+    """
+    t = math.ceil(p * 2**53)
+    rnd = random.Random(seed)
+    makers = (
+        lambda: min(t >> 26, 2**27 - 1) << 5 | rnd.getrandbits(5),
+        lambda: min(t >> 45, 255) << 24 | rnd.getrandbits(24),
+        lambda: max((t & (2**26 - 1)) - rnd.getrandbits(1), 0) << 6 | rnd.getrandbits(6),
+        lambda: rnd.getrandbits(32),
+    )
+    return [rnd.choice(makers)() for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 1.0, 900719925474099 / 2**53, math.nextafter(0.1, 0)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_ties_and_boundaries_match_the_reference(n, p, monkeypatch):
+    """On word streams full of ties, graph, error and words read all match.
+
+    So do the attempts checked for strong connectivity: the reference's
+    attempts with no node of out- or in-degree 0.
+    """
+    budget = 40
+    checked = count_checks(monkeypatch, graph)
+    drawn = count_checks(monkeypatch, sys.modules[__name__])
+    for seed in range(4):
+        words = tie_words(p, budget * 2 * n * (n - 1) + 100 * n, f"{n}:{p!r}:{seed}")
+        ours, theirs = WordStream(words), WordStream(words)
+        checked.clear()
+        drawn.clear()
+        try:
+            got = generate_random_strongly_connected(n, p, ours, budget)
+        except GraphGenerationError as exc:
+            got = str(exc)
+        try:
+            want = reference_generate(n, p, theirs, budget)
+        except GraphGenerationError as exc:
+            want = str(exc)
+        assert got == want
+        assert ours.used == theirs.used
+        screened = [g for g in drawn if all(g.out_order) and all(map(g.in_neighbors, range(n)))]
+        assert checked == screened
+
+
+def test_tiny_p_exhausts_the_budget_on_the_same_words():
+    p, budget = 2**-40, 30
+    words = tie_words(p, budget * 2 * 4 * 3, 7)
+    ours, theirs = WordStream(words), WordStream(words)
+    with pytest.raises(GraphGenerationError):
+        generate_random_strongly_connected(4, p, ours, budget)
+    with pytest.raises(GraphGenerationError):
+        reference_generate(4, p, theirs, budget)
+    assert ours.used == theirs.used == len(words)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CROSS_CHECK = """
+import random, sys
+sys.path.insert(0, sys.argv[1])
+from privavg import graph
+from privavg.graph import (
+    GraphGenerationError, assign_edge_order, digraph_from_edges, is_strongly_connected,
+)
+
+{oracle}
+
+cases = [(20, 0.1, f"100:{{i}}", 10_000) for i in range(10)]
+cases += [(2, 1.0, 0, 10_000), (3, 0.3, 1, 10_000), (8, 0.5, 2, 10_000)]
+cases += [(30, 0.12, "1:0", 10_000), (3, 0.01, 0, 50)]
+for n, p, seed, budget in cases:
+    ours, theirs = random.Random(seed), random.Random(seed)
+    try:
+        got = graph._sample(n, p, ours, budget)[0]
+    except GraphGenerationError as exc:
+        got = str(exc)
+    try:
+        want = reference_generate(n, p, theirs, budget)
+    except GraphGenerationError as exc:
+        want = str(exc)
+    assert got == want and ours.getstate() == theirs.getstate(), (n, p, seed)
+print("matched", len(cases))
+"""
+
+
+def other_interpreters():
+    """CPython 3.10 or later under pyenv's versions directory, but not this one."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = []
+    for home in sorted(root.glob("3.*")) if root.is_dir() else ():
+        release = home.name.split(".")
+        python = home / "bin" / "python3"
+        if (
+            len(release) == 3
+            and all(part.isdigit() for part in release)
+            and tuple(map(int, release)) >= (3, 10)
+            and home.name != platform.python_version()
+            and python.is_file()
+        ):
+            found.append(python)
+    return found
+
+
+def test_sampler_matches_reference_under_other_interpreters():
+    """The stream identity holds under every other CPython found, not only this one."""
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython 3.10+ under the pyenv versions directory")
+    script = CROSS_CHECK.format(oracle=inspect.getsource(reference_generate))
+    for python in pythons:
+        proc = subprocess.run(
+            [str(python), "-I", "-c", script, str(SRC)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, f"{python}: {proc.stderr}"
+        assert proc.stdout.strip() == "matched 15", python
+
+
 def test_connectivity_check_runs_on_few_attempts(monkeypatch):
     """Attempts with an empty out-row or in-column never reach the check."""
-
-    def counting(module):
-        calls = []
-        original = module.is_strongly_connected
-
-        def check(g):
-            calls.append(g)
-            return original(g)
-
-        monkeypatch.setattr(module, "is_strongly_connected", check)
-        return calls
-
-    sampler_calls = counting(graph)
+    sampler_calls = count_checks(monkeypatch, graph)
     generate_random_strongly_connected(20, 0.1, random.Random("100:0"))
-    attempts = counting(sys.modules[__name__])
+    attempts = count_checks(monkeypatch, sys.modules[__name__])
     reference_generate(20, 0.1, random.Random("100:0"))
     assert len(attempts) >= 20
     assert 1 <= len(sampler_calls) * 10 <= len(attempts)
