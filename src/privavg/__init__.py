@@ -38,9 +38,7 @@ from .privacy import (
 from .protocol import (
     Broadcast,
     MassTransfer,
-    Message,
     NodeState,
-    StateBroadcast,
     init_node,
     step_node,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "Digraph",
     "GraphGenerationError",
     "MassTransfer",
-    "Message",
     "NodeRole",
     "NodeState",
     "ObservationLog",
@@ -77,7 +74,6 @@ __all__ = [
     "PrivacyVerdict",
     "ScheduleInfeasibleError",
     "SimTrace",
-    "StateBroadcast",
     "SubstateSchedule",
     "TrialConfig",
     "TrialReport",

@@ -299,8 +299,6 @@ class BatchSummary:
 
 
 def _average_series(results: list[TrialResult]) -> list[tuple[int, float, float, float, float]]:
-    if not results:
-        return []
     length = max(len(r.series) for r in results)
     rows = []
     count = len(results)

@@ -70,9 +70,6 @@ class Digraph:
     def in_neighbors(self, j: int) -> tuple[int, ...]:
         return tuple(src for src, order in enumerate(self.out_order) if j in order)
 
-    def out_degree(self, j: int) -> int:
-        return len(self.out_order[j])
-
 
 def digraph_from_edges(n: int, edges) -> Digraph:
     """Build a digraph from (receiver, sender) pairs.
@@ -112,7 +109,7 @@ def _reaches_all(adj) -> bool:
 
 def max_out_degree(g: Digraph) -> int:
     """Network-wide maximum out-degree."""
-    return max(g.out_degree(j) for j in range(g.n))
+    return max(map(len, g.out_order))
 
 
 def generate_random_strongly_connected(

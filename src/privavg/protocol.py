@@ -136,9 +136,9 @@ class FiredRow(Sequence):
     """One trigger outcome per node, stored as one byte each: codes holds
     each outcome's index into _OUTCOMES, as _CODES gives it.
 
-    An entry reads as the shared TriggersFired object and a slice as a
-    FiredRow.  The row compares and hashes like the tuple of its outcomes,
-    so it equals a plain tuple of them, and its repr reads like one.
+    An entry reads as the shared TriggersFired object.  The row compares
+    and hashes like the tuple of its outcomes, so it equals a plain tuple
+    of them, and its repr reads like one.
     """
 
     codes: bytes
@@ -147,8 +147,6 @@ class FiredRow(Sequence):
         return len(self.codes)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return FiredRow(self.codes[index])
         return _OUTCOMES[self.codes[index]]
 
     def __iter__(self) -> Iterator[TriggersFired]:

@@ -240,6 +240,14 @@ class TestExitCodes:
         cfg.write_text("graph_file = /nonexistent/g.txt\nstates = 1,2\nseed = 1\n")
         assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "run"]) == 3
 
+    def test_roles_shorter_than_the_graph_file_is_config_error(self, pair_setup, capsys):
+        config_path, tmp_path = pair_setup
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(config_path.read_text().replace("roles = neutral,neutral", "roles = neutral"))
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "run"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: roles list has 1 entries, graph has 2\n"
+
     def test_bad_arguments_are_config_errors(self):
         assert main(["frobnicate"]) == 1
 

@@ -1056,10 +1056,8 @@ class TestFiredRow:
         with pytest.raises(IndexError):
             row[n]
         assert all(outcome is row[j] for j, outcome in enumerate(row))
-        for part in (slice(3, 9), slice(None, None, -2), slice(n, None)):
-            assert type(row[part]) is FiredRow and row[part] == plain[part]
         assert row == plain and plain == row and hash(row) == hash(plain)
-        assert row != plain[:-1] and row != list(plain) and row != row[1:]
+        assert row != plain[:-1] and row != list(plain) and row != FiredRow(row.codes[1:])
         other = next(o for o in _OUTCOMES if o is not plain[0])
         assert row != (other,) + plain[1:]
         assert repr(row) == repr(plain)

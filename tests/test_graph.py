@@ -176,6 +176,8 @@ class TestDigraphValidation:
             digraph_from_edges(2, [(0, 1), (1, 0), (0, 2)])
 
     def test_rejects_bad_out_order(self):
+        with pytest.raises(ValueError, match="need at least 2 nodes, got 1"):
+            Digraph(1, ((),))
         with pytest.raises(ValueError, match="one entry per node"):
             Digraph(2, ((1,),))
         with pytest.raises(ValueError, match=r"edge \(2, 0\) out of range"):
@@ -230,6 +232,7 @@ class TestEdgeListFormat:
             "2 2\n0 1\n0 1\n",     # duplicate
             "2 1\n0 5\n",          # out of range
             "2 1\nx y\n",          # non-integer
+            "2 1\n0 1 1\n",        # three fields
         ],
     )
     def test_loader_rejects_malformed(self, text):

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import hashlib
 import importlib.util
 import random
@@ -21,6 +23,7 @@ from privavg.privacy import (
     NotFullySurroundedError,
     ObservationLog,
     PrivacyClass,
+    ReconstructionError,
     WitnessUnavailableError,
     _observe,
     _shifted,
@@ -188,6 +191,81 @@ class TestReconstruction:
         log = coalition_observations(trace, {0, 1, 2})
         with pytest.raises(NotFullySurroundedError):
             reconstruct_fully_surrounded(log, g, 0)
+
+
+class TestReconstructionRefusals:
+    """Each refusal of a log that no protocol-following target could leave:
+    the log of a star whose four leaves all collude, with one message tuple
+    of the center's changed, added or removed."""
+
+    @pytest.fixture(scope="class")
+    def surrounded(self):
+        g, trace, _ = run_trial(star(4), [P] + [C] * 4, [4, 7, -3, 5, 11], seed="star0")
+        log = coalition_observations(trace, {1, 2, 3, 4})
+        assert max_out_degree(g) == 4 and reconstruct_fully_surrounded(log, g, 0) == 4
+        return g, log
+
+    @staticmethod
+    def refusal(surrounded, messages) -> str:
+        g, log = surrounded
+        with pytest.raises(ReconstructionError) as caught:
+            reconstruct_fully_surrounded(dataclasses.replace(log, messages=tuple(messages)), g, 0)
+        return str(caught.value)
+
+    @staticmethod
+    def initial(message) -> bool:
+        return message[0] == -1 and message[1] == "state" and message[2] == 0
+
+    @staticmethod
+    def sent(message, rnd) -> bool:
+        return message[0] == rnd and message[1] == "mass" and message[2] == 0
+
+    def changed(self, surrounded, rnd, dy=0, dz=0):
+        """The log's messages with the center's transfer at round rnd shifted."""
+        return [
+            (*m[:4], m[4] + dy, m[5] + dz) if self.sent(m, rnd) else m
+            for m in surrounded[1].messages
+        ]
+
+    def test_no_initial_payload(self, surrounded):
+        messages = [m for m in surrounded[1].messages if not self.initial(m)]
+        assert self.refusal(surrounded, messages) == "expected one initial broadcast payload, got set()"
+
+    def test_two_initial_payloads(self, surrounded):
+        messages = list(surrounded[1].messages)
+        first = next(i for i, m in enumerate(messages) if self.initial(m))
+        y0 = messages[first][4]
+        messages[first] = (*messages[first][:4], y0 + 1, 1)
+        head, _, payloads = self.refusal(surrounded, messages).partition(", got ")
+        assert head == "expected one initial broadcast payload"
+        assert ast.literal_eval(payloads) == {(y0, 1), (y0 + 1, 1)}
+
+    def test_initial_z_other_than_one(self, surrounded):
+        messages = [(*m[:5], 2) if self.initial(m) else m for m in surrounded[1].messages]
+        assert self.refusal(surrounded, messages) == "initial broadcast carries z=2, expected 1"
+
+    def test_two_different_transfers_in_one_forced_round(self, surrounded):
+        messages = list(surrounded[1].messages)
+        rnd, kind, src, dst, y, z = next(m for m in messages if self.sent(m, 2))
+        messages.append((rnd, kind, src, dst, y + 1, z))
+        assert self.refusal(surrounded, messages) == "conflicting transfers from target at round 2"
+
+    def test_forced_round_without_a_transfer(self, surrounded):
+        messages = [m for m in surrounded[1].messages if not self.sent(m, 4)]
+        assert self.refusal(surrounded, messages) == "no transfer from target at forced round 4"
+
+    def test_z_that_does_not_add_up(self, surrounded):
+        # Nothing reaches the center before round 0, so it sends its one
+        # unit of z plus the substate's: z = 2.
+        (out_z,) = [m[5] for m in surrounded[1].messages if self.sent(m, 0)]
+        assert out_z == 2
+        messages = self.changed(surrounded, 0, dz=1)
+        assert self.refusal(surrounded, messages) == "round 0: outgoing z=3 inconsistent with delivered z=0"
+
+    def test_total_not_divisible_by_the_substate_count(self, surrounded):
+        # The six substates of y0 = 4 total 24; one more unit sent leaves 25.
+        messages = self.changed(surrounded, 3, dy=1)
+        assert self.refusal(surrounded, messages) == "substate total 25 not divisible by 6"
 
 
 class TestAmbiguityWitness:

@@ -102,6 +102,8 @@ class TestDecompose:
     def test_infeasible_window_raises(self):
         with pytest.raises(ScheduleInfeasibleError):
             decompose_initial_state(0, 3, NodeRole.PRIVATE, 1, random.Random(0))
+        with pytest.raises(ScheduleInfeasibleError, match="offset_bound must be a positive integer"):
+            decompose_initial_state(5, 2, NodeRole.PRIVATE, offset_bound=0, rng=random.Random(0))
 
     def test_dmax_must_be_positive(self):
         with pytest.raises(ValueError):
