@@ -72,11 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one trial and export its full trace")
     p_run.add_argument("--trial", type=int, default=0, help="trial index to (re)run")
+    p_run.set_defaults(func=cmd_run)
 
     p_batch = sub.add_parser("batch", help="run a batch of trials and emit CSV metrics")
     p_batch.add_argument(
         "--jobs", type=int, default=1, help="parallel trial workers, at most one per trial"
     )
+    p_batch.set_defaults(func=cmd_batch)
 
     p_audit = sub.add_parser("privacy-audit", help="classify private nodes; optionally attack")
     p_audit.add_argument("--trial", type=int, default=0, help="trial index to analyze")
@@ -85,9 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="execute reconstruction/witness attacks against the trial trace",
     )
+    p_audit.set_defaults(func=cmd_privacy_audit)
 
     p_sched = sub.add_parser("validate-schedule", help="check a substate schedule file")
     p_sched.add_argument("schedule_file", help="file with y0, dmax, role, uy keys")
+    p_sched.set_defaults(func=cmd_validate_schedule)
     return parser
 
 
@@ -258,24 +262,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "batch":
-            return cmd_batch(args)
-        if args.command == "privacy-audit":
-            return cmd_privacy_audit(args)
-        if args.command == "validate-schedule":
-            return cmd_validate_schedule(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, GraphGenerationError, ScheduleInfeasibleError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.func(args)
     except SimulationOverflowError as exc:
         print(f"trial aborted: {exc}", file=sys.stderr)
         return EXIT_TRIAL_FAILURE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, GraphGenerationError, ScheduleInfeasibleError) as exc:
+        # ConfigError is a ValueError; an OSError that is also a ValueError
+        # (io.UnsupportedOperation) is an i/o error, caught above.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

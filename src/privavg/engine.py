@@ -382,10 +382,12 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
 
 def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
     """Raise if one of `nodes` (the record's nodes that changed this round,
-    in id order) or one of the record's messages left the 64-bit range.
+    in id order) or one of the record's mass transfers left the 64-bit range.
 
-    Each event is checked once; the copies of a broadcast share its values,
-    so the first copy of the first offending event is named."""
+    A broadcast carries its sender's state after the step, and its sender
+    is among `nodes` (every node at round -1), so a broadcast out of range
+    is reported as its sender's node error and needs no scan of its own.
+    A transfer carries mass its sender no longer holds, so it is checked."""
     for node in nodes:
         if (
             abs(node.mass_y) > INT64_MAX
@@ -397,10 +399,9 @@ def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
                 f"round {record.round}: node {node.id} left the 64-bit range", trace
             )
     for ev in record.messages.events:
-        if abs(ev.y) > INT64_MAX or ev.z > INT64_MAX:
-            dst = ev.dst if type(ev) is MassTransfer else ev.dsts[0]
+        if type(ev) is MassTransfer and (abs(ev.y) > INT64_MAX or ev.z > INT64_MAX):
             raise SimulationOverflowError(
-                f"round {record.round}: message from node {ev.src} to node {dst} "
+                f"round {record.round}: message from node {ev.src} to node {ev.dst} "
                 "left the 64-bit range",
                 trace,
             )

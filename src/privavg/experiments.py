@@ -337,7 +337,6 @@ def run_batch(cfg: TrialConfig, jobs: int = 1) -> BatchSummary:
     else:
         results = [run_single_trial(cfg, i) for i in indices]
     failed_seeds = [r.seed for r in results if not r.ok]
-    count = len(results)
 
     def mean(values) -> float:
         vals = [v for v in values if v is not None]

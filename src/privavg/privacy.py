@@ -271,16 +271,18 @@ def ambiguity_witness(
     Candidates are screened first, on replays they share.  A validated
     private schedule hands off one substate per round, so substate s is
     read at round s - 1 whatever the mail, and candidate (i, j) is the run
-    that shifts only its earlier-read side (neither, when i == j) through
-    round max(i, j) - 2.  One lazily extended _Replay is kept for the base
-    schedules and one for each single shift; each candidate resumes from
-    its shared replay's record at that round and runs to its end, unless
-    it is dropped at the first round whose coalition view differs from the
-    log's (past the log's last round a non-empty coalition always sees a
-    difference).  So on any log the screen passes exactly the candidates
-    whose whole view matches.  A passed candidate is simulated in full and
-    checked, which decides.  The search order, and so the witness returned,
-    is that of checking every candidate in full.
+    that shifts only its earlier-read side through round max(i, j) - 2.
+    When i == j that is the target's single shift, which through that round
+    is the base run: it hands back the base's record, or the base's verdict.
+    One lazily extended _Replay is kept for the base schedules and one for
+    each single shift; each candidate resumes from its shared replay's
+    record at that round and runs to its end, unless it is dropped at the
+    first round whose coalition view differs from the log's (past the log's
+    last round a non-empty coalition always sees a difference).  So on any
+    log the screen passes exactly the candidates whose whole view matches.
+    A passed candidate is simulated in full and checked, which decides.
+    The search order, and so the witness returned, is that of checking
+    every candidate in full.
 
     A SimulationOverflowError escapes the search when the candidate's own
     run reaches it before its view differs; the full run then raises it,
@@ -336,10 +338,9 @@ def ambiguity_witness(
             alt_schedules[target] = alt_t
             alt_schedules[helper] = alt_h
             # Through round max(i, j) - 2 the candidate is the run that
-            # shifts only its earlier-read side (neither, when i == j).
-            if i == j:
-                shared = base
-            elif j < i:
+            # shifts only its earlier-read side, or the target's when i == j,
+            # which is the base run through that round.
+            if j < i:
                 shared = single_shift(helper, j, alt_h)
             else:
                 shared = single_shift(target, i, alt_t)

@@ -39,7 +39,7 @@ them, and reads back the shared objects.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import product
 from types import MemberDescriptorType
@@ -131,15 +131,11 @@ _IDLE = _OUTCOMES[0]  # shared by every step without mail
 _CODES = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # outcome -> index
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class FiredRow(Sequence):
+@dataclass(frozen=True, slots=True)
+class FiredRow:
     """One trigger outcome per node, stored as one byte each: codes holds
-    each outcome's index into _OUTCOMES, as _CODES gives it.
-
-    An entry reads as the shared TriggersFired object.  The row compares
-    and hashes like the tuple of its outcomes, so it equals a plain tuple
-    of them, and its repr reads like one.
-    """
+    each outcome's index into _OUTCOMES, as _CODES gives it.  An entry
+    reads as the shared TriggersFired object."""
 
     codes: bytes
 
@@ -151,19 +147,6 @@ class FiredRow(Sequence):
 
     def __iter__(self) -> Iterator[TriggersFired]:
         return map(_OUTCOMES.__getitem__, self.codes)
-
-    def __eq__(self, other):
-        if type(other) is FiredRow:
-            return self.codes == other.codes
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 _build_broadcast = _builder(Broadcast)
@@ -187,7 +170,7 @@ class NodeState:
 
     # The broadcast-state and transmit-mass flags are consumed within a step;
     # they stay readable for bench/checks.py until the benchmark refresh
-    # (ROADMAP item 1).
+    # (ROADMAP item 1b).
     s_br: ClassVar[bool] = False
     m_tr: ClassVar[bool] = False
 

@@ -254,6 +254,27 @@ class TestExitCodes:
     def test_unreadable_config_is_io_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "none.cfg"), "run"]) == 3
 
+    @pytest.mark.parametrize(
+        "text, command",
+        [
+            (b"seed = 1\nn = 4\n# caf\xe9\n", ["--config", "{path}", "run"]),
+            (
+                b"y0 = 4\ndmax = 3\nrole = private\nuy = 1,8,6,2,3\n# caf\xe9\n",
+                ["validate-schedule", "{path}"],
+            ),
+        ],
+        ids=["config", "validate-schedule"],
+    )
+    def test_non_ascii_file_is_config_error(self, tmp_path, capsys, text, command):
+        # Reading the file as ASCII raises UnicodeDecodeError, a ValueError.
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text)
+        argv = [str(path) if arg == "{path}" else arg for arg in command]
+        assert main(["--out-dir", str(tmp_path / "o"), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_graph_generation_failure_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("n = 3\np = 0.01\nstates_range = -10,10\n")

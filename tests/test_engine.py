@@ -498,7 +498,7 @@ class TestCertificationTail:
             assert record.nodes is quiescent.nodes
             assert record.messages is _SILENT
             assert record.fired is tail[0].fired
-            assert record.fired == (idle,) * trace.graph.n
+            assert tuple(record.fired) == (idle,) * trace.graph.n
 
     def test_window_of_one_ends_at_quiescent_round(self, two_node_fixture):
         trace, report = run_simulation(*two_node_fixture, quiescence_window=1)
@@ -837,7 +837,7 @@ def assert_loops_agree(g, schedules, **limits):
     assert len(got.records) == len(want.records)
     last = None
     for a, b in zip(got.records, want.records):
-        assert (a.round, tuple(a.messages), a.fired) == (b.round, b.messages, b.fired)
+        assert (a.round, tuple(a.messages), tuple(a.fired)) == (b.round, b.messages, b.fired)
         # a repeat of the last compared tuple pair needs no second comparison
         if last != (id(a.nodes), id(b.nodes)):
             assert a.nodes == tuple(map(project, b.nodes)), a.round
@@ -924,6 +924,30 @@ class TestEventLoopMatchesReference:
                 late = trace.final_round > max_out_degree(g) + 1
                 kinds.add((err.split(": ")[1].startswith("node"), late))
         assert (True, True) in kinds
+
+    def test_out_of_range_broadcast_is_reported_as_a_node(self):
+        # A broadcast carries its sender's state after the step, so in a
+        # round whose broadcast leaves the range the sender's node check
+        # raises first, and no broadcast payload is ever named.
+        wide_rounds = 0
+        for g, schedules in _overflow_inputs():
+            try:
+                run_simulation(g, schedules)
+            except SimulationOverflowError as err:
+                record = err.trace.records[-1]
+                wide = [
+                    ev for ev in record.messages.events
+                    if type(ev) is Broadcast and (abs(ev.y) > INT64_MAX or ev.z > INT64_MAX)
+                ]
+                if not wide:
+                    continue
+                wide_rounds += 1
+                for ev in wide:
+                    sender = record.nodes[ev.src]
+                    assert (sender.state_y, sender.state_z) == (ev.y, ev.z)
+                assert str(err).startswith(f"round {record.round}: node ")
+                assert str(err).endswith(" left the 64-bit range")
+        assert wide_rounds > 0
 
 
 def _overflow_inputs():
@@ -1056,11 +1080,9 @@ class TestFiredRow:
         with pytest.raises(IndexError):
             row[n]
         assert all(outcome is row[j] for j, outcome in enumerate(row))
-        assert row == plain and plain == row and hash(row) == hash(plain)
         assert row != plain[:-1] and row != list(plain) and row != FiredRow(row.codes[1:])
         other = next(o for o in _OUTCOMES if o is not plain[0])
         assert row != (other,) + plain[1:]
-        assert repr(row) == repr(plain)
         with pytest.raises(TypeError):
             row[0] = _OUTCOMES[0]
         with pytest.raises(AttributeError):
@@ -1071,7 +1093,7 @@ class TestFiredRow:
     def test_round_minus_one_and_the_tail_share_one_idle_row(self):
         trace = run_single_trial(_reproduction_config(), 0, keep_trace=True).trace
         first, last = trace.records[0], trace.records[-1]
-        assert first.fired is last.fired and first.fired == (_OUTCOMES[0],) * trace.graph.n
+        assert first.fired is last.fired and tuple(first.fired) == (_OUTCOMES[0],) * trace.graph.n
         back = pickle.loads(pickle.dumps(trace.records))  # memoized: still one row
         assert back == trace.records and back[0].fired is back[-1].fired
 
