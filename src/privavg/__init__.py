@@ -22,7 +22,6 @@ from .graph import (
     is_strongly_connected,
     load_edge_list,
     max_out_degree,
-    save_edge_list,
 )
 from .privacy import (
     AmbiguityWitness,
@@ -97,7 +96,6 @@ __all__ = [
     "run_batch",
     "run_simulation",
     "run_single_trial",
-    "save_edge_list",
     "step_node",
     "theoretical_bound",
     "validate_schedule",

@@ -13,7 +13,6 @@ aborted because a value left the 64-bit range), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from .experiments import (
     parse_kv_text,
     run_batch,
     run_single_trial,
-    trial_seed_token,
 )
 from .graph import GraphGenerationError
 from .privacy import (
@@ -185,8 +183,7 @@ def cmd_privacy_audit(args) -> int:
     cfg = _load_config(args)
     trial = _trial_index(args)
     out = _out_dir(args)
-    rng = random.Random(trial_seed_token(cfg.seed, trial))
-    g, roles, states, schedules = build_trial_inputs(cfg, rng)
+    g, roles, states, schedules = build_trial_inputs(cfg, trial)
     verdicts = classify_privacy(g, roles)
     lines = [f"{v.target},{v.classification.value},{v.justification}" for v in verdicts]
     failures = 0

@@ -81,7 +81,7 @@ class TrialConfig:
         if self.graph_file is not None and self.p is not None:
             raise ConfigError("graph_file and p must not both be given")
         if self.graph_file is None:
-            if self.n is None or self.p is None:
+            if self.p is None:
                 raise ConfigError("random graphs need both n and p")
             if self.n < 2:
                 raise ConfigError("n must be >= 2")
@@ -206,8 +206,9 @@ class TrialResult:
         )
 
 
-def build_trial_inputs(cfg: TrialConfig, rng: random.Random):
-    """Materialize (graph, roles, states, schedules) for one trial."""
+def build_trial_inputs(cfg: TrialConfig, index: int):
+    """Materialize (graph, roles, states, schedules) for trial `index`, from its seed token."""
+    rng = random.Random(trial_seed_token(cfg.seed, index))
     if cfg.graph_file is not None:
         g = assign_edge_order(load_edge_list(cfg.graph_file), rng)
     else:
@@ -262,8 +263,7 @@ def run_single_trial(cfg: TrialConfig, index: int, keep_trace: bool = False) -> 
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        rng = random.Random(token)
-        g, roles, states, schedules = build_trial_inputs(cfg, rng)
+        g, roles, states, schedules = build_trial_inputs(cfg, index)
         trace, report = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
         result = TrialResult(
             index=index,

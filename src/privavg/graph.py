@@ -112,9 +112,7 @@ def max_out_degree(g: Digraph) -> int:
     return max(map(len, g.out_order))
 
 
-def generate_random_strongly_connected(
-    n: int, p: float, rng: random.Random, max_attempts: int = GENERATION_RETRY_BUDGET
-) -> Digraph:
+def generate_random_strongly_connected(n: int, p: float, rng: random.Random) -> Digraph:
     """Directed G(n, p) rejection-sampled until strongly connected.
 
     Each ordered pair (i, j), i != j, becomes an edge i -> j independently
@@ -136,11 +134,11 @@ def generate_random_strongly_connected(
 
     At n = 100, p = 0.03 (master seed 1, trial 0) it takes 4069 attempts,
     about 1.1 s on CPython 3.11 (2-core x86-64); at p = 0.025 the
-    max_attempts budget runs out and GraphGenerationError is raised.  Sparse
+    GENERATION_RETRY_BUDGET runs out and GraphGenerationError is raised.  Sparse
     graphs need a model that is strongly connected by construction (ROADMAP
     item 6).
     """
-    return _sample(n, p, rng, max_attempts)[0]
+    return _sample(n, p, rng, GENERATION_RETRY_BUDGET)[0]
 
 
 def _sample(n: int, p: float, rng: random.Random, max_attempts: int) -> tuple[Digraph, int]:
@@ -208,14 +206,6 @@ def assign_edge_order(g: Digraph, rng: random.Random) -> Digraph:
 
 # Edge-list text format: first line "n m", then m lines "src dst" where src
 # is the sender and dst the receiver (the reverse of the Digraph.edges pairs).
-
-def format_edge_list(g: Digraph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    for src, order in enumerate(g.out_order):
-        lines.extend(f"{src} {dst}" for dst in sorted(order))
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> Digraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -244,7 +234,3 @@ def parse_edge_list(text: str) -> Digraph:
 
 def load_edge_list(path) -> Digraph:
     return parse_edge_list(Path(path).read_text(encoding="ascii"))
-
-
-def save_edge_list(g: Digraph, path) -> None:
-    Path(path).write_text(format_edge_list(g), encoding="ascii")

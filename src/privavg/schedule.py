@@ -65,7 +65,6 @@ def decompose_initial_state(
     role: NodeRole,
     offset_bound: int = DEFAULT_OFFSET_BOUND,
     rng: random.Random | None = None,
-    max_attempts: int = DECOMPOSE_RETRY_BUDGET,
 ) -> SubstateSchedule:
     """Build a role-appropriate substate schedule for initial state y0.
 
@@ -95,7 +94,7 @@ def decompose_initial_state(
     # and the rng stream equal those of sampling the window as a list, which
     # would cost memory in proportion to offset_bound.
     slots = range(y0 - offset_bound, y0 + offset_bound)
-    for _ in range(max_attempts):
+    for _ in range(DECOMPOSE_RETRY_BUDGET):
         drawn = [v + (v >= y0) for v in rng.sample(slots, count - 1)]
         forced = count * y0 - sum(drawn)
         if forced == y0 or forced in drawn or abs(forced - y0) > offset_bound:
@@ -105,7 +104,7 @@ def decompose_initial_state(
         return SubstateSchedule(y0=y0, uy=tuple(values), uz=uz)
     raise ScheduleInfeasibleError(
         f"no feasible draw for y0={y0}, dmax={dmax}, offset_bound={offset_bound} "
-        f"after {max_attempts} attempts"
+        f"after {DECOMPOSE_RETRY_BUDGET} attempts"
     )
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from privavg.engine import run_simulation
-from privavg.graph import digraph_from_edges, save_edge_list
+from privavg.graph import digraph_from_edges
 from privavg.schedule import SubstateSchedule
 
 
@@ -32,9 +32,8 @@ def make_rng(tag: str) -> random.Random:
 def hub_setup(tmp_path):
     # private pair 0 <-> 1, curious spoke 2 <-> 0; plus a surrounded-target
     # variant for reconstruction
-    g = digraph_from_edges(3, [(1, 0), (0, 1), (2, 0), (0, 2)])
     graph_path = tmp_path / "hub.txt"
-    save_edge_list(g, graph_path)
+    graph_path.write_text("3 4\n0 1\n0 2\n1 0\n2 0\n", encoding="ascii")
     config_path = tmp_path / "hub.cfg"
     config_path.write_text(
         f"graph_file = {graph_path}\n"

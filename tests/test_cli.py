@@ -2,15 +2,14 @@ import pytest
 
 from privavg import cli, engine
 from privavg.cli import main
-from privavg.graph import digraph_from_edges, save_edge_list
-from privavg.privacy import ReconstructionError, WitnessUnavailableError
+from privavg.experiments import build_trial_inputs, parse_config, run_single_trial
+from privavg.privacy import ReconstructionError, WitnessUnavailableError, classify_privacy
 
 
 @pytest.fixture
 def pair_setup(tmp_path):
-    g = digraph_from_edges(2, [(0, 1), (1, 0)])
     graph_path = tmp_path / "pair.txt"
-    save_edge_list(g, graph_path)
+    graph_path.write_text("2 2\n0 1\n1 0\n", encoding="ascii")
     config_path = tmp_path / "pair.cfg"
     config_path.write_text(
         f"graph_file = {graph_path}\n"
@@ -100,9 +99,8 @@ class TestBatchCommand:
 
 def _surrounded_target_config(tmp_path):
     """Private node 0 on a 3-node complete digraph whose other nodes are curious."""
-    g = digraph_from_edges(3, [(1, 0), (0, 1), (2, 0), (0, 2), (2, 1), (1, 2)])
     graph_path = tmp_path / "tri.txt"
-    save_edge_list(g, graph_path)
+    graph_path.write_text("3 6\n0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n", encoding="ascii")
     config_path = tmp_path / "tri.cfg"
     config_path.write_text(
         f"graph_file = {graph_path}\n"
@@ -112,6 +110,32 @@ def _surrounded_target_config(tmp_path):
         encoding="ascii",
     )
     return config_path
+
+
+# Private, curious and neutral nodes on drawn graphs.
+MIXED_ROLES = (
+    "seed = 5\ntrials = 5\nn = 30\np = 0.15\nstates_range = -100,100\n"
+    "private_fraction = 0.5\ncurious_fraction = 0.25\n"
+)
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_run_and_privacy_audit_derive_the_same_trial(tmp_path, trial):
+    """`run --trial i` simulates, and `privacy-audit --trial i` classifies, the
+    graph, roles, states and schedules that build_trial_inputs draws for i."""
+    config_path = tmp_path / "roles.cfg"
+    config_path.write_text(MIXED_ROLES, encoding="ascii")
+    cfg = parse_config(MIXED_ROLES)
+    g, roles, states, schedules = build_trial_inputs(cfg, trial)
+    result = run_single_trial(cfg, trial, keep_trace=True)
+    assert result.trace.graph == g and result.trace.schedules == schedules
+    assert result.roles == roles and result.states == states
+    out = tmp_path / "audit"
+    argv = ["--config", str(config_path), "--out-dir", str(out), "privacy-audit"]
+    assert main([*argv, "--trial", str(trial)]) == 0
+    verdicts = classify_privacy(result.trace.graph, result.roles)
+    lines = [f"{v.target},{v.classification.value},{v.justification}" for v in verdicts]
+    assert (out / "privacy_audit.txt").read_text(encoding="ascii").splitlines() == lines
 
 
 class TestPrivacyAuditCommand:

@@ -8,6 +8,7 @@ console-script target that pyproject.toml names, which an installed
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import os
 import re
@@ -16,6 +17,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from interpreters import other_interpreters
+from test_golden import GOLDEN_FILES, REPRO_CONFIG
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -187,6 +191,34 @@ def test_three_cycle_attack_has_no_witness(tmp_path):
     lines = _attack(tmp_path, cycle, (*HUB, "roles = private,private,curious"))
     assert "attack,0,witness,unavailable" in lines
     assert "attack,1,witness,unavailable" in lines
+
+
+def test_golden_outputs_under_other_interpreters(tmp_path):
+    """Every other CPython 3.10+ found writes the golden reproduction files.
+
+    -B keeps each interpreter's bytecode out of src/.
+    """
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython 3.10+ under the pyenv versions directory")
+    pinned = {name: sha for name, sha in GOLDEN_FILES.items() if not name.startswith("audit/")}
+    for python in pythons:
+        work = tmp_path / python.parent.parent.name
+        work.mkdir()
+        (work / "repro.cfg").write_text(REPRO_CONFIG, encoding="ascii")
+        for args in (["batch"], ["run", "--trial", "3"]):
+            done = subprocess.run(
+                [str(python), "-B", "-m", "privavg", "--config", "repro.cfg",
+                 "--out-dir", args[0], *args],
+                cwd=work,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, f"{python}: {done.stderr}"
+        for name, sha in pinned.items():
+            assert hashlib.sha256((work / name).read_bytes()).hexdigest() == sha, (python, name)
 
 
 def test_the_console_script_target_prints_help(capsys):

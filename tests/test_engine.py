@@ -39,7 +39,6 @@ from privavg.experiments import (
     parse_config,
     run_batch,
     run_single_trial,
-    trial_seed_token,
 )
 from privavg.graph import (
     digraph_from_edges,
@@ -614,7 +613,7 @@ TIED_STATES = TrialConfig(
 def _trial_inputs(cfg: TrialConfig):
     """Each trial's (graph, roles, states, schedules), as a batch draws them."""
     for index in range(cfg.trials):
-        yield build_trial_inputs(cfg, random.Random(trial_seed_token(cfg.seed, index)))
+        yield build_trial_inputs(cfg, index)
 
 
 def _run_trials(cfg: TrialConfig) -> None:
@@ -883,7 +882,7 @@ class TestEventLoopMatchesReference:
             states=REFERENCE_STATE_VECTOR,
         )
         for index in range(cfg.trials):
-            g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(100, index)))
+            g, _, _, schedules = build_trial_inputs(cfg, index)
             trace, _ = assert_loops_agree(g, schedules)
             assert trace.quiescence_round is not None
             if index < 10:
@@ -896,7 +895,7 @@ class TestEventLoopMatchesReference:
 
     def test_scale_trial(self):
         cfg = TrialConfig(seed=1, trials=1, n=200, p=0.04, states_range=(-100, 100))
-        g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(1, 0)))
+        g, _, _, schedules = build_trial_inputs(cfg, 0)
         trace, _ = assert_loops_agree(g, schedules)
         assert trace.quiescence_round is not None
 
@@ -1025,7 +1024,7 @@ class TestRoundMessages:
         )
         broadcasts = 0
         for index in range(cfg.trials):
-            g, _, _, schedules = build_trial_inputs(cfg, random.Random(trial_seed_token(100, index)))
+            g, _, _, schedules = build_trial_inputs(cfg, index)
             trace, report = run_simulation(g, schedules)
             assert_copies_read_like_the_log(trace, report.rows)
             for record in trace.records:

@@ -17,15 +17,13 @@ from privavg.experiments import (
     series_csv_lines,
     trials_csv_lines,
 )
-from privavg.graph import digraph_from_edges, save_edge_list
 from privavg.schedule import NodeRole
 
 
 @pytest.fixture
 def two_node_graph_file(tmp_path):
-    g = digraph_from_edges(2, [(0, 1), (1, 0)])
     path = tmp_path / "pair.txt"
-    save_edge_list(g, path)
+    path.write_text("2 2\n0 1\n1 0\n", encoding="ascii")
     return str(path)
 
 

@@ -10,7 +10,7 @@ import pytest
 from privavg import engine, privacy
 from privavg.cli import WITNESS_DELTAS
 from privavg.engine import SimTrace, SimulationOverflowError, iter_rounds, run_simulation
-from privavg.experiments import build_trial_inputs, parse_config, trial_seed_token
+from privavg.experiments import build_trial_inputs, parse_config
 from privavg.graph import (
     Digraph,
     assign_edge_order,
@@ -62,8 +62,7 @@ def run_trial(g, roles, states, seed):
 def hub_setup_run(config_path):
     """Trial 0 of the hub_setup config and the log of its curious coalition."""
     cfg = parse_config(config_path.read_text(encoding="ascii"))
-    rng = random.Random(trial_seed_token(cfg.seed, 0))
-    g, roles, _states, schedules = build_trial_inputs(cfg, rng)
+    g, roles, _states, schedules = build_trial_inputs(cfg, 0)
     trace, _ = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
     log = coalition_observations(trace, [j for j in range(g.n) if roles[j] is C])
     return trace, log, g

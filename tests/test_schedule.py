@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privavg import schedule
 from privavg.schedule import (
     DECOMPOSE_RETRY_BUDGET,
     DEFAULT_OFFSET_BOUND,
@@ -178,22 +179,22 @@ def reference_decompose_initial_state(
     )
 
 
-def _decompose_outcome(fn, y0, dmax, bound, seed, attempts):
+def _decompose_outcome(fn, y0, dmax, bound, seed, *budget):
     """fn's schedule or the type and text of what it raised, with the state
     its rng was left in."""
     rng = random.Random(seed)
     try:
-        result = fn(y0, dmax, NodeRole.PRIVATE, bound, rng, attempts)
+        result = fn(y0, dmax, NodeRole.PRIVATE, bound, rng, *budget)
     except ScheduleInfeasibleError as err:
         result = (type(err), str(err))
     return result, rng.getstate()
 
 
 class TestDecomposeMatchesReference:
-    def test_schedules_errors_and_rng_state_match(self):
+    def test_schedules_errors_and_rng_state_match(self, monkeypatch):
         # Per seed: a bound from the infeasible edge (2 * bound < dmax + 2)
         # to wide windows, and a retry budget small enough that some draws
-        # run it out.
+        # run it out.  The module's budget is read at call time.
         outcomes = set()
         for seed in range(300):
             pick = random.Random(seed)
@@ -201,7 +202,8 @@ class TestDecomposeMatchesReference:
             bound = pick.choice((pick.randint(1, dmax + 2), pick.randint(1, 333)))
             y0 = pick.randint(-1000, 1000)
             attempts = pick.randint(1, 40)
-            got = _decompose_outcome(decompose_initial_state, y0, dmax, bound, seed, attempts)
+            monkeypatch.setattr(schedule, "DECOMPOSE_RETRY_BUDGET", attempts)
+            got = _decompose_outcome(decompose_initial_state, y0, dmax, bound, seed)
             want = _decompose_outcome(
                 reference_decompose_initial_state, y0, dmax, bound, seed, attempts
             )

@@ -1,13 +1,21 @@
-"""No function in the package binds a local name it never reads.
+"""The package's source, read with `ast`: nothing bound, defined or
+defaulted that nothing uses.
 
-Each function of `src/privavg` is read with `ast`.  A name counts as bound
-when the function's own scope assigns it (an assignment, augmented or
-annotated assignment, `for`, `with ... as`, `except ... as`, a walrus, an
-import, or a nested `def` or `class`), and as read when the function or
-anything nested in it loads it, or a nested function declares it
-`nonlocal`.  Parameters are part of a signature and are not checked, nor are
-names declared `global` or `nonlocal` in the function itself.  A name that
-starts with `_` is a deliberate discard.
+No function in the package binds a local name it never reads.  A name
+counts as bound when the function's own scope assigns it (an assignment,
+augmented or annotated assignment, `for`, `with ... as`, `except ... as`, a
+walrus, an import, or a nested `def` or `class`), and as read when the
+function or anything nested in it loads it, or a nested function declares
+it `nonlocal`.  Parameters are part of a signature and are not checked, nor
+are names declared `global` or `nonlocal` in the function itself.  A name
+that starts with `_` is a deliberate discard.
+
+No public API only tests use.  The program is `src/privavg` without
+`__init__.py`, whose re-exports are not uses, plus `bench/`.  Every
+module-level public function and class of the package is loaded somewhere
+in the program, by name or as a module attribute, and every defaulted
+parameter of such a function is passed, by position or by keyword, by some
+call in it.
 """
 
 import ast
@@ -15,7 +23,15 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "privavg"
+import privavg
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "privavg"
+PROGRAM = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}) + sorted(
+    (ROOT / "bench").glob("*.py")
+)
+# The test seam of the entry point: python -m privavg calls main() bare.
+UNPASSED_DEFAULTS = {"cli.main(argv)"}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 SCOPES = FUNCTIONS + (ast.ClassDef,)
@@ -119,3 +135,117 @@ def test_every_bound_local_is_read(path):
 )
 def test_the_check_finds_what_it_says(source, expected):
     assert unread_locals(ast.parse(source)) == expected
+
+
+
+def public_definitions(modules) -> dict[str, ast.AST]:
+    """'module.name' -> node, for each module-level public def and class."""
+    found = {}
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, SCOPES) and not node.name.startswith("_"):
+                found[f"{name}.{node.name}"] = node
+    return found
+
+
+def unloaded_definitions(modules, program) -> list[str]:
+    """'module.name' of each public definition that no tree of program loads,
+    bare or as an attribute."""
+    loaded = set()
+    for tree in program:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [label for label, node in public_definitions(modules).items() if node.name not in loaded]
+
+
+def defaulted_parameters(func) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter of func that has a default;
+    position is None for a keyword-only one."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(arg.arg, k) for k, arg in enumerate(positional) if k >= first]
+    found += [(arg.arg, None) for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+    return found
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """True iff call may pass the parameter, by position or by keyword."""
+    if position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    ):
+        return True
+    return any(kw.arg in (name, None) for kw in call.keywords)
+
+
+def unpassed_defaults(modules, program) -> list[str]:
+    """'module.func(param)' of each defaulted parameter of a public function
+    that no call in program passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in program:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    return [
+        f"{label}({name})"
+        for label, node in public_definitions(modules).items()
+        if isinstance(node, FUNCTIONS)
+        for name, position in defaulted_parameters(node)
+        if not any(passes(c, name, position) for c in calls.get(node.name, ()))
+    ]
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.fixture(scope="module")
+def program():
+    """The package's modules by name, and every parsed file of the program."""
+    trees = {path: parse(path) for path in PROGRAM}
+    modules = {path.stem: tree for path, tree in trees.items() if path.parent == PACKAGE}
+    return modules, list(trees.values())
+
+
+def test_every_public_definition_is_loaded(program):
+    modules, trees = program
+    assert unloaded_definitions(modules, trees) == []
+    # So every export is checked.
+    names = {label.split(".")[1] for label in public_definitions(modules)}
+    assert set(privavg.__all__) <= names
+
+
+def test_every_default_is_passed(program):
+    assert [d for d in unpassed_defaults(*program) if d not in UNPASSED_DEFAULTS] == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f():\n    pass\n", ["m.f"]),
+        ("def f():\n    pass\nf()\n", []),
+        ("class C:\n    pass\nx = [C]\n", []),
+        ("def _f():\n    pass\n", []),
+        ("def f(a, b=1):\n    pass\nf(0)\n", ["m.f(b)"]),
+        ("def f(a, b=1):\n    pass\nf(0, 2)\n", []),
+        ("def f(a, b=1):\n    pass\nf(0, b=2)\n", []),
+        ("def f(a, b=1):\n    pass\nf(*xs)\n", []),
+        ("def f(a, b=1):\n    pass\nf(**kw)\n", []),
+        ("def f(a, *, b=1):\n    pass\nf(0, 2)\n", ["m.f(b)"]),
+        ("def f(a, b=1):\n    pass\nm.f(a=0, b=2)\n", []),
+    ],
+    ids=[
+        "unloaded", "called", "class-loaded", "private", "default-unpassed",
+        "by-position", "by-keyword", "starred", "double-starred", "keyword-only",
+        "attribute-call",
+    ],
+)
+def test_the_api_checks_find_what_they_say(source, expected):
+    tree = ast.parse(source)
+    modules, trees = {"m": tree}, [tree]
+    assert unloaded_definitions(modules, trees) + unpassed_defaults(modules, trees) == expected
