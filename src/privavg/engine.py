@@ -219,9 +219,8 @@ def exact_average(schedules) -> tuple[int, int]:
     """The target value sum(y0) / n as a reduced fraction."""
     total = sum(s.y0 for s in schedules)
     n = len(schedules)
-    sign = -1 if total < 0 else 1
-    g = math.gcd(abs(total), n)
-    return sign * abs(total) // g, n // g
+    g = math.gcd(total, n)
+    return total // g, n // g
 
 
 def theoretical_bound(n: int, m: int, dmax: int) -> int:

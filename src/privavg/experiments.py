@@ -40,11 +40,6 @@ class ConfigError(ValueError):
 REFERENCE_STATE_VECTOR = (
     5, 21, 13, 8, 30, 2, 17, 9, 24, 11, 6, 19, 3, 28, 15, 10, 22, 7, 14, 4,
 )
-# Edge density for generated reproduction digraphs; the reference scenario
-# uses directed G(n, p) because the comparison data names no model.  At
-# p = 0.1 the per-trial fan-out transmission count lands within a few
-# percent of the published 808.4 for 20 nodes.
-REFERENCE_EDGE_PROBABILITY = 0.1
 
 TRIALS_CSV_HEADER = (
     "trial,seed,n,m,dmax,convergence_round,quiescence_round,"

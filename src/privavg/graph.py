@@ -2,8 +2,8 @@
 
 A digraph is its out-neighbor orders: out_order[i] lists node i's
 out-neighbors in i's priority order, which the protocol follows to pick
-mass-transfer targets in a round-robin fashion.  The edge view
-``Digraph.edges`` gives (receiver, sender) pairs: the edge (j, i) lets node
+mass-transfer targets in a round-robin fashion.  Edges are given to
+``digraph_from_edges`` as (receiver, sender) pairs: the edge (j, i) lets node
 j receive from node i.
 """
 
@@ -52,13 +52,6 @@ class Digraph:
                     raise ValueError(f"edge ({dst}, {j}) out of range")
             if len(set(order)) != len(order):
                 raise ValueError(f"out_order[{j}] repeats a neighbor")
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The (receiver, sender) pairs."""
-        return frozenset(
-            (dst, src) for src, order in enumerate(self.out_order) for dst in order
-        )
 
     @property
     def m(self) -> int:
@@ -205,7 +198,7 @@ def assign_edge_order(g: Digraph, rng: random.Random) -> Digraph:
 
 
 # Edge-list text format: first line "n m", then m lines "src dst" where src
-# is the sender and dst the receiver (the reverse of the Digraph.edges pairs).
+# is the sender and dst the receiver (the reverse of digraph_from_edges' pairs).
 def parse_edge_list(text: str) -> Digraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -266,7 +266,8 @@ def ambiguity_witness(
     placement is returned only if its full re-simulation reaches quiescence,
     passes the exactness and mass-conservation checks (not the dominance or
     absorption audits) and gives the coalition an observation log identical
-    to the original, event for event.
+    to the original, event for event.  Of the trace the search reads only
+    the graph, the schedules and the round limits, never its records.
 
     Candidates are screened first, on replays they share.  A validated
     private schedule hands off one substate per round, so substate s is
@@ -302,16 +303,6 @@ def ambiguity_witness(
     for name, sched in (("target", st), ("helper", sh)):
         if validate_schedule(sched, dmax, NodeRole.PRIVATE):
             raise ValueError(f"{name} schedule is not a private decomposition")
-
-    exchanged = any(
-        type(m) is MassTransfer and {m.src, m.dst} == {target, helper}
-        for record in trace.records
-        for m in record.messages.events
-    )
-    if not exchanged:
-        raise WitnessUnavailableError(
-            f"no mass transfer between target {target} and helper {helper}"
-        )
 
     sight = _Sight.of(log)
 

@@ -12,7 +12,6 @@ import pytest
 
 from privavg.engine import run_simulation, trace_csv_lines
 from privavg.experiments import (
-    REFERENCE_EDGE_PROBABILITY,
     REFERENCE_STATE_VECTOR,
     TrialConfig,
     run_batch,
@@ -39,7 +38,7 @@ from privavg.schedule import (
 )
 
 from handtrace import TWO_NODE_EXPECTED, record_view
-from topologies import pair_inputs
+from topologies import REFERENCE_EDGE_PROBABILITY, pair_inputs
 
 P, C = NodeRole.PRIVATE, NodeRole.CURIOUS
 WITNESS_DELTAS = (1, -1, 2, -2, 3, -3)

@@ -3,6 +3,7 @@ import functools
 import pickle
 import random
 import sys
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -32,7 +33,6 @@ from privavg.engine import (
     trace_csv_lines,
 )
 from privavg.experiments import (
-    REFERENCE_EDGE_PROBABILITY,
     REFERENCE_STATE_VECTOR,
     TrialConfig,
     build_trial_inputs,
@@ -59,7 +59,7 @@ from privavg.schedule import NodeRole, SubstateSchedule, decompose_initial_state
 
 from handtrace import TWO_NODE_EXPECTED, record_view
 from legacy_node import init_node, project, step_node  # reference_iter_rounds' node API
-from topologies import pair_inputs
+from topologies import REFERENCE_EDGE_PROBABILITY, pair_inputs
 
 
 class TestTwoNodeFixture:
@@ -230,6 +230,16 @@ class TestTheoreticalBound:
             theoretical_bound(3, 2, 1)
         with pytest.raises(ValueError):
             theoretical_bound(3, 3, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
+def test_exact_average_is_the_reduced_fraction(states):
+    # Totals below, at and above zero: floor division by the gcd must give
+    # Fraction's numerator, sign included.
+    schedules = [SubstateSchedule(y0=v, uy=(v,), uz=(1,)) for v in states]
+    q = Fraction(sum(states), len(states))
+    assert exact_average(schedules) == (q.numerator, q.denominator)
 
 
 class TestMassConservation:

@@ -10,7 +10,7 @@ import pytest
 from privavg import engine, privacy
 from privavg.cli import WITNESS_DELTAS
 from privavg.engine import SimTrace, SimulationOverflowError, iter_rounds, run_simulation
-from privavg.experiments import build_trial_inputs, parse_config
+from privavg.experiments import TrialConfig, build_trial_inputs, parse_config
 from privavg.graph import (
     Digraph,
     assign_edge_order,
@@ -354,11 +354,65 @@ class TestAmbiguityWitness:
 
     def test_no_mass_transfer_between_the_pair(self):
         g, trace, _ = run_trial(hub_pair(1), [P, P, C], [4, 7, -3], seed=2)
-        # A run cut at round -1 carries only the initial state broadcasts.
-        cut, _ = run_simulation(g, trace.schedules, max_rounds=0)
-        log = coalition_observations(cut, {2})
-        with pytest.raises(WitnessUnavailableError, match="no mass transfer between"):
-            ambiguity_witness(cut, log, g, 0, 1, 1)
+        # A run cut at round -1 carries only the initial state broadcasts; one
+        # cut at max_rounds = dmax ends before the last hand-off.  No
+        # candidate run under the same limit quiesces, so the search finds
+        # no placement.
+        for max_rounds in (0, max_out_degree(g)):
+            cut, _ = run_simulation(g, trace.schedules, max_rounds=max_rounds)
+            log = coalition_observations(cut, {2})
+            with pytest.raises(WitnessUnavailableError, match="no substate placement hides"):
+                ambiguity_witness(cut, log, g, 0, 1, 1)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_the_search_reads_no_record_of_its_trace(self, index):
+        trace, log, g, target, helper = pair_case(index)
+        bare = dataclasses.replace(trace, records=[])
+        for delta in WITNESS_DELTAS:
+            full, recordless = (
+                search_outcome(ambiguity_witness, t, log, g, target, helper, delta)
+                for t in (trace, bare)
+            )
+            assert full == recordless, f"delta {delta}"
+
+
+# Private, curious and neutral nodes on small drawn graphs.
+SMALL_MIXED_ROLES = (
+    TrialConfig(
+        seed=5, trials=60, n=12, p=0.3, states_range=(-100, 100),
+        private_fraction=0.5, curious_fraction=0.25,
+    ),
+    TrialConfig(
+        seed=9, trials=60, n=6, p=0.5, states_range=(-100, 100),
+        private_fraction=0.7, curious_fraction=0.3,
+    ),
+)
+
+
+@pytest.mark.parametrize("cfg", SMALL_MIXED_ROLES, ids=["n12", "n6"])
+def test_adjacent_private_nodes_exchange_mass_by_round_dmax(cfg):
+    """A validated private schedule hands off once per round in rounds
+    0..dmax along an out-row of at most dmax neighbors, so every private
+    node has sent mass to each of its out-neighbors by round dmax.  A pair
+    of adjacent private nodes has then always exchanged a MassTransfer, and
+    the witness search needs no scan of the trace for one."""
+    pairs = 0
+    for index in range(cfg.trials):
+        g, roles, _, schedules = build_trial_inputs(cfg, index)
+        for max_rounds in (None, max_out_degree(g) + 1):
+            trace, _ = run_simulation(g, schedules, max_rounds=max_rounds)
+            exchanged = {
+                frozenset((m.src, m.dst))
+                for record in trace.records
+                for m in record.messages.events
+                if type(m) is MassTransfer
+            }
+            for j, row in enumerate(g.out_order):
+                for k in row:
+                    if roles[j] is P and roles[k] is P:
+                        pairs += 1
+                        assert frozenset((j, k)) in exchanged, (index, max_rounds, j, k)
+    assert pairs > 100
 
 
 # ---------------------------------------------------------------------------

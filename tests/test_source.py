@@ -12,10 +12,12 @@ that starts with `_` is a deliberate discard.
 
 No public API only tests use.  The program is `src/privavg` without
 `__init__.py`, whose re-exports are not uses, plus `bench/`.  Every
-module-level public function and class of the package is loaded somewhere
-in the program, by name or as a module attribute, and every defaulted
-parameter of such a function is passed, by position or by keyword, by some
-call in it.
+module-level public function, class and constant of the package is loaded
+somewhere in the program, by name or as a module attribute; every public
+method or property of a public class is loaded in it as an attribute; and
+every defaulted parameter of such a function is passed, by position or by
+keyword, by some call in it.  Dunder names, and the fields of dataclasses
+and NamedTuples, are exempt.
 """
 
 import ast
@@ -33,7 +35,8 @@ PROGRAM = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}) + sorted
 # The test seam of the entry point: python -m privavg calls main() bare.
 UNPASSED_DEFAULTS = {"cli.main(argv)"}
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
+FUNCTIONS = METHODS + (ast.Lambda,)
 SCOPES = FUNCTIONS + (ast.ClassDef,)
 
 
@@ -148,17 +151,70 @@ def public_definitions(modules) -> dict[str, ast.AST]:
     return found
 
 
-def unloaded_definitions(modules, program) -> list[str]:
-    """'module.name' of each public definition that no tree of program loads,
-    bare or as an attribute."""
-    loaded = set()
+def public_constants(modules) -> dict[str, str]:
+    """'module.NAME' -> NAME, for each public name a module-level assignment
+    binds (a dunder name starts with `_`, so none is public)."""
+    found = {}
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and not leaf.id.startswith("_"):
+                        found[f"{name}.{leaf.id}"] = leaf.id
+    return found
+
+
+def public_methods(modules) -> dict[str, str]:
+    """'module.Class.name' -> name, for each public method or property of a
+    public class.  Fields are annotations, not defs, and dunder methods start
+    with `_`, so neither is listed."""
+    found = {}
+    for label, node in public_definitions(modules).items():
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, METHODS) and not item.name.startswith("_"):
+                    found[f"{label}.{item.name}"] = item.name
+    return found
+
+
+def loaded_names(program) -> tuple[set[str], set[str]]:
+    """The names the trees of program load bare, and those they load as an
+    attribute."""
+    bare, attributes = set(), set()
     for tree in program:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+                attributes.add(node.attr)
+    return bare, attributes
+
+
+def unloaded_definitions(modules, program) -> list[str]:
+    """'module.name' of each public definition that no tree of program loads,
+    bare or as an attribute."""
+    loaded = set.union(*loaded_names(program))
     return [label for label, node in public_definitions(modules).items() if node.name not in loaded]
+
+
+def unloaded_constants(modules, program) -> list[str]:
+    """'module.NAME' of each public constant that no tree of program loads,
+    bare or as an attribute."""
+    loaded = set.union(*loaded_names(program))
+    return [label for label, name in public_constants(modules).items() if name not in loaded]
+
+
+def unloaded_methods(modules, program) -> list[str]:
+    """'module.Class.name' of each public method or property that no tree of
+    program loads as an attribute."""
+    _, attributes = loaded_names(program)
+    return [label for label, name in public_methods(modules).items() if name not in attributes]
 
 
 def defaulted_parameters(func) -> list[tuple[str, int | None]]:
@@ -220,6 +276,14 @@ def test_every_public_definition_is_loaded(program):
     assert set(privavg.__all__) <= names
 
 
+def test_every_public_constant_is_loaded(program):
+    assert unloaded_constants(*program) == []
+
+
+def test_every_public_method_is_loaded(program):
+    assert unloaded_methods(*program) == []
+
+
 def test_every_default_is_passed(program):
     assert [d for d in unpassed_defaults(*program) if d not in UNPASSED_DEFAULTS] == []
 
@@ -249,3 +313,35 @@ def test_the_api_checks_find_what_they_say(source, expected):
     tree = ast.parse(source)
     modules, trees = {"m": tree}, [tree]
     assert unloaded_definitions(modules, trees) + unpassed_defaults(modules, trees) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("LIMIT = 1\n", ["m.LIMIT"]),
+        ("LIMIT = 1\nprint(LIMIT)\n", []),
+        ("LIMIT: int = 1\nprint(m.LIMIT)\n", []),
+        ("LOW, HIGH = 1, 2\nprint(LOW)\n", ["m.HIGH"]),
+        ("__version__ = '1'\n_CACHE = {}\n", []),
+        ("class C:\n    def f(self):\n        pass\nprint(C)\n", ["m.C.f"]),
+        ("class C:\n    def f(self):\n        pass\nprint(C().f())\n", []),
+        ("class C:\n    @property\n    def p(self):\n        return 1\nprint(C)\n",
+         ["m.C.p"]),
+        ("def f():\n    pass\nclass C:\n    def f(self):\n        pass\nprint(C, f)\n",
+         ["m.C.f"]),
+        ("class C:\n    def __init__(self):\n        pass\n    def _g(self):\n"
+         "        pass\nprint(C)\n", []),
+        ("class C(NamedTuple):\n    x: int\n    y: int = 0\nprint(C)\n", []),
+        ("class _C:\n    def f(self):\n        pass\n", []),
+    ],
+    ids=[
+        "constant-unloaded", "constant-loaded", "constant-attribute", "unpacked",
+        "dunder-and-private-constants", "method-unloaded", "method-called",
+        "property-unloaded", "bare-name-is-not-the-method", "dunder-and-private-methods",
+        "fields", "private-class",
+    ],
+)
+def test_the_member_checks_find_what_they_say(source, expected):
+    tree = ast.parse(source)
+    modules, trees = {"m": tree}, [tree]
+    assert unloaded_constants(modules, trees) + unloaded_methods(modules, trees) == expected
