@@ -386,19 +386,18 @@ def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
     A broadcast carries its sender's state after the step, and its sender
     is among `nodes` (every node at round -1), so a broadcast out of range
     is reported as its sender's node error and needs no scan of its own.
-    A transfer carries mass its sender no longer holds, so it is checked."""
+    A transfer carries mass its sender no longer holds, so it is checked.
+    A node's mass is (0, 0) or equal to its state (see the module
+    docstring), so its state alone decides.  Only the y side is read: every
+    carrier is 1 (init_node and run_simulation refuse any other), so a z
+    counts unit carriers and stays at most n * (dmax + 2)."""
     for node in nodes:
-        if (
-            abs(node.mass_y) > INT64_MAX
-            or node.mass_z > INT64_MAX
-            or abs(node.state_y) > INT64_MAX
-            or node.state_z > INT64_MAX
-        ):
+        if abs(node.state_y) > INT64_MAX:
             raise SimulationOverflowError(
                 f"round {record.round}: node {node.id} left the 64-bit range", trace
             )
     for ev in record.messages.events:
-        if type(ev) is MassTransfer and (abs(ev.y) > INT64_MAX or ev.z > INT64_MAX):
+        if type(ev) is MassTransfer and abs(ev.y) > INT64_MAX:
             raise SimulationOverflowError(
                 f"round {record.round}: message from node {ev.src} to node {ev.dst} "
                 "left the 64-bit range",

@@ -190,10 +190,8 @@ class TrialResult:
     @property
     def ok(self) -> bool:
         r = self.report
-        return (
-            r.converged
-            and r.quiescent
-            and r.exactness_ok
+        return (  # bound_ok holds only for a converged, quiescent run
+            r.exactness_ok
             and r.bound_ok
             and r.conservation.ok
             and r.dominance.ok

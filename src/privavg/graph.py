@@ -70,8 +70,7 @@ def digraph_from_edges(n: int, edges) -> Digraph:
     Each node gets its out-neighbors in ascending id order.
     """
     outs: list[list[int]] = [[] for _ in range(n)]
-    for d, s in edges:
-        dst, src = int(d), int(s)
+    for dst, src in edges:
         if not (0 <= dst < n and 0 <= src < n):
             raise ValueError(f"edge ({dst}, {src}) out of range")
         outs[src].append(dst)
@@ -146,7 +145,10 @@ def _sample(n: int, p: float, rng: random.Random, max_attempts: int) -> tuple[Di
     t = math.ceil(p * 2**53)  # random() < p iff its 53-bit key is below t
     lane = ((1 << width) - 1) // ((1 << 64) - 1)  # bit 0 of every lane
     low, carry = lane * 0xFFFFFFFF, lane << 32
-    # (row & low) + add sets bit 32 of each lane with a >> 5 > t >> 26.
+    # (row & low) + add sets bit 32 of each lane with a >> 5 > t >> 26.  A
+    # threshold one tie band higher only lets more empty rows past the screen;
+    # the rest of their attempt draws the same words row by row, and the byte
+    # decision rejects it all the same, so only speed tells the two apart.
     add = lane * ((1 << 32) - min(((t >> 26) + 1) << 5, 1 << 32))
     # Entry a >> 24: 1 below p, 0 not below p, 2 the whole key decides.
     table = (b"\1" * (t >> 45) + b"\2" + bytes(255))[:256]

@@ -9,6 +9,7 @@ The z-side carrier is always 1 per substate, 0 once the schedule runs out.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,6 +89,11 @@ def decompose_initial_state(
     if 2 * offset_bound < count:
         raise ScheduleInfeasibleError(
             f"window of size {2 * offset_bound} cannot hold {count} distinct substates"
+        )
+    if offset_bound > sys.maxsize // 2:  # sample() takes the len() of the window
+        raise ScheduleInfeasibleError(
+            f"window of size {2 * offset_bound} exceeds {sys.maxsize}, "
+            "the longest range random.sample can draw from"
         )
     # The window without y0 is these 2 * offset_bound slots with v >= y0 read
     # as v + 1.  sample() picks positions from the length alone, so the draws

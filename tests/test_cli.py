@@ -88,6 +88,15 @@ class TestBatchCommand:
         assert "FAILED trials (seeds): 1:0, 1:1" in capsys.readouterr().out
         assert (out / "trials.csv").exists() and (out / "series.csv").exists()
 
+    def test_batch_prints_its_means(self, pair_setup, capsys):
+        config_path, tmp_path = pair_setup
+        out = tmp_path / "batch"
+        assert main(["--config", str(config_path), "--out-dir", str(out), "batch"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"2 trials -> {out / 'trials.csv'}, {out / 'series.csv'}",
+            "mean convergence 5.00, mean quiescence 6.00, mean tx one/fanout 15.00/15.00",
+        ]
+
     def test_seed_flag_overrides_master_seed(self, pair_setup):
         config_path, tmp_path = pair_setup
         out = tmp_path / "batch"
@@ -184,6 +193,35 @@ class TestPrivacyAuditCommand:
         lines = (out / "privacy_audit.txt").read_text().splitlines()
         assert "attack,0,reconstruction-error,log inconsistent" in lines
 
+    def test_attack_wrong_reconstruction_is_trial_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "reconstruct_fully_surrounded", lambda *args: 6)
+        config_path = _surrounded_target_config(tmp_path)
+        out = tmp_path / "audit"
+        code = main(
+            ["--config", str(config_path), "--out-dir", str(out), "privacy-audit", "--attack"]
+        )
+        assert code == 2
+        lines = (out / "privacy_audit.txt").read_text().splitlines()
+        assert "attack,0,reconstructed,6,truth,5,match,False" in lines
+
+    def test_attack_tries_every_delta_in_order(self, tmp_path):
+        # No witness hides target 2 before delta 3, or target 4 before -3.
+        config_path = tmp_path / "deltas.cfg"
+        config_path.write_text(
+            "seed = 13\nn = 5\np = 0.5\nstates_range = -5,5\n"
+            "private_fraction = 0.5\ncurious_fraction = 0.5\noffset_bound = 4\n"
+        )
+        out = tmp_path / "audit"
+        code = main(
+            ["--config", str(config_path), "--out-dir", str(out), "privacy-audit", "--attack"]
+        )
+        assert code == 0
+        lines = (out / "privacy_audit.txt").read_text().splitlines()
+        assert lines[2:] == [
+            "attack,2,witness,helper,4,delta,3,digest,718f4ab32428c694",
+            "attack,4,witness,helper,2,delta,-3,digest,718f4ab32428c694",
+        ]
+
     def test_unavailable_witness_is_reported_not_failed(self, hub_setup, monkeypatch):
         def unavailable(*args):
             raise WitnessUnavailableError("no placement")
@@ -235,6 +273,19 @@ class TestValidateScheduleCommand:
         assert main(["validate-schedule", str(path)]) == 1
         out = capsys.readouterr().out
         assert "distinct" in out and "not-initial" in out
+
+    def test_explicit_carriers_are_read(self, tmp_path, capsys):
+        path = tmp_path / "sched.cfg"
+        path.write_text("y0 = 4\ndmax = 3\nrole = private\nuy = 1,8,6,2,3\nuz = 1,1,1,1,1\n")
+        assert main(["validate-schedule", str(path)]) == 0
+        path.write_text("y0 = 4\ndmax = 3\nrole = private\nuy = 1,8,6,2,3\nuz = 1,1,2,1\n")
+        assert main(["validate-schedule", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "ok",
+            "uz-length: expected 5 carriers, got 4",
+            "uz-ones: uz not 1 at indices [2]",
+        ]
 
     @pytest.mark.parametrize(
         "text",
@@ -306,6 +357,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: no strongly connected digraph")
         assert err.count("\n") == 1
+
+    def test_graph_file_not_strongly_connected_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "line.txt").write_text("3 2\n0 1\n1 2\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"graph_file = {tmp_path / 'line.txt'}\nstates = 1,2,3\n")
+        assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "batch"]) == 1
+        assert capsys.readouterr().err == "config error: digraph must be strongly connected\n"
 
     @pytest.mark.parametrize("command", ["batch", "privacy-audit"])
     def test_infeasible_schedule_is_config_error(self, tmp_path, capsys, command):

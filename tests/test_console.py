@@ -142,6 +142,16 @@ def test_overflow_aborts_the_trial_alike_serially_and_on_workers(tmp_path):
     assert serial.stderr == workers.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "batch", "privacy-audit"])
+def test_an_offset_window_longer_than_sample_can_draw_is_a_config_error(tmp_path, command):
+    write(tmp_path / "wide.cfg", *ROLES, f"offset_bound = {2**62}")
+    done = privavg(tmp_path, "--config", "wide.cfg", "--out-dir", "wide", command)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
 @pytest.mark.parametrize(
     "lines, code",
     [

@@ -223,6 +223,17 @@ class TestTheoreticalBound:
     def test_formula(self, n, m, dmax, expected):
         assert theoretical_bound(n, m, dmax) == expected
 
+    @pytest.mark.parametrize("bound, holds", [(5, False), (6, True)])
+    def test_bound_ok_holds_up_to_a_quiescence_at_the_bound(
+        self, two_node_fixture, monkeypatch, bound, holds
+    ):
+        # The pair quiesces at round 6, far below its real bound of 10.
+        g, schedules = two_node_fixture
+        monkeypatch.setattr(engine, "theoretical_bound", lambda n, m, dmax: bound)
+        _, report = run_simulation(g, schedules, max_rounds=100)
+        assert (report.quiescence_round, report.bound) == (6, bound)
+        assert report.bound_ok is holds
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             theoretical_bound(1, 2, 1)
@@ -331,6 +342,49 @@ class TestEngineBehaviors:
         records = info.value.trace.records
         assert [r.round for r in records] == [-1, 0]
         assert any(m.y > INT64_MAX for m in records[-1].messages)
+
+    def test_out_of_range_substate_aborts_at_round_minus_one(self):
+        # Node 1 holds its first substate from set-up on, before any step.
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        schedules = [
+            SubstateSchedule(y0=0, uy=(0,) * 3, uz=(1, 1, 1)),
+            SubstateSchedule(y0=2**63, uy=(2**63,) * 3, uz=(1, 1, 1)),
+        ]
+        with pytest.raises(SimulationOverflowError) as info:
+            run_simulation(g, schedules)
+        assert str(info.value) == "round -1: node 1 left the 64-bit range"
+        assert [r.round for r in info.value.trace.records] == [-1]
+
+    def test_values_at_the_64_bit_limit_stay_in_range(self):
+        # At unit scale this pair's states and transfers reach |y| = 7 and no
+        # more.  Sums and the lex order of (z, y) keys commute with a positive
+        # scale of y, so scaled by (2^63 - 1) / 7 the same run touches the
+        # limit exactly, and must not abort.
+        c = INT64_MAX // 7
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        schedules = [
+            SubstateSchedule(y0=-3 * c, uy=(-2 * c, 0, -7 * c), uz=(1, 1, 1)),
+            SubstateSchedule(y0=4 * c, uy=(0, 7 * c, 5 * c), uz=(1, 1, 1)),
+        ]
+        trace, report = run_simulation(g, schedules)
+        assert report.quiescent and report.exactness_ok
+        states = [abs(node.state_y) for r in trace.records for node in r.nodes]
+        transfers = [
+            abs(ev.y) for r in trace.records for ev in r.messages.events
+            if type(ev) is MassTransfer
+        ]
+        assert max(states) == max(transfers) == INT64_MAX
+
+    def test_a_state_out_of_range_is_its_node_error_after_a_hand_off(self):
+        # Node 1 merges 4 * 2^61 = 2^63 at round 1 and hands all of it on, so
+        # only its state and its transfer hold the value out of range.
+        g = digraph_from_edges(3, [(1, 0), (0, 1), (2, 1), (1, 2)])
+        schedules = [SubstateSchedule(y0=2**61, uy=(2**61,) * 4, uz=(1,) * 4)] * 3
+        with pytest.raises(SimulationOverflowError) as info:
+            run_simulation(g, schedules)
+        assert str(info.value) == "round 1: node 1 left the 64-bit range"
+        node = info.value.trace.records[-1].nodes[1]
+        assert (node.mass_y, node.mass_z, node.state_y) == (0, 0, 2**63)
 
     def test_schedule_structure_validated(self, two_node_fixture):
         g, _ = two_node_fixture

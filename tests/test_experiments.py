@@ -206,6 +206,17 @@ class TestSingleTrial:
         assert result.roles.count(NodeRole.CURIOUS) == 2
         assert result.roles.count(NodeRole.NEUTRAL) == 1
 
+    def test_the_upper_curious_and_lower_offset_bounds_run(self):
+        # offset_bound = 1 is too narrow for any private draw, but a config
+        # without private nodes never draws from the window.
+        cfg = parse_config(
+            "seed = 3\nn = 6\np = 0.6\nstates_range = -5,5\n"
+            "private_fraction = 0.0\ncurious_fraction = 1.0\noffset_bound = 1\n"
+        )
+        result = run_single_trial(cfg, 0)
+        assert result.roles == (NodeRole.CURIOUS,) * 6
+        assert result.ok
+
 
 class TestCollectorPause:
     def test_collector_off_while_simulating(self, two_node_graph_file, monkeypatch):

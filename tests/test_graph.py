@@ -226,21 +226,22 @@ class TestEdgeListFormat:
         assert g == cycle3()
         assert g.out_neighbors(0) == (1,) and g.in_neighbors(0) == (2,)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "2\n0 1\n",            # malformed header
-            "2 2\n0 1\n",          # wrong edge count
-            "2 1\n0 0\n",          # self-loop
-            "2 2\n0 1\n0 1\n",     # duplicate
-            "2 1\n0 5\n",          # out of range
-            "2 1\nx y\n",          # non-integer
-            "2 1\n0 1 1\n",        # three fields
-        ],
-    )
-    def test_loader_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
+    # An edge is named in the file's own src -> dst order, where
+    # digraph_from_edges would name its (receiver, sender) pair.
+    MALFORMED = [
+        ("", "^empty edge-list file$"),
+        ("2\n0 1\n", "^bad header '2', expected 'n m'$"),            # malformed header
+        ("2 2\n0 1\n", "^header announces 2 edges, found 1$"),        # wrong edge count
+        ("2 1\n0 0\n", "^self-loop 0 -> 0$"),                         # self-loop
+        ("2 2\n0 1\n0 1\n", "^duplicate edge 0 -> 1$"),               # duplicate
+        ("2 1\n0 5\n", "^edge 0 -> 5 out of range for n=2$"),         # out of range
+        ("2 1\nx y\n", "^invalid literal for int"),                   # non-integer
+        ("2 1\n0 1 1\n", "^bad edge line '0 1 1'$"),                  # three fields
+    ]
+
+    @pytest.mark.parametrize("text, match", MALFORMED, ids=[text for text, _ in MALFORMED])
+    def test_loader_rejects_malformed(self, text, match):
+        with pytest.raises(ValueError, match=match):
             parse_edge_list(text)
 
 

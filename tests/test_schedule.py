@@ -106,6 +106,18 @@ class TestDecompose:
         with pytest.raises(ScheduleInfeasibleError, match="offset_bound must be a positive integer"):
             decompose_initial_state(5, 2, NodeRole.PRIVATE, offset_bound=0, rng=random.Random(0))
 
+    def test_window_longer_than_sample_can_index_raises_before_any_draw(self):
+        rng = random.Random(3)
+        before = rng.getstate()
+        with pytest.raises(ScheduleInfeasibleError, match="longest range random.sample"):
+            decompose_initial_state(0, 2, NodeRole.PRIVATE, 2**62, rng)
+        assert rng.getstate() == before
+        s = decompose_initial_state(7, 2, NodeRole.NEUTRAL, 2**62, rng)
+        assert s.uy == (7,) * 4 and rng.getstate() == before
+        # The largest window that fits still draws.
+        s = decompose_initial_state(0, 2, NodeRole.PRIVATE, 2**62 - 1, rng)
+        assert validate_schedule(s, 2, NodeRole.PRIVATE) == []
+
     def test_dmax_must_be_positive(self):
         with pytest.raises(ValueError):
             decompose_initial_state(1, 0, NodeRole.NEUTRAL)
