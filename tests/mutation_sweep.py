@@ -24,7 +24,7 @@ if the control fails.  Each mutant then runs
 serially, in a child with a 2 GB address-space limit and a timeout of three
 times the control run plus 30 s (a mutant can loop or allocate), and writes
 no bytecode, so no stale .pyc can stand in for a mutated module.  One JSON
-line per mutant goes to stdout, or is appended to --out:
+line per mutant goes to stdout:
 
     {"module": "src/privavg/engine.py", "line": 390, "col": 11,
      "operator": "compare", "original": "...", "mutant": "...",
@@ -34,16 +34,18 @@ line per mutant goes to stdout, or is appended to --out:
 status is killed, survived or timeout.  first_failure is the first FAILED
 or ERROR node id pytest reports, and null when none is reported.
 
-Usage, from the repository root:
+Usage, from anywhere in the repository:
 
-    python3 tests/mutation_sweep.py src/privavg --sample 160 --seed 41 --out sweep.jsonl
-    python3 tests/mutation_sweep.py src/privavg --since HEAD~1
+    python3 tests/mutation_sweep.py --sample 160 --seed 41 > sweep.jsonl
+    python3 tests/mutation_sweep.py --since HEAD~1
 
---since REV keeps the sites whose first line changed since REV (git diff
-against the working tree; an untracked module counts as changed).
---sample K --seed S then draws K of the remaining sites.  The whole of
-src/privavg has about 2,000 sites, hours of serial runs, so the sweep is
-not a tier-1 step; tests/test_mutation_sweep.py runs it on a toy tree.
+--since REV keeps the sites whose source span touches a line changed since
+REV (git diff against the working tree): an added line, or a line on either
+side of a deletion.  An untracked module counts as changed, and a --since
+that keeps no site exits 1.  --sample K --seed S then draws K of the
+remaining sites.  src/privavg has about 2,000 sites, hours of serial runs,
+so the sweep is not a tier-1 step; tests/test_mutation_sweep.py runs it on
+a toy tree.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +76,9 @@ BOOLOP_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
 COPY_IGNORED = (".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out", "*.egg-info")
 MEMORY_LIMIT = 2 * 2**30  # bytes of address space per test run
 FAILURE_LINE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$")
+ROOT = Path(__file__).resolve().parents[1]  # the repository: copied, then tested
+PACKAGE = "src/privavg"  # what is mutated, relative to ROOT
+TESTS = ["tests/test_golden.py", "tests"]  # pytest arguments, in run order
 
 
 @dataclass(frozen=True)
@@ -191,9 +195,14 @@ def apply(source: str, site: Site) -> str:
 
 
 def changed_lines(root: Path, rev: str, paths: list[str]) -> dict[str, set[int] | None]:
-    """Per module path, the lines changed since rev; None means the whole file."""
-    diff = subprocess.run(
-        ["git", "diff", "-U0", rev, "--", *paths],
+    """Per module path, the lines changed since rev; None means the whole file.
+
+    An added line counts, and so do the lines on either side of a deletion,
+    so that dropping one operand line of a multi-line expression still
+    reaches what is left of it.
+    """
+    diff = subprocess.run(  # --relative: paths relative to root, as collect() names them
+        ["git", "diff", "-U0", "--relative", rev, "--", *paths],
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout
     changed: dict[str, set[int] | None] = {}
@@ -206,13 +215,25 @@ def changed_lines(root: Path, rev: str, paths: list[str]) -> dict[str, set[int] 
         elif line.startswith("@@") and current is not None:
             new = line.split()[2][1:]  # "+start,count"
             start, _, count = new.partition(",")
-            changed[current].update(range(int(start), int(start) + int(count or 1)))
+            start, count = int(start), int(count or 1)
+            # A deletion ("+c,0") sits between lines c and c + 1.
+            changed[current].update(range(start, start + count) if count else (start, start + 1))
     untracked = subprocess.run(
         ["git", "ls-files", "--others", "--exclude-standard", "--", *paths],
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout.split()
     changed.update({path: None for path in untracked})
     return changed
+
+
+def changed_sites(root: Path, rev: str, sites: list[Site]) -> list[Site]:
+    """The sites whose span [line, end_line] touches a line changed since rev."""
+    changed = changed_lines(root, rev, sorted({s.module for s in sites}))
+    return [
+        s for s in sites
+        if s.module in changed
+        and (changed[s.module] is None or not changed[s.module].isdisjoint(range(s.line, s.end_line + 1)))
+    ]
 
 
 def collect(root: Path, paths: list[str]) -> list[Site]:
@@ -263,31 +284,21 @@ def run_tests(tree: Path, tests: list[str], timeout: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="*", default=["src/privavg"],
-                        help="modules or package directories to mutate, relative to --root")
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
-                        help="the tree to copy and test (default: this repository)")
-    parser.add_argument("--tests", nargs="+", default=["tests/test_golden.py", "tests"],
-                        help="pytest arguments, in run order")
-    parser.add_argument("--since", metavar="REV", help="only sites whose line changed since REV")
+    parser.add_argument("--since", metavar="REV", help="only sites that touch a line changed since REV")
     parser.add_argument("--sample", type=int, metavar="K", help="draw K sites at random")
     parser.add_argument("--seed", type=int, default=0, metavar="S", help="seed of --sample")
-    parser.add_argument("--out", type=Path, help="append JSON lines here instead of stdout")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
 
-    sites = collect(root, args.paths)
+    sites = collect(ROOT, [PACKAGE])
     if args.since:
-        changed = changed_lines(root, args.since, args.paths)
-        sites = [
-            s for s in sites
-            if s.module in changed and (changed[s.module] is None or s.line in changed[s.module])
-        ]
+        sites = changed_sites(ROOT, args.since, sites)
+        if not sites:
+            print(f"no site of {PACKAGE} touches a line changed since {args.since}", file=sys.stderr)
+            return 1
     if args.sample is not None and args.sample < len(sites):
         picked = random.Random(args.seed).sample(range(len(sites)), args.sample)
         sites = [sites[k] for k in sorted(picked)]
-    with args.out.open("a", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-        return sweep(root, sites, args.tests, out)
+    return sweep(ROOT, sites, TESTS, sys.stdout)
 
 
 def sweep(root: Path, sites: list[Site], tests: list[str], out) -> int:

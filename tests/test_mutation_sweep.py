@@ -1,14 +1,11 @@
 """tests/mutation_sweep.py, run on a toy tree with two tests of its own."""
 
 import ast
+import io
 import json
 import subprocess
-import sys
-from pathlib import Path
 
 import mutation_sweep
-
-SWEEP = Path(mutation_sweep.__file__)
 
 TOY = '''"""A toy module; its docstring is not mutated."""
 
@@ -32,12 +29,10 @@ def test_one_toy_mutant_is_killed_and_one_survives(tmp_path):
     (tmp_path / "toy" / "limits.py").write_text(TOY)
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_toy.py").write_text(TOY_TESTS)
-    done = subprocess.run(
-        [sys.executable, str(SWEEP), "toy", "--root", str(tmp_path), "--tests", "tests"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    out = io.StringIO()
+    sites = mutation_sweep.collect(tmp_path, ["toy"])
+    assert mutation_sweep.sweep(tmp_path, sites, ["tests"], out) == 0
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
     assert [(r["module"], r["line"], r["operator"], r["status"], r["first_failure"]) for r in rows] == [
         ("toy/limits.py", 3, "pass", "killed", "tests/test_toy.py::test_limit_is_set"),
         ("toy/limits.py", 3, "constant", "survived", None),
@@ -75,3 +70,33 @@ def test_each_operator_replaces_only_its_span():
     for site in sites:
         mutated = mutation_sweep.apply(SNIPPET, site)
         assert ast.dump(ast.parse(mutated)) != ast.dump(ast.parse(SNIPPET))
+
+
+CONDITION = '''def f(a, b, c):
+    if (a
+            and b
+            and c):
+        return 1
+    return 0
+'''
+
+
+def test_since_reaches_what_is_left_of_an_expression_a_deletion_shortened(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "m.py").write_text(CONDITION)
+    git("init", "-q")
+    git("add", "m.py")
+    git("commit", "-q", "-m", "toy")
+    (tmp_path / "m.py").write_text(CONDITION.replace("            and b\n", ""))  # a "+c,0" hunk
+    sites = mutation_sweep.collect(tmp_path, ["m.py"])
+    kept = mutation_sweep.changed_sites(tmp_path, "HEAD", sites)
+    # The hunk sits between lines 2 and 3: the sites whose span touches either.
+    assert [(s.line, s.end_line, s.operator) for s in kept] == [
+        (1, 5, "pass"),  # the def
+        (2, 4, "pass"),  # the if
+        (2, 3, "if-false"),
+        (2, 3, "boolop"),
+    ]
