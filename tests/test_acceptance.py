@@ -71,7 +71,7 @@ def random_digraph_sweep():
         rows.append(
             {
                 "n": n,
-                "exact": report.exactness_ok and report.converged,
+                "exact": report.exactness_ok and report.convergence_round is not None,
                 "bound_ok": (
                     report.convergence_round is not None
                     and report.convergence_round <= report.bound

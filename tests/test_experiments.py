@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+import os
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from privavg.experiments import (
     emit_round_metrics,
     parse_config,
     run_batch,
+    run_cases,
     run_single_trial,
     series_csv_lines,
     trials_csv_lines,
@@ -339,3 +341,32 @@ class TestBatch:
     def test_jobs_below_one_refused(self, two_node_graph_file, jobs):
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
             run_batch(pair_config(two_node_graph_file), jobs=jobs)
+
+
+def toy_case(case: int) -> tuple[int, int]:
+    """A case function run_cases can send to a worker: a negative case raises
+    an error that names it, any other returns the case and the process id."""
+    if case < 0:
+        raise ValueError(f"case {case} refused")
+    return case, os.getpid()
+
+
+class TestRunCases:
+    @pytest.mark.parametrize(
+        ("cases", "jobs", "pooled"),
+        [
+            ([5, 0, 3, 1, 4], 1, False),
+            ([5, 0, 3, 1, 4], 2, True),
+            ([5, 0, 3], 9, True),
+            ([7], 4, False),
+        ],
+    )
+    def test_yields_in_case_order(self, cases, jobs, pooled):
+        results = list(run_cases(toy_case, cases, jobs))
+        assert [case for case, _ in results] == cases
+        assert {pid != os.getpid() for _, pid in results} == {pooled}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failing_case_in_case_order_raises(self, jobs):
+        with pytest.raises(ValueError, match=r"^case -2 refused$"):
+            list(run_cases(toy_case, [1, -2, 3, -4], jobs))

@@ -99,3 +99,24 @@ def test_unused_modules_stay_unloaded_until_used(tmp_path):
         f"after {sorted(POOL_MODULES)}",
         "sha256 True",
     ], proc.stdout
+
+
+SERIAL_CASES = """
+import sys
+
+from privavg.experiments import run_cases
+
+assert list(run_cases(abs, [-1, 2], 1)) == [1, 2]
+assert list(run_cases(abs, [-3], 4)) == [3]
+print(sorted(m for m in {pool!r} if m in sys.modules))
+""".format(pool=POOL_MODULES)
+
+
+def test_serial_run_cases_loads_no_pool():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SERIAL_CASES], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -997,3 +997,31 @@ def test_only_replays_with_a_matching_view_are_simulated_in_full(monkeypatch):
         )
     assert all(full_runs)
     assert 0 < len(full_runs) * 10 <= len(validated)
+
+
+@pytest.mark.parametrize(("index", "steps", "confirmations"), [(0, 636, 6), (1, 320, 4)])
+def test_witness_search_work_is_pinned(monkeypatch, index, steps, confirmations):
+    # The search's work is deterministic, and a change that only slows it
+    # (a shorter resume, a dropped replay shortcut) passes every outcome
+    # test, so its node steps and confirmation runs over WITNESS_DELTAS are
+    # pinned here.
+    case = pair_case(index)
+    counts = [0, 0]
+    step, simulate = engine.step_node, privacy.run_simulation
+
+    def counted_step(*args):
+        counts[0] += 1
+        return step(*args)
+
+    def counted_simulate(*args, **kwargs):
+        counts[1] += 1
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step_node", counted_step)
+    monkeypatch.setattr(privacy, "run_simulation", counted_simulate)
+    for delta in WITNESS_DELTAS:
+        search_outcome(ambiguity_witness, *case, delta)
+    assert counts == [steps, confirmations], (
+        "the witness search's work changed; a change that alters it on purpose "
+        "updates this pin and says so in CHANGES.md"
+    )
