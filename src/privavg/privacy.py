@@ -10,12 +10,15 @@ neighbor exists.
 
 A witness search screens many candidate ground truths against one log.
 Each differs from the original run only in two substates, read at known
-rounds, so the candidates share the replays of their common prefixes (see
+rounds, so the candidates share the replays of their common prefixes, and a
+candidate whose run rejoins the original one takes its verdict.  The replay
+of the original run is kept for the next search on the same log (see
 ambiguity_witness).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -113,13 +116,15 @@ def _log_digest(log: ObservationLog) -> str:
     # hashlib would map OpenSSL's libcrypto (about 3.6 MB of RSS) for a few
     # small hashes, so it is only the fallback for a build without the module.
     # Imported here, on a cache miss, so a run without a digest loads neither.
+    # Only the module this interpreter ships is tried: a failed import is not
+    # remembered, so each miss would scan sys.path for the other one again.
     try:
-        from _sha2 import sha256  # CPython 3.12 and later
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
     except ImportError:
-        try:
-            from _sha256 import sha256  # CPython 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
+        from hashlib import sha256
 
     payload = "\n".join(log.canonical_lines()).encode("ascii")
     return sha256(payload).hexdigest()
@@ -279,9 +284,16 @@ def ambiguity_witness(
     each single shift; each candidate resumes from its shared replay's
     record at that round and runs to its end, unless it is dropped at the
     first round whose coalition view differs from the log's (past the log's
-    last round a non-empty coalition always sees a difference).  So on any
-    log the screen passes exactly the candidates whose whole view matches.
-    A passed candidate is simulated in full and checked, which decides.
+    last round a non-empty coalition always sees a difference), or rejoins
+    the base run first.  It rejoins at a round from max(i, j) - 1 on, when
+    both its substates are read, where its record equals the base's by
+    value and neither run found silence before that round; from there it
+    is the base run, record for record, so it takes the base's verdict.  So
+    on any log the screen passes exactly the candidates whose whole view
+    matches.  A passed candidate is simulated in full and checked, which
+    decides.  The base replay is kept for the next search on equal graph,
+    schedules, round limits and log (a case's other deltas, an attack's
+    other targets), so each log's base run is simulated once.
     The search order, and so the witness returned, is that of checking
     every candidate in full.
 
@@ -304,13 +316,14 @@ def ambiguity_witness(
         if validate_schedule(sched, dmax, NodeRole.PRIVATE):
             raise ValueError(f"{name} schedule is not a private decomposition")
 
-    sight = _Sight.of(log)
+    sight, base = _base_replay(
+        trace.graph, trace.schedules, trace.max_rounds, trace.quiescence_window, log
+    )
 
-    def replay(schedules, shared: _Replay | None = None, start: int = -2) -> _Replay:
+    def replay(schedules, shared: _Replay, start: int, rejoin: _Replay | None = None) -> _Replay:
         alt = SimTrace(trace.graph, tuple(schedules), trace.max_rounds, trace.quiescence_window)
-        return _Replay(alt, sight, shared, start)
+        return _Replay(alt, sight, shared, start, rejoin)
 
-    base = replay(trace.schedules)
     singles: dict[tuple[int, int], _Replay] = {}
 
     def single_shift(node: int, index: int, sched: SubstateSchedule) -> _Replay:
@@ -335,7 +348,7 @@ def ambiguity_witness(
                 shared = single_shift(helper, j, alt_h)
             else:
                 shared = single_shift(target, i, alt_t)
-            if replay(alt_schedules, shared, max(i, j) - 2).finish() == "fail":
+            if replay(alt_schedules, shared, max(i, j) - 2, base).finish() == "fail":
                 continue
             # After "pass" this run cannot overflow; after "overflow" it
             # raises the error the screen met, with the whole partial trace.
@@ -406,13 +419,23 @@ class _Sight(NamedTuple):
 _UNSEEN: tuple[list, list] = ([], [])
 
 
+@lru_cache(maxsize=1)
+def _base_replay(graph, schedules, max_rounds, quiescence_window, log) -> tuple[_Sight, _Replay]:
+    """The sight of log and the replay of the base run, kept for the next
+    search on the same log and trace values (a case's other deltas, an
+    attack's other targets), so the base run is extended once per log."""
+    sight = _Sight.of(log)
+    return sight, _Replay(SimTrace(graph, schedules, max_rounds, quiescence_window), sight)
+
+
 class _Replay:
     """One run of fixed schedules, extended on demand and only while each of
     its rounds shows the coalition what the log shows.
 
     A shared replay is extended round by round through `at`; a candidate's
     is screened with `finish`, which runs it to its end unless a round's
-    view differs first.  `records` holds the matched records, from `resume`
+    view differs first or the run rejoins the base run, whose verdict it
+    then takes.  `records` holds the matched records, from `resume`
     on when the run picks up after another run's record.  `verdict` stays
     None while the run can be extended; then it reads "pass" (every round
     matched and the run ended at or after the log's last round), "fail" (a
@@ -422,7 +445,7 @@ class _Replay:
     round differs there unless the coalition is empty.
     """
 
-    __slots__ = ("records", "verdict", "_sight", "_rounds")
+    __slots__ = ("records", "verdict", "_sight", "_rounds", "_trace", "_rejoin")
 
     def __init__(
         self,
@@ -430,10 +453,16 @@ class _Replay:
         sight: _Sight,
         shared: _Replay | None = None,
         start: int = -2,
+        rejoin: _Replay | None = None,
     ):
         """The run of trace's schedules, which is `shared`'s run through
-        round `start` (so it starts afresh when start < -1)."""
+        round `start` (so it starts afresh when start < -1).  With `rejoin`,
+        a run of schedules that differ from trace's only in substates read
+        by round `start` + 1, the run takes rejoin's verdict at its first
+        round from `start` + 1 on that rejoins it (see _advance)."""
         self._sight = sight
+        self._trace = trace
+        self._rejoin = rejoin
         resume = shared.at(start) if start >= -1 else None
         if start >= -1 and resume is None:
             # shared stopped before round start, and this run stops with it.
@@ -470,6 +499,19 @@ class _Replay:
         except SimulationOverflowError:
             self.verdict = "overflow"
             return
+        except BaseException:
+            # A generator that raised cannot be resumed, so a cached base
+            # replay that did is dropped.
+            _base_replay.cache_clear()
+            raise
+        rnd, base = record.round, self._rejoin
+        if base is not None and base.at(rnd) == record:
+            # From here on this run is base's, record for record, unless one
+            # of the two found silence before rnd and so ends its tail sooner.
+            quiet = (self._trace.quiescence_round, base._trace.quiescence_round)
+            if all(q is None or q >= rnd for q in quiet):
+                self.verdict = base.finish()
+                return
         messages, internal = _observe(record, sight.members)
         messages.sort()
         internal.sort()

@@ -62,7 +62,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    # run_batch imports the pool from concurrent.futures when it needs one.
+    # run_cases imports the pool from concurrent.futures when it needs one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 

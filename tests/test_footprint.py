@@ -8,10 +8,15 @@ check runs in a fresh interpreter, because the test process has loaded all
 of them already.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from interpreters import other_interpreters
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -120,3 +125,63 @@ def test_serial_run_cases_loads_no_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+DIGEST_LOOKUPS = """
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+from privavg.privacy import ObservationLog
+
+BUILTIN = ("_sha2", "_sha256")
+looked_up = []
+
+
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        looked_up.append(name)
+        return None
+
+
+sys.meta_path.insert(0, Recorder)
+ObservationLog(frozenset(), (), ()).digest()
+first = [m for m in looked_up if m in BUILTIN]
+del looked_up[:]
+ObservationLog(frozenset({0}), (), ()).digest()
+print(json.dumps([first, [m for m in looked_up if m in BUILTIN]]))
+"""
+
+
+def digest_lookups(python) -> list[list[str]]:
+    """The built-in hash modules looked up by a first and a second digest,
+    of two distinct logs, in a fresh interpreter."""
+    proc = subprocess.run(
+        [str(python), "-I", "-B", "-c", DIGEST_LOOKUPS, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, f"{python}: {proc.stderr}"
+    return json.loads(proc.stdout)
+
+
+def assert_one_builtin_lookup(python):
+    # The first digest imports the interpreter's own module, unless random
+    # has already; a failed import is not cached, so a later digest that
+    # tried a module this interpreter lacks would scan sys.path for it again.
+    first, second = digest_lookups(python)
+    assert len(first) <= 1 and second == [], (python, first, second)
+
+
+def test_a_later_digest_looks_up_no_hash_module():
+    assert_one_builtin_lookup(sys.executable)
+
+
+def test_a_later_digest_looks_up_no_hash_module_under_other_interpreters():
+    pythons = other_interpreters()
+    if not pythons:
+        pytest.skip("no other CPython 3.10+ under the pyenv versions directory")
+    for python in pythons:
+        assert_one_builtin_lookup(python)

@@ -951,6 +951,89 @@ class TestSharedReplaysMatchScreenedSearch:
         quiet = trace.quiescence_round
         assert run(base, quiet).finish() == "fail"
 
+    def test_a_rejoin_target_keeps_the_silence_rule(self):
+        # The run above matches base's record at every round after the
+        # resume point, but it found silence later than base did, so it may
+        # not take base's verdict.  Resumed a round earlier, a run meets
+        # base at the round where both find silence, and takes base's
+        # verdict there: the run's own records end before that round.
+        trace, log, g, _, _ = pair_case(0)
+        sight = privacy._Sight.of(log)
+
+        def run(shared=None, start=-2, rejoin=None):
+            alt = SimTrace(g, trace.schedules, trace.max_rounds, trace.quiescence_window)
+            return privacy._Replay(alt, sight, shared, start, rejoin)
+
+        base = run()
+        assert base.finish() == "pass"
+        quiet = trace.quiescence_round
+        assert run(base, quiet, base).finish() == "fail"
+        late = run(base, quiet - 1, base)
+        assert late.finish() == "pass"
+        assert [record.round for record in late.records] == [quiet - 1]
+
+
+class TestCachedBaseReplay:
+    """The base replay is kept from one search to the next on equal inputs."""
+
+    @pytest.mark.parametrize("order", ["forward", "reverse", "alternating"])
+    def test_cached_base_replays_give_the_screened_outcomes(self, order):
+        cases = [pair_case(index) for index in range(20)]
+        if order == "reverse":
+            cases.reverse()
+        elif order == "alternating":
+            # Each case's log, then a foreign log on the same trace: every
+            # search after the first meets a base replay of other inputs.
+            cases = [
+                case
+                for index, (trace, log, g, target, helper) in enumerate(cases)
+                for case in (
+                    (trace, log, g, target, helper),
+                    (trace, log_of_another_run(index), g, target, helper),
+                )
+            ]
+        privacy._base_replay.cache_clear()
+        for case in cases:
+            for delta in WITNESS_DELTAS:
+                assert search_outcome(ambiguity_witness, *case, delta) == search_outcome(
+                    screened_witness, *case, delta
+                ), delta
+
+    def test_an_error_while_extending_a_replay_drops_the_cached_base(self, monkeypatch):
+        # A generator that raised is finished, so a kept base replay that
+        # raised would end its run early and fail every candidate that
+        # rejoins it.
+        case = pair_case(0)
+        step = engine.step_node
+        for fail_at in range(1, 60, 4):
+            calls = [0]
+
+            def failing(*args):
+                calls[0] += 1
+                if calls[0] == fail_at:
+                    raise RuntimeError("step failed")
+                return step(*args)
+
+            privacy._base_replay.cache_clear()
+            monkeypatch.setattr(engine, "step_node", failing)
+            with pytest.raises(RuntimeError, match="step failed"):
+                ambiguity_witness(*case, 1)
+            assert privacy._base_replay.cache_info().currsize == 0, fail_at
+            monkeypatch.setattr(engine, "step_node", step)
+            assert search_outcome(ambiguity_witness, *case, 1) == search_outcome(
+                screened_witness, *case, 1
+            ), fail_at
+
+    def test_the_cache_stays_bounded(self):
+        privacy._base_replay.cache_clear()
+        for index in range(4):
+            trace, log, g, target, helper = pair_case(index)
+            for seen in (log, log_of_another_run(index), cut_log(log, 8)):
+                search_outcome(ambiguity_witness, trace, seen, g, target, helper, 1)
+                info = privacy._base_replay.cache_info()
+                assert info.currsize <= info.maxsize == 1  # one base run's records
+        assert privacy._base_replay.cache_info().misses == 12
+
 
 def test_search_steps_at_most_85_percent_of_the_reference(monkeypatch):
     cases = [pair_case(index) for index in range(20)]
@@ -999,13 +1082,14 @@ def test_only_replays_with_a_matching_view_are_simulated_in_full(monkeypatch):
     assert 0 < len(full_runs) * 10 <= len(validated)
 
 
-@pytest.mark.parametrize(("index", "steps", "confirmations"), [(0, 636, 6), (1, 320, 4)])
+@pytest.mark.parametrize(("index", "steps", "confirmations"), [(0, 529, 6), (1, 306, 4)])
 def test_witness_search_work_is_pinned(monkeypatch, index, steps, confirmations):
     # The search's work is deterministic, and a change that only slows it
     # (a shorter resume, a dropped replay shortcut) passes every outcome
     # test, so its node steps and confirmation runs over WITNESS_DELTAS are
     # pinned here.
     case = pair_case(index)
+    privacy._base_replay.cache_clear()
     counts = [0, 0]
     step, simulate = engine.step_node, privacy.run_simulation
 
