@@ -223,6 +223,15 @@ def cmd_privacy_audit(args) -> int:
     (out / "privacy_audit.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     for line in lines:
         print(line)
+    if args.attack and trace.quiescence_round is None:
+        # A witness needs a quiescent alternative run, so the attack's
+        # verdicts on a run that never fell silent settle nothing.
+        print(
+            f"trial {trial}: no quiescence within max_rounds = {trace.max_rounds}; "
+            "the attack is inconclusive",
+            file=sys.stderr,
+        )
+        return EXIT_TRIAL_FAILURE
     return EXIT_TRIAL_FAILURE if failed else EXIT_OK
 
 

@@ -41,10 +41,11 @@ readers (the routing, the overflow check, round_rows, the audits, the
 exports) and the coalition projection walk its events and build no copy.
 
 Frozen values that trials repeat are shared, not rebuilt.  step_node returns
-one of eight shared TriggersFired objects (see protocol), and a record
-stores its nodes' outcomes as a protocol.FiredRow, one byte per node (the
-outcome's index) where a tuple would hold an 8-byte pointer; indexing the
-row gives the shared object back.  Round -1 and the certification tail
+its trigger outcome as a small int, the index of one of eight shared
+TriggersFired objects (see protocol), and a record stores its nodes'
+outcomes as a protocol.FiredRow, one byte per node (that index) where a
+tuple would hold an 8-byte pointer; indexing the row gives the shared
+object back.  Round -1 and the certification tail
 share one all-idle row.  round_rows takes the row of a record without
 messages, a "silent row" such as each of the certification tail's, from a
 bounded module-level cache keyed by (round, converged nodes).  All trials
@@ -75,7 +76,6 @@ from .protocol import (
     Message,
     NodeState,
     TriggersFired,
-    _CODES,
     _build_copy,
     _build_fired,
     _builder,
@@ -129,6 +129,7 @@ class RoundMessages:
 
 
 _SILENT = RoundMessages()  # shared by every record without messages
+_build_messages = _builder(RoundMessages)  # built once per round with messages
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,13 +286,16 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     nodes with mail or not yet settled, in id order.  A node is settled
     once its counter s has moved past its own schedule, however long.
     Silence is then a fixed point of step_node: no mail fires no trigger
-    and uz_at(s) == 0 forces no hand-off, so nothing is sent or changed.
+    and a counter past the carriers forces no hand-off, so nothing is sent
+    or changed.
     So the other nodes keep their state objects, a silent round with every
     node settled is quiescent, and the tail is emitted without stepping.
     Each record is appended to trace.records and checked for 64-bit
-    overflow before it is yielded, so an aborted run's partial trace ends
-    at the offending record; trace.quiescence_round is set when silence is
-    found.  A consumer may stop early.  The inputs are taken as valid:
+    overflow before it is yielded (the step loop notes the first stepped
+    node out of range, and _check_overflow raises for it, or for a mass
+    transfer, once the record is appended), so an aborted run's partial
+    trace ends at the offending record; trace.quiescence_round is set when
+    silence is found.  A consumer may stop early.  The inputs are taken as valid:
     run_simulation checks them.
 
     With `resume`, an active-round record of another run on the same graph
@@ -315,13 +319,16 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     if resume is None:
         nodes: list[NodeState] = []
         init_msgs: list[Event] = []
+        overflowed = None  # the first node out of the 64-bit range
         for j in range(g.n):
             node, broadcast = init_node(j, schedules[j], out_order[j])
             nodes.append(node)
             init_msgs.append(broadcast)
-        record = _build_record(-1, RoundMessages(tuple(init_msgs)), tuple(nodes), idle_fired)
+            if abs(node.state_y) > INT64_MAX and overflowed is None:
+                overflowed = node
+        record = _build_record(-1, _build_messages(tuple(init_msgs)), tuple(nodes), idle_fired)
         trace.records.append(record)
-        _check_overflow(record, trace, nodes)
+        _check_overflow(record, trace, overflowed)
         yield record
     else:
         record = resume
@@ -336,31 +343,42 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
         mail: dict[int, list] = {}
         for ev in record.messages.events:
             if type(ev) is MassTransfer:
-                entry = mail.setdefault(ev.dst, [0, 0, None])
-                entry[0] += ev.y
-                entry[1] += ev.z
+                entry = mail.get(ev.dst)
+                if entry is None:
+                    mail[ev.dst] = [ev.y, ev.z, None]
+                else:
+                    entry[0] += ev.y
+                    entry[1] += ev.z
             else:
                 key = (ev.z, ev.y)
                 for dst in ev.dsts:
                     if key > keys[dst]:
                         keys[dst] = key
-                        mail.setdefault(dst, [0, 0, None])[2] = key
+                        entry = mail.get(dst)
+                        if entry is None:
+                            mail[dst] = [0, 0, key]
+                        else:
+                            entry[2] = key
         stepped = sorted(mail.keys() | unsettled)
+        unsettled = []
         outbox: list[Event] = []
         codes = bytearray(g.n)
+        overflowed = None  # the first stepped node out of the 64-bit range
         for j in stepped:
-            node, emitted, fired = step_node(
+            node, emitted, codes[j] = step_node(
                 nodes[j], schedules[j], out_order[j], mail.get(j), rnd
             )
             nodes[j] = node
             keys[j] = (node.state_z, node.state_y)
-            codes[j] = _CODES[fired]
-            outbox.extend(emitted)
-        messages = RoundMessages(tuple(outbox)) if outbox else _SILENT
+            outbox += emitted
+            if node.s < lengths[j]:
+                unsettled.append(j)
+            if abs(node.state_y) > INT64_MAX and overflowed is None:
+                overflowed = node
+        messages = _build_messages(tuple(outbox)) if outbox else _SILENT
         record = _build_record(rnd, messages, tuple(nodes), _build_fired(bytes(codes)))
         trace.records.append(record)
-        _check_overflow(record, trace, [nodes[j] for j in stepped])
-        unsettled = [j for j in stepped if nodes[j].s < lengths[j]]
+        _check_overflow(record, trace, overflowed)
         if not outbox and not unsettled:
             trace.quiescence_round = rnd
         yield record
@@ -378,23 +396,26 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
             yield record
 
 
-def _check_overflow(record: RoundRecord, trace: SimTrace, nodes) -> None:
-    """Raise if one of `nodes` (the record's nodes that changed this round,
-    in id order) or one of the record's mass transfers left the 64-bit range.
+def _check_overflow(
+    record: RoundRecord, trace: SimTrace, overflowed: NodeState | None
+) -> None:
+    """Raise for `overflowed`, the first node in id order that the record's
+    round set up or stepped and found with its state out of the 64-bit
+    range, or, when there is none, for the first of the record's mass
+    transfers out of that range.
 
     A broadcast carries its sender's state after the step, and its sender
-    is among `nodes` (every node at round -1), so a broadcast out of range
-    is reported as its sender's node error and needs no scan of its own.
+    was stepped (or set up, at round -1), so a broadcast out of range is
+    reported as its sender's node error and needs no scan of its own.
     A transfer carries mass its sender no longer holds, so it is checked.
     A node's mass is (0, 0) or equal to its state (see the module
     docstring), so its state alone decides.  Only the y side is read: every
     carrier is 1 (init_node and run_simulation refuse any other), so a z
     counts unit carriers and stays at most n * (dmax + 2)."""
-    for node in nodes:
-        if abs(node.state_y) > INT64_MAX:
-            raise SimulationOverflowError(
-                f"round {record.round}: node {node.id} left the 64-bit range", trace
-            )
+    if overflowed is not None:
+        raise SimulationOverflowError(
+            f"round {record.round}: node {overflowed.id} left the 64-bit range", trace
+        )
     for ev in record.messages.events:
         if type(ev) is MassTransfer and abs(ev.y) > INT64_MAX:
             raise SimulationOverflowError(
@@ -479,10 +500,15 @@ def audit_mass_conservation(trace: SimTrace) -> AuditVerdict:
     sum(len(uy) * y0) on the y side and sum(len(uz)) on the z side.
     Each position's held-plus-pool total is a running sum, re-summed only
     where the node object is not the one the previous evaluated record held.
+    A node's pool, what its schedule holds from its counter s on, is a
+    suffix sum of its schedule, kept per schedule for the counter last read
+    and built once per call: a counter moves up one substate per hand-off,
+    so a read mostly subtracts one substate, and any other move re-sums.
     """
     schedules = trace.schedules
     expect_y = sum(len(s.uy) * s.y0 for s in schedules)
     expect_z = sum(len(s.uz) for s in schedules)
+    pools = [(0, sum(sched.uy), sum(sched.uz)) for sched in schedules]  # (s, pool at s)
     own_y, own_z, prev = [], [], ()
     total_y = total_z = 0
     for record in _evaluated(trace):
@@ -494,16 +520,26 @@ def audit_mass_conservation(trace: SimTrace) -> AuditVerdict:
             node = nodes[p]
             sched = schedules[node.id]
             y, z = node.mass_y, node.mass_z
-            if node.s < len(sched.uy):  # past the schedule the pool slice is empty
-                y += sum(sched.uy[node.s:])
-                z += sum(sched.uz[node.s:])
+            s = node.s
+            if s < len(sched.uy):  # past the schedule the pool is empty
+                at, pool_y, pool_z = pools[node.id]
+                if s != at:
+                    if s == at + 1 and 0 <= at < len(sched.uz):
+                        pool_y -= sched.uy[at]
+                        pool_z -= sched.uz[at]
+                    else:
+                        pool_y, pool_z = sum(sched.uy[s:]), sum(sched.uz[s:])
+                    pools[node.id] = (s, pool_y, pool_z)
+                y += pool_y
+                z += pool_z
             total_y += y - own_y[p]
             total_z += z - own_z[p]
             own_y[p], own_z[p] = y, z
         got_y, got_z = total_y, total_z
-        for z, y in _in_flight(record):
-            got_y += y
-            got_z += z
+        for ev in record.messages.events:
+            if type(ev) is MassTransfer:
+                got_y += ev.y
+                got_z += ev.z
         if got_y != expect_y or got_z != expect_z:
             detail = f"round {record.round}: y {got_y} != {expect_y} or z {got_z} != {expect_z}"
             return AuditVerdict(False, record.round, detail)
@@ -525,9 +561,12 @@ def audit_leading_mass_dominance(trace: SimTrace) -> AuditVerdict:
         if not masses:
             return AuditVerdict(False, record.round, "no nonzero mass anywhere")
         lead = max(masses)
+        lead_z, lead_y = lead
         for node in record.nodes:
-            state = (node.state_z, node.state_y)
-            if state > lead:
+            if node.state_z >= lead_z and (
+                node.state_z > lead_z or node.state_y > lead_y
+            ):
+                state = (node.state_z, node.state_y)
                 detail = f"node {node.id} state {state} exceeds leading {lead}"
                 return AuditVerdict(False, record.round, detail)
     return AuditVerdict(ok=True)

@@ -21,20 +21,27 @@ The records built once per node step -- every event and every
 successor state -- are frozen slotted dataclasses, and their generated
 __init__ writes each field through object.__setattr__.  step_node and
 init_node therefore build them through _builder: a positional function,
-generated once at import per class, that writes each field straight
-through the class's own slot member descriptor.  Measured on CPython
-3.11.7, __init__ costs 1.2 to 2 times as much per object, and plain
-constructors cut the scale_n200 benchmark's ops/s by about 8 % (median of
-10 alternating 20 s runs on 2 cores).  The object is the one __init__
-makes (same class and slots, equal, same hash and repr, pickles and
-`dataclasses.replace`s the same, and still refuses assignment); the public
-classes and their __init__ are unchanged.
+generated once at import per class, that fills the slots of an object of
+a twin class -- the same slots, in the same order, and no __setattr__ of
+its own -- with plain attribute stores, and then sets the object's
+__class__ to the frozen class, which CPython allows exactly when the two
+layouts match.  Measured on CPython 3.11.7 (2 cores), a NodeState costs
+about 1,000 ns through __init__, 510 ns through the slot member
+descriptors' __set__, which this builder called before, and 250 ns
+through the twin; plain constructors cut the scale_n200 benchmark's ops/s
+by about 8 % against the descriptor builder (median of 10 alternating
+20 s runs).  The object is the one __init__ makes (same class and slots,
+equal, same hash and repr, pickles and `dataclasses.replace`s the same,
+and still refuses assignment); the public classes and their __init__ are
+unchanged.
 
-evaluate_triggers returns one of eight module-level TriggersFired objects,
-one per outcome (_IDLE is the all-False one, shared by every step without
-mail); they are immutable and compare by value, so sharing them changes no
-result.  A FiredRow stores one outcome per node as its one-byte index into
-them, and reads back the shared objects.
+step_node evaluates the three condition sets itself and returns which fired
+as one small int, the outcome's index into _OUTCOMES, the eight
+module-level TriggersFired objects (index 0 is the all-False outcome of
+every step without mail).  A FiredRow stores one index per node, one byte
+each, and reads back the shared objects; they are immutable and compare by
+value, so sharing them changes no result.  A step reads its substate and
+carrier from the schedule's uy and uz tuples directly.
 """
 
 from __future__ import annotations
@@ -53,10 +60,12 @@ def _builder(cls):
     makes the same object as cls(...) without going through object.__setattr__.
 
     The function is generated once, as dataclasses generates __init__: its
-    parameters are the fields in order, and it writes each one through the
-    slot member descriptor in cls.__dict__.  Raises TypeError for a class
-    whose __init__ does more than set its fields (a __post_init__, a field
-    left out of __init__) or whose fields are not its own frozen slots.
+    parameters are the fields in order.  It stores each one on an object of
+    a twin class with cls's __slots__, whose slots lie where cls's do, and
+    then assigns cls to the object's __class__.  Raises TypeError for a
+    class whose __init__ does more than set its fields (a __post_init__, a
+    field left out of __init__) or whose fields are not its own frozen
+    slots.
     """
     params = getattr(cls, "__dataclass_params__", None)
     if params is None or not params.frozen:
@@ -71,12 +80,11 @@ def _builder(cls):
     names = [f.name for f in fields(cls)]
     # The generated names start with two underscores, which a class body
     # mangles, so no field can shadow them.
-    namespace = {"__new": object.__new__, "__cls": cls}
-    lines = [f"def _build_{cls.__name__}({', '.join(names)}):", "    __obj = __new(__cls)"]
-    for name in names:
-        namespace[f"__set_{name}"] = cls.__dict__[name].__set__
-        lines.append(f"    __set_{name}(__obj, {name})")
-    lines.append("    return __obj")
+    twin = type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
+    namespace = {"__new": object.__new__, "__cls": cls, "__twin": twin}
+    lines = [f"def _build_{cls.__name__}({', '.join(names)}):", "    __obj = __new(__twin)"]
+    lines += [f"    __obj.{name} = {name}" for name in names]
+    lines += ["    __obj.__class__ = __cls", "    return __obj"]
     exec("\n".join(lines), namespace)
     return namespace[f"_build_{cls.__name__}"]
 
@@ -127,14 +135,12 @@ class TriggersFired(NamedTuple):
 
 # Every trigger outcome, indexed by 4 * adopt_received + 2 * adopt_mass + hand_off.
 _OUTCOMES = tuple(TriggersFired(*bits) for bits in product((False, True), repeat=3))
-_IDLE = _OUTCOMES[0]  # shared by every step without mail
-_CODES = {outcome: code for code, outcome in enumerate(_OUTCOMES)}  # outcome -> index
 
 
 @dataclass(frozen=True, slots=True)
 class FiredRow:
     """One trigger outcome per node, stored as one byte each: codes holds
-    each outcome's index into _OUTCOMES, as _CODES gives it.  An entry
+    each outcome's index into _OUTCOMES, as step_node returns it.  An entry
     reads as the shared TriggersFired object."""
 
     codes: bytes
@@ -197,39 +203,13 @@ def init_node(
     return node, _build_broadcast(node_id, out_neighbors, y, z, -1)
 
 
-def evaluate_triggers(
-    state_y: int,
-    state_z: int,
-    best: tuple[int, int] | None,
-    mass_y: int,
-    mass_z: int,
-) -> tuple[int, int, TriggersFired]:
-    """Run the three condition sets in order against a merged mass.
-
-    best is the (z, y) key of the lex-greatest received state, or None when
-    no state was received.  Returns the updated state pair and which
-    condition sets fired; sets 2 and 3 see the state as already updated by
-    set 1.  The outcome is one of the eight shared TriggersFired objects.
-    """
-    fired1 = fired2 = fired3 = False
-    if best is not None and best > (state_z, state_y):
-        state_z, state_y = best
-        fired1 = True
-    if (mass_z, mass_y) > (state_z, state_y):
-        state_y, state_z = mass_y, mass_z
-        fired2 = True
-    if 0 < mass_z < state_z or (mass_z == state_z and mass_y < state_y):
-        fired3 = True
-    return state_y, state_z, _OUTCOMES[4 * fired1 + 2 * fired2 + fired3]
-
-
 def step_node(
     node: NodeState,
     schedule: SubstateSchedule,
     out: tuple[int, ...],
     mail: list | None,
     rnd: int,
-) -> tuple[NodeState, list[Event], TriggersFired]:
+) -> tuple[NodeState, list[Event], int]:
     """Advance one node by one synchronous round.
 
     schedule and out are the node's substate schedule and out-neighbor row,
@@ -242,36 +222,52 @@ def step_node(
     mass trails its state hand that mass off.  The returned outbox, a
     transfer then a broadcast to `out` when there are both, is stamped with
     round rnd and is due for delivery at rnd + 1.
+
+    The three condition sets run in order against the merged mass, and
+    sets 2 and 3 see the state as already updated by set 1.  The returned
+    code is the outcome's index into _OUTCOMES: 4 when set 1 adopted the
+    received state, plus 2 when set 2 adopted the mass, plus 1 when set 3
+    asks for a hand-off; 0 when nothing fired, as without mail.
     """
     node_id = node.id
     mass_y, mass_z = node.mass_y, node.mass_z
     state_y, state_z = node.state_y, node.state_z
-    fired = _IDLE
+    code = 0
     if mail is not None:
         add_y, add_z, best = mail
         mass_y += add_y
         mass_z += add_z
-        state_y, state_z, fired = evaluate_triggers(state_y, state_z, best, mass_y, mass_z)
+        if best is not None and best > (state_z, state_y):  # set 1
+            state_z, state_y = best
+            code = 4
+        if mass_z > state_z or (mass_z == state_z and mass_y > state_y):  # set 2
+            state_y, state_z = mass_y, mass_z
+            code += 2
+        # set 3; a mass set 2 adopted is the state, so it cannot trail it
+        elif 0 < mass_z < state_z or (mass_z == state_z and mass_y < state_y):
+            code += 1
+        if code > 1:
+            assert state_z > node.state_z or (
+                state_z == node.state_z and state_y >= node.state_y
+            ), "state must be lex monotone"
 
-    # The flags are this round's outcome: a hand-off is forced while the
-    # schedule still has carrier substates.
+    # A hand-off is forced while the schedule still has carrier substates;
+    # past either tuple a substate reads as 0.
     s = node.s
-    s_br = fired.adopt_received or fired.adopt_mass
-    m_tr = fired.hand_off or schedule.uz_at(s) == 1
-
+    uz = schedule.uz
     outbox: list[Event] = []
     rr_cursor = node.rr_cursor
-    if m_tr:
-        mass_y += schedule.uy_at(s)
-        mass_z += schedule.uz_at(s)
+    if code & 1 or (s < len(uz) and uz[s] == 1):
+        uy = schedule.uy
+        if s < len(uy):
+            mass_y += uy[s]
+        if s < len(uz):
+            mass_z += uz[s]
         assert mass_z >= 1, "a hand-off must carry positive z mass"
         outbox.append(_build_transfer(node_id, out[rr_cursor], mass_y, mass_z, rnd))
         rr_cursor = (rr_cursor + 1) % len(out)
         mass_y = mass_z = 0
         s += 1
-    if s_br:
+    if code > 1:
         outbox.append(_build_broadcast(node_id, out, state_y, state_z, rnd))
-
-    assert (state_z, state_y) >= (node.state_z, node.state_y), "state must be lex monotone"
-    new_node = _build_node(node_id, mass_y, mass_z, state_y, state_z, s, rr_cursor)
-    return new_node, outbox, fired
+    return _build_node(node_id, mass_y, mass_z, state_y, state_z, s, rr_cursor), outbox, code

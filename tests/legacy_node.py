@@ -6,7 +6,8 @@ are adapters over privavg.protocol's, which take the two fixed fields as
 arguments, take a node's mail as two sums and a best state, and emit one
 Broadcast event per broadcasting node: they carry those fields along, fold
 a list inbox of events or copies into mail (step_inbox, which reads a
-copy's or a transfer's addressee from dst and a broadcast's from dsts) and
+copy's or a transfer's addressee from dst and a broadcast's from dsts),
+read a step's outcome code back as its TriggersFired object, and
 expand each event into one StateBroadcast copy per addressee, so an oracle
 that reads node.schedule or node.out_neighbors, or calls init_node(id,
 schedule, out) and step_node(node, inbox, rnd) and routes copies by dst,
@@ -101,7 +102,8 @@ def step_inbox(node, schedule, out, inbox, rnd):
     Each event must be addressed to the node -- a transfer or a copy by
     its dst, a broadcast by its dsts -- or EngineContractError is raised.
     The transfers are summed, the lex-greatest broadcast or copy (z first)
-    is the best state, and an empty inbox is no mail.
+    is the best state, and an empty inbox is no mail.  The step's outcome
+    code is returned as the shared TriggersFired object it indexes.
     """
     add_y = add_z = 0
     keys = []
@@ -115,7 +117,8 @@ def step_inbox(node, schedule, out, inbox, rnd):
         else:
             keys.append((ev.z, ev.y))
     mail = [add_y, add_z, max(keys, default=None)] if inbox else None
-    return protocol.step_node(node, schedule, out, mail, rnd)
+    after, outbox, code = protocol.step_node(node, schedule, out, mail, rnd)
+    return after, outbox, protocol._OUTCOMES[code]
 
 
 def _misrouted(rnd: int, dsts: tuple[int, ...], node_id: int) -> EngineContractError:

@@ -89,6 +89,18 @@ def test_mixed_role_batch_on_two_workers_equals_the_serial_batch(tmp_path):
         assert same_bytes(tmp_path / "roles" / name, tmp_path / "roles2" / name)
 
 
+def test_shifting_every_state_by_a_billion_keeps_both_csvs(repro):
+    # Translation symmetry end to end: every y moves by 10**9 * z, and no
+    # column of either CSV reads a y.
+    key, states = REPRO[-1].split(" = ")
+    shifted = ",".join(str(int(y) + 10**9) for y in states.split(","))
+    write(repro / "shifted.cfg", *REPRO[:-1], f"{key} = {shifted}")
+    done = privavg(repro, "--config", "shifted.cfg", "--out-dir", "shifted", "batch")
+    assert done.returncode == 0
+    for name in ("trials.csv", "series.csv"):
+        assert same_bytes(repro / "out" / name, repro / "shifted" / name)
+
+
 def test_round_budget_of_zero_converges_no_trial(tmp_path):
     write(tmp_path / "budget0.cfg", *REPRO, "max_rounds = 0")
     done = privavg(tmp_path, "--config", "budget0.cfg", "--out-dir", "budget0", "batch")
@@ -196,6 +208,30 @@ def test_hub_attack_on_a_surrounded_target_reconstructs_it(tmp_path):
     assert "attack,0,reconstructed,4,truth,4,match,True" in lines
 
 
+def test_attack_on_a_run_that_never_falls_silent_is_a_trial_failure(tmp_path):
+    # The witnesses read "unavailable" only because a 3-round budget leaves
+    # no quiescent alternative run to find, so the attack proves nothing.
+    cfg = (
+        "seed = 6", "n = 6", "p = 0.5", "states_range = -50,50",
+        "private_fraction = 0.5", "curious_fraction = 0.5",
+    )
+    write(tmp_path / "quiet.cfg", *cfg)
+    write(tmp_path / "cut.cfg", *cfg, "max_rounds = 3")
+    quiet = privavg(
+        tmp_path, "--config", "quiet.cfg", "--out-dir", "quiet", "privacy-audit", "--attack"
+    )
+    cut = privavg(tmp_path, "--config", "cut.cfg", "--out-dir", "cut", "privacy-audit", "--attack")
+    assert quiet.returncode == 0 and quiet.stderr == ""
+    assert cut.returncode == 2
+    assert cut.stderr.splitlines() == [
+        "trial 0: no quiescence within max_rounds = 3; the attack is inconclusive"
+    ]
+    lines = (tmp_path / "cut/privacy_audit.txt").read_text().splitlines()
+    assert cut.stdout.splitlines() == lines
+    assert lines[-3:] == [f"attack,{t},witness,unavailable" for t in (0, 2, 4)]
+    assert not any(line.endswith(",unavailable") for line in quiet.stdout.splitlines())
+
+
 def test_three_cycle_attack_has_no_witness(tmp_path):
     cycle = ("3 3", "0 1", "1 2", "2 0")
     lines = _attack(tmp_path, cycle, (*HUB, "roles = private,private,curious"))
@@ -204,22 +240,28 @@ def test_three_cycle_attack_has_no_witness(tmp_path):
 
 
 def test_golden_outputs_under_other_interpreters(tmp_path):
-    """Every other CPython 3.10+ found writes the golden reproduction files.
+    """Every other CPython 3.10+ found writes the golden reproduction files
+    and the golden hub attack audit.
 
     -B keeps each interpreter's bytecode out of src/.
     """
     pythons = other_interpreters()
     if not pythons:
         pytest.skip("no other CPython 3.10+ under the pyenv versions directory")
-    pinned = {name: sha for name, sha in GOLDEN_FILES.items() if not name.startswith("audit/")}
     for python in pythons:
         work = tmp_path / python.parent.parent.name
         work.mkdir()
         (work / "repro.cfg").write_text(REPRO_CONFIG, encoding="ascii")
-        for args in (["batch"], ["run", "--trial", "3"]):
+        write(work / "graph.txt", *HUB_GRAPH)
+        write(work / "attack.cfg", *HUB, "roles = private,private,curious")
+        for config, out, args in (
+            ("repro.cfg", "batch", ["batch"]),
+            ("repro.cfg", "run", ["run", "--trial", "3"]),
+            ("attack.cfg", "audit", ["privacy-audit", "--attack"]),
+        ):
             done = subprocess.run(
-                [str(python), "-B", "-m", "privavg", "--config", "repro.cfg",
-                 "--out-dir", args[0], *args],
+                [str(python), "-B", "-m", "privavg", "--config", config,
+                 "--out-dir", out, *args],
                 cwd=work,
                 env={**os.environ, "PYTHONPATH": str(SRC)},
                 capture_output=True,
@@ -227,7 +269,7 @@ def test_golden_outputs_under_other_interpreters(tmp_path):
                 timeout=300,
             )
             assert done.returncode == 0, f"{python}: {done.stderr}"
-        for name, sha in pinned.items():
+        for name, sha in GOLDEN_FILES.items():
             assert hashlib.sha256((work / name).read_bytes()).hexdigest() == sha, (python, name)
 
 

@@ -275,6 +275,28 @@ class TestMassConservation:
         verdict = audit_mass_conservation(trace)
         assert not verdict.ok and verdict.first_violation_round == target_round
 
+    def test_carriers_fewer_or_more_than_the_substates(self):
+        # Only a hand-made schedule has uz and uy of different lengths: a
+        # counter past uz reads no carrier, and one past uy no pool at all.
+        # Each node holds what its counter has injected, so every record
+        # balances, as the counters step up, jump back and step up again.
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        uy = (1, 2, 3, 6)  # y0 = 3
+        schedules = (SubstateSchedule(3, uy, (1, 1)), SubstateSchedule(3, uy, (1,) * 6))
+        idle = (TriggersFired(False, False, False),) * 2
+        records = []
+        for rnd, s in enumerate((0, 1, 2, 3, 1, 2, 4)):
+            nodes = tuple(
+                NodeState(
+                    j, sum(uy[:s]), len(sched.uz) - sum(sched.uz[s:]) * (s < len(uy)),
+                    0, 1, s, 0,
+                )
+                for j, sched in enumerate(schedules)
+            )
+            records.append(RoundRecord(rnd, _SILENT, nodes, idle))
+        verdict = audit_mass_conservation(SimTrace(g, schedules, 10, 5, records))
+        assert verdict.ok, verdict.detail
+
     def test_uninjected_pool_before_first_transfer(self):
         # Right after initialization each node still holds two of its three
         # substates in the pool; the audit balances on that count alone.
@@ -357,23 +379,26 @@ class TestEngineBehaviors:
 
     def test_values_at_the_64_bit_limit_stay_in_range(self):
         # At unit scale this pair's states and transfers reach |y| = 7 and no
-        # more.  Sums and the lex order of (z, y) keys commute with a positive
-        # scale of y, so scaled by (2^63 - 1) / 7 the same run touches the
-        # limit exactly, and must not abort.
+        # more, with node 1's substates in either order; the second order
+        # starts node 1 on 7.  Sums and the lex order of (z, y) keys commute
+        # with a positive scale of y, so scaled by (2^63 - 1) / 7 the same
+        # runs touch the limit exactly, at set-up or later, and must not abort.
         c = INT64_MAX // 7
         g = digraph_from_edges(2, [(0, 1), (1, 0)])
-        schedules = [
-            SubstateSchedule(y0=-3 * c, uy=(-2 * c, 0, -7 * c), uz=(1, 1, 1)),
-            SubstateSchedule(y0=4 * c, uy=(0, 7 * c, 5 * c), uz=(1, 1, 1)),
-        ]
-        trace, report = run_simulation(g, schedules)
-        assert report.quiescent and report.exactness_ok
-        states = [abs(node.state_y) for r in trace.records for node in r.nodes]
-        transfers = [
-            abs(ev.y) for r in trace.records for ev in r.messages.events
-            if type(ev) is MassTransfer
-        ]
-        assert max(states) == max(transfers) == INT64_MAX
+        for uy, first in (((0, 7 * c, 5 * c), 2 * c), ((7 * c, 0, 5 * c), INT64_MAX)):
+            schedules = [
+                SubstateSchedule(y0=-3 * c, uy=(-2 * c, 0, -7 * c), uz=(1, 1, 1)),
+                SubstateSchedule(y0=4 * c, uy=uy, uz=(1, 1, 1)),
+            ]
+            trace, report = run_simulation(g, schedules)
+            assert report.quiescent and report.exactness_ok
+            states = [abs(node.state_y) for r in trace.records for node in r.nodes]
+            transfers = [
+                abs(ev.y) for r in trace.records for ev in r.messages.events
+                if type(ev) is MassTransfer
+            ]
+            assert max(states) == max(transfers) == INT64_MAX
+            assert max(abs(node.state_y) for node in trace.records[0].nodes) == first
 
     def test_a_state_out_of_range_is_its_node_error_after_a_hand_off(self):
         # Node 1 merges 4 * 2^61 = 2^63 at round 1 and hands all of it on, so
@@ -1443,3 +1468,134 @@ class TestAuditsMatchReference:
         for trace, violation in ((state_lead, None), (mass_lead, 4)):
             assert audit_leading_mass_dominance(trace).first_violation_round == violation
             assert_audits_agree(trace)
+
+
+class Substate(int):
+    """An int whose +, - and abs stay a Substate and whose other arithmetic,
+    hashing, truth value and use as an index raise, so that any other use
+    of a y value in the engine shows."""
+
+    def _wrap(self, value):
+        return NotImplemented if value is NotImplemented else Substate(value)
+
+    def __add__(self, other):
+        return self._wrap(int.__add__(self, other))
+
+    def __radd__(self, other):
+        return self._wrap(int.__radd__(self, other))
+
+    def __sub__(self, other):
+        return self._wrap(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        return self._wrap(int.__rsub__(self, other))
+
+    def __abs__(self):
+        return Substate(int.__abs__(self))
+
+    def _refused(self, *args):
+        raise TypeError("the engine may read y only through +, -, comparisons and abs")
+
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _refused
+    __floordiv__ = __rfloordiv__ = __mod__ = __rmod__ = __pow__ = __rpow__ = _refused
+    __hash__ = __index__ = __bool__ = _refused
+
+
+class TestRoundLoopIsDuckTypedOverY:
+    """The round loop reads a y value only through +, -, comparisons and
+    abs, the operations an affine stand-in for a substate (a + b * delta)
+    can offer."""
+
+    def test_substates_that_refuse_everything_else(self):
+        cfg = dataclasses.replace(MIXED_ROLES, trials=3)
+        for g, _, _, schedules in _trial_inputs(cfg):
+            plain, _ = run_simulation(g, schedules)
+            wrapped = tuple(
+                SubstateSchedule(s.y0, tuple(map(Substate, s.uy)), s.uz) for s in schedules
+            )
+            trace = SimTrace(g, wrapped, plain.max_rounds, plain.quiescence_window)
+            assert list(engine.iter_rounds(trace)) == plain.records
+            assert trace.quiescence_round == plain.quiescence_round
+            for record in trace.records:
+                assert all(type(ev.y) is Substate for ev in record.messages.events)
+                for node in record.nodes:
+                    assert type(node.state_y) is Substate
+                    # a hand-off leaves the plain (0, 0) mass behind
+                    assert type(node.mass_y) is Substate or (node.mass_y, node.mass_z) == (0, 0)
+        with pytest.raises(TypeError):
+            hash(Substate(1))
+
+
+def _shifted(schedule: SubstateSchedule, c: int) -> SubstateSchedule:
+    return SubstateSchedule(schedule.y0 + c, tuple(y + c for y in schedule.uy), schedule.uz)
+
+
+def _moved(value, c: int):
+    """A node or event with each y moved by c times its z."""
+    if isinstance(value, NodeState):
+        return dataclasses.replace(
+            value,
+            mass_y=value.mass_y + c * value.mass_z,
+            state_y=value.state_y + c * value.state_z,
+        )
+    return dataclasses.replace(value, y=value.y + c * value.z)
+
+
+class TestTranslationSymmetry:
+    """Adding c to every initial state moves each y by c * z and changes
+    nothing else: every comparison the protocol makes is between pairs of
+    equal z or decided by z.  Checked against the engine's own runs on
+    unshifted inputs, so the check shares no code with the round loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shifted_states_move_every_y_by_c_z(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        g = generate_random_strongly_connected(n, 0.5, rng)
+        dmax = max_out_degree(g)
+        roles = data.draw(st.lists(st.sampled_from(NodeRole), min_size=n, max_size=n))
+        states = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        bound = data.draw(st.integers(dmax + 2, 60), label="offset_bound")
+        c = data.draw(st.integers(-10**9, 10**9).filter(bool), label="c")
+        max_rounds = data.draw(st.none() | st.integers(0, 40), label="max_rounds")
+        window = data.draw(st.none() | st.integers(1, 3 * n), label="quiescence_window")
+
+        start = rng.getstate()
+        plain = [decompose_initial_state(y, dmax, r, bound, rng) for y, r in zip(states, roles)]
+        end = rng.getstate()
+        rng.setstate(start)
+        shifted = [
+            decompose_initial_state(y + c, dmax, r, bound, rng) for y, r in zip(states, roles)
+        ]
+        assert rng.getstate() == end
+        assert shifted == [_shifted(s, c) for s in plain]
+
+        base, base_report = run_simulation(g, plain, max_rounds, window)
+        moved, report = run_simulation(g, shifted, max_rounds, window)
+        assert len(moved.records) == len(base.records)
+        assert moved.quiescence_round == base.quiescence_round
+        for a, b in zip(moved.records, base.records):
+            assert a.round == b.round and a.fired == b.fired
+            assert a.messages.events == tuple(_moved(ev, c) for ev in b.messages.events)
+            assert a.nodes == tuple(_moved(node, c) for node in b.nodes)
+        assert report.rows == base_report.rows
+        for name in ("conservation", "dominance", "absorption"):
+            got, want = getattr(report, name), getattr(base_report, name)
+            assert (got.ok, got.first_violation_round) == (want.ok, want.first_violation_round)
+        assert report.absorption == base_report.absorption
+        unshifted = ("q_num", "final_states", "conservation", "dominance")
+        for f in dataclasses.fields(report):
+            if f.name not in unshifted:
+                assert getattr(report, f.name) == getattr(base_report, f.name), f.name
+
+    def test_a_shift_out_of_the_64_bit_range_is_not_invariant(self):
+        g = digraph_from_edges(2, [(0, 1), (1, 0)])
+        plain = (
+            SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1)),
+            SubstateSchedule(y0=6, uy=(6, 6, 6), uz=(1, 1, 1)),
+        )
+        c = INT64_MAX // 2
+        assert run_simulation(g, plain)[1].quiescent
+        with pytest.raises(SimulationOverflowError):
+            run_simulation(g, [_shifted(s, c) for s in plain])

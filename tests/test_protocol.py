@@ -12,15 +12,16 @@ from privavg.engine import (
     RoundRecord,
     SeriesRow,
     SimTrace,
+    _build_messages,
     _build_record,
     _build_row,
     run_simulation,
 )
 from privavg.graph import Digraph, generate_random_strongly_connected, max_out_degree
 from privavg.protocol import (
-    _IDLE,
     _OUTCOMES,
     Broadcast,
+    FiredRow,
     MassTransfer,
     Message,
     NodeState,
@@ -28,10 +29,10 @@ from privavg.protocol import (
     TriggersFired,
     _build_broadcast,
     _build_copy,
+    _build_fired,
     _build_node,
     _build_transfer,
     _builder,
-    evaluate_triggers,
     init_node,
     step_node,
 )
@@ -48,6 +49,9 @@ from legacy_node import (
 # The schedule and out-neighbor row of make_node's node 0.
 SCHEDULE = SubstateSchedule(y0=4, uy=(4, 4, 4), uz=(1, 1, 1))
 OUT = (1,)
+
+
+IDLE = _OUTCOMES[0]  # the outcome of every step without mail
 
 
 def make_node(state=(3, 1), mass=(0, 0), s=1):
@@ -98,6 +102,15 @@ class TestInitNode:
             init_node(0, schedule, ())
 
 
+def triggers(state_y, state_z, best, mass_y, mass_z):
+    """The condition sets as step_node runs them: the state a node on
+    (state_y, state_z) past its schedule ends on when its merged mass is
+    (mass_y, mass_z) and best is its mail's best state, and the outcome."""
+    node = make_node(state=(state_y, state_z), s=TestEventTriggers.PAST_SCHEDULE)
+    after, _, code = step_node(node, SCHEDULE, OUT, [mass_y, mass_z, best], 5)
+    return after.state_y, after.state_z, _OUTCOMES[code]
+
+
 class TestEventTriggers:
     # The default schedule has dmax = 1; a node at s = dmax + 2 has used it
     # up, so no forced hand-off can hide which flag a trigger set.
@@ -132,39 +145,42 @@ class TestEventTriggers:
 
     def test_adoption_uses_lex_max_of_received(self):
         # (y, z) payloads (7, 2), (100, 1) and (3, 3): z compares first
-        y, z, fired = evaluate_triggers(0, 1, max((2, 7), (1, 100), (3, 3)), 0, 0)
+        y, z, fired = triggers(0, 1, max((2, 7), (1, 100), (3, 3)), 0, 0)
         assert (y, z) == (3, 3)
         assert fired.adopt_received and not fired.adopt_mass
 
     def test_mass_comparison_happens_after_state_adoption(self):
         # received lifts the state first; the mass then loses the comparison
-        y, z, fired = evaluate_triggers(1, 1, (3, 10), 5, 2)
+        y, z, fired = triggers(1, 1, (3, 10), 5, 2)
         assert (y, z) == (10, 3)
         assert fired.adopt_received and not fired.adopt_mass and fired.hand_off
 
     def test_equal_pairs_fire_nothing(self):
-        y, z, fired = evaluate_triggers(6, 1, (1, 6), 6, 1)
+        y, z, fired = triggers(6, 1, (1, 6), 6, 1)
         assert (y, z) == (6, 1) and fired == (False, False, False)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-50, 50), st.integers(1, 20))
     def test_zero_mass_never_requests_hand_off(self, state_y, state_z):
-        _, _, fired = evaluate_triggers(state_y, state_z, None, 0, 0)
+        _, _, fired = triggers(state_y, state_z, None, 0, 0)
         assert not fired.hand_off
 
     def test_one_shared_object_per_outcome(self):
+        # step_node's code indexes one shared object per outcome.
         assert [tuple(o) for o in _OUTCOMES] == list(product((False, True), repeat=3))
-        assert _IDLE is _OUTCOMES[0]
         small = (-1, 0, 1)
         pairs = list(product(small, (0, 1, 2)))
         reached = {}
         for (sy, sz), (my, mz) in product(pairs, pairs):
             for received in [[]] + [[pair] for pair in pairs]:
                 best = max(((z, y) for y, z in received), default=None)
-                y, z, fired = evaluate_triggers(sy, sz, best, my, mz)
                 want = reference_evaluate_triggers(sy, sz, received, my, mz)
+                if want[2].hand_off and mz < 1:  # no z mass to hand off
+                    with pytest.raises(AssertionError, match="positive z mass"):
+                        triggers(sy, sz, best, my, mz)
+                    continue
+                y, z, fired = triggers(sy, sz, best, my, mz)
                 assert (y, z, fired) == want
-                assert fired is next(o for o in _OUTCOMES if o == want[2])
                 reached[id(fired)] = fired
         # An adopted mass is the new state, so it cannot also be handed off.
         assert sorted(reached.values()) == [o for o in _OUTCOMES if not (o[1] and o[2])]
@@ -197,14 +213,14 @@ class TestStepNode:
 
     def test_exhausted_idle_node_does_nothing(self):
         node = make_node(state=(9, 3), mass=(0, 0), s=3)  # dmax=1, so s > dmax+1
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, None, 5)
-        assert emitted == [] and fired == (False, False, False)
+        out, emitted, code = step_node(node, SCHEDULE, OUT, None, 5)
+        assert emitted == [] and code == 0
         assert out == node
 
     def test_mail_that_changes_nothing_hands_back_the_node(self):
         node = make_node(state=(9, 3), mass=(0, 0), s=3)
         out, emitted, fired = step_inbox(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 1, 4)], 5)
-        assert out == node and emitted == [] and fired is _IDLE
+        assert out == node and emitted == [] and fired is IDLE
         out, emitted, fired = step_inbox(node, SCHEDULE, OUT, [StateBroadcast(1, 0, 1, 4, 4)], 5)
         assert out != node and (out.state_y, out.state_z) == (1, 4) and len(emitted) == 1
 
@@ -213,10 +229,10 @@ class TestStepNode:
         # schedule, so only condition set 3 can make it send: a delivered
         # transfer of (0, 0) is mail, and no mail evaluates no trigger.
         node = make_node(state=(3, 1), mass=(2, 1), s=3)
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, None, 5)
-        assert out == node and emitted == [] and fired is _IDLE
-        out, emitted, fired = step_node(node, SCHEDULE, OUT, [0, 0, None], 5)
-        assert fired == (False, False, True)
+        out, emitted, code = step_node(node, SCHEDULE, OUT, None, 5)
+        assert out == node and emitted == [] and code == 0
+        out, emitted, code = step_node(node, SCHEDULE, OUT, [0, 0, None], 5)
+        assert _OUTCOMES[code] == (False, False, True)
         assert emitted == [MassTransfer(src=0, dst=1, y=2, z=1, round=5)]
         assert (out.mass_y, out.mass_z, out.s) == (0, 0, 4)
         inbox = [MassTransfer(src=1, dst=0, y=0, z=0, round=4)]
@@ -249,10 +265,10 @@ class TestStepNode:
         )
         assert node.s >= length  # settled
         rnd = data.draw(st.integers(0, 10**6))
-        after, emitted, fired = step_node(node, schedule, out, None, rnd)
+        after, emitted, code = step_node(node, schedule, out, None, rnd)
         assert after == node
         assert emitted == []
-        assert fired == TriggersFired(False, False, False)
+        assert _OUTCOMES[code] == TriggersFired(False, False, False)
 
     def test_misrouted_message_is_a_contract_violation(self):
         node = make_node()
@@ -424,11 +440,13 @@ _BUILT = [
             round=3,
             messages=RoundMessages((Broadcast(0, (1, 2), 3, 1, 3),)),
             nodes=(_NODE,),
-            fired=(_IDLE,),
+            fired=(IDLE,),
         ),
         "messages",
         (),
     ),
+    (FiredRow, _build_fired, dict(codes=bytes([0, 5, 2])), "codes", b"\x01"),
+    (RoundMessages, _build_messages, dict(events=(MassTransfer(1, 2, -3, 4, 5),)), "events", ()),
     (
         SeriesRow,
         _build_row,
