@@ -33,16 +33,7 @@ from .experiments import (
     run_single_trial,
 )
 from .graph import GraphGenerationError
-from .privacy import (
-    NotFullySurroundedError,
-    PrivacyClass,
-    ReconstructionError,
-    WitnessUnavailableError,
-    ambiguity_witness,
-    classify_privacy,
-    coalition_observations,
-    reconstruct_fully_surrounded,
-)
+from .privacy import AmbiguityWitness, attack_trial, classify_privacy
 from .schedule import (
     NodeRole,
     ScheduleInfeasibleError,
@@ -54,8 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TRIAL_FAILURE = 2
 EXIT_IO = 3
-
-WITNESS_DELTAS = (1, -1, 2, -2, 3, -3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,36 +178,20 @@ def cmd_privacy_audit(args) -> int:
     failed = False
     if args.attack:
         trace, _report = run_simulation(g, schedules, cfg.max_rounds, cfg.quiescence_window)
-        coalition = {j for j in range(g.n) if roles[j] is NodeRole.CURIOUS}
-        log = coalition_observations(trace, coalition)
-        for v in verdicts:
-            if v.classification is PrivacyClass.BREACHED and v.justification == "all-neighbors-curious":
-                try:
-                    guess = reconstruct_fully_surrounded(log, g, v.target)
-                    truth = states[v.target]
-                    match = guess == truth
-                    lines.append(f"attack,{v.target},reconstructed,{guess},truth,{truth},match,{match}")
-                    if not match:
-                        failed = True
-                except (NotFullySurroundedError, ReconstructionError) as exc:
-                    lines.append(f"attack,{v.target},reconstruction-error,{exc}")
-                    failed = True
-            elif v.classification is PrivacyClass.PRESERVED:
-                helper = int(v.justification.rsplit("-", 1)[1])
-                found = None
-                for delta in WITNESS_DELTAS:
-                    try:
-                        found = ambiguity_witness(trace, log, g, v.target, helper, delta)
-                        break
-                    except WitnessUnavailableError:
-                        continue
-                if found is None:
-                    lines.append(f"attack,{v.target},witness,unavailable")
-                else:
-                    lines.append(
-                        f"attack,{v.target},witness,helper,{found.helper},"
-                        f"delta,{found.delta},digest,{found.log_digest[:16]}"
-                    )
+        for target, outcome in attack_trial(trace, roles):
+            if outcome is None:
+                line = "witness,unavailable"
+            elif isinstance(outcome, AmbiguityWitness):
+                digest = outcome.log_digest[:16]
+                line = f"witness,helper,{outcome.helper},delta,{outcome.delta},digest,{digest}"
+            elif isinstance(outcome, Exception):
+                line = f"reconstruction-error,{outcome}"
+                failed = True
+            else:
+                match = outcome == states[target]
+                line = f"reconstructed,{outcome},truth,{states[target]},match,{match}"
+                failed = failed or not match
+            lines.append(f"attack,{target},{line}")
     out.mkdir(parents=True, exist_ok=True)
     (out / "privacy_audit.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
     for line in lines:

@@ -305,12 +305,12 @@ def iter_rounds(trace: SimTrace, resume: RoundRecord | None = None) -> Iterator[
     node states are carried over as they are.  A node state holds no
     schedule, so the record is also that round's record of trace's own run
     exactly when trace's schedules agree with the other run's on every
-    substate not yet read at `resume`; the caller vouches for that.  The
-    records yielded are then those of trace's own run, and an overflow is
-    raised at the round the whole run would raise it, but with the partial
-    trace from the resume point on.  The record's nodes, like every node the
-    engine records, hold a mass of (0, 0) or equal to their state, which the
-    routing rests on.
+    substate already read by round resume.round (substate s is read at round
+    s - 1); the caller vouches for that.  The records yielded are then those
+    of trace's own run, and an overflow is raised at the round the whole run
+    would raise it, but with the partial trace from the resume point on.
+    The record's nodes, like every node the engine records, hold a mass of
+    (0, 0) or equal to their state, which the routing rests on.
     """
     g = trace.graph
     schedules, out_order = trace.schedules, g.out_order

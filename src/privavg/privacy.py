@@ -6,7 +6,7 @@ that knowledge model this module implements both directions of the privacy
 argument: exact reconstruction of a node's initial state when the coalition
 surrounds it completely, and construction of alternative ground truths that
 replay to a byte-identical coalition log when a non-colluding private
-neighbor exists.
+neighbor exists; attack_trial runs both against a trial's private nodes.
 
 A witness search screens many candidate ground truths against one log.
 Each differs from the original run only in two substates, read at known
@@ -395,6 +395,43 @@ def _shifted(sched: SubstateSchedule, delta: int) -> list[tuple[int, SubstateSch
         if not validate_schedule(alt, sched.dmax, NodeRole.PRIVATE):
             placements.append((i, alt))
     return placements
+
+
+WITNESS_DELTAS = (1, -1, 2, -2, 3, -3)
+
+
+def attack_trial(trace: SimTrace, roles) -> list[tuple[int, object]]:
+    """Attack each private node of trace's run with the curious nodes' log.
+
+    One (target, outcome) per attacked target, in id order.  A target whose
+    neighbors are all curious gets the reconstructed initial state, or the
+    NotFullySurroundedError or ReconstructionError that refused it.  A
+    preserved target gets the first AmbiguityWitness found with its first
+    private neighbor as helper, trying each of WITNESS_DELTAS in turn, or
+    None if no delta gives one.  A breached target with a neutral neighbor
+    is not attacked.
+    """
+    g = trace.graph
+    log = coalition_observations(trace, (j for j in range(g.n) if roles[j] is NodeRole.CURIOUS))
+    outcomes = []
+    for v in classify_privacy(g, roles):
+        if v.classification is PrivacyClass.PRESERVED:
+            neighbors = set(g.in_neighbors(v.target)) | set(g.out_neighbors(v.target))
+            helper = min(u for u in neighbors if roles[u] is NodeRole.PRIVATE)
+            found = None
+            for delta in WITNESS_DELTAS:
+                try:
+                    found = ambiguity_witness(trace, log, g, v.target, helper, delta)
+                    break
+                except WitnessUnavailableError:
+                    pass
+            outcomes.append((v.target, found))
+        elif v.justification == "all-neighbors-curious":
+            try:
+                outcomes.append((v.target, reconstruct_fully_surrounded(log, g, v.target)))
+            except (NotFullySurroundedError, ReconstructionError) as exc:
+                outcomes.append((v.target, exc))
+    return outcomes
 
 
 class _Sight(NamedTuple):

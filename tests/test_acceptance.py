@@ -24,6 +24,7 @@ from privavg.graph import (
     max_out_degree,
 )
 from privavg.privacy import (
+    WITNESS_DELTAS,
     WitnessUnavailableError,
     ambiguity_witness,
     classify_privacy,
@@ -41,7 +42,6 @@ from handtrace import TWO_NODE_EXPECTED, record_view
 from topologies import REFERENCE_EDGE_PROBABILITY, pair_inputs
 
 P, C = NodeRole.PRIVATE, NodeRole.CURIOUS
-WITNESS_DELTAS = (1, -1, 2, -2, 3, -3)
 
 
 def announce(criterion: int, ok: bool, detail: str) -> None:

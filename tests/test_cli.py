@@ -1,9 +1,15 @@
 import pytest
 
-from privavg import cli, engine
+from privavg import cli, engine, privacy
 from privavg.cli import main
 from privavg.experiments import build_trial_inputs, parse_config, run_single_trial
-from privavg.privacy import ReconstructionError, WitnessUnavailableError, classify_privacy
+from privavg.privacy import (
+    AmbiguityWitness,
+    ReconstructionError,
+    WitnessUnavailableError,
+    attack_trial,
+    classify_privacy,
+)
 
 
 @pytest.fixture
@@ -147,6 +153,38 @@ def test_run_and_privacy_audit_derive_the_same_trial(tmp_path, trial):
     assert (out / "privacy_audit.txt").read_text(encoding="ascii").splitlines() == lines
 
 
+def _attack_line(target, outcome, truth) -> str:
+    """The line privacy-audit --attack writes for one outcome of attack_trial."""
+    if outcome is None:
+        return f"attack,{target},witness,unavailable"
+    if isinstance(outcome, AmbiguityWitness):
+        return (
+            f"attack,{target},witness,helper,{outcome.helper},delta,{outcome.delta},"
+            f"digest,{outcome.log_digest[:16]}"
+        )
+    if isinstance(outcome, Exception):
+        return f"attack,{target},reconstruction-error,{outcome}"
+    return f"attack,{target},reconstructed,{outcome},truth,{truth},match,{outcome == truth}"
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_attack_lines_are_attack_trial_outcomes(tmp_path, trial):
+    """`privacy-audit --attack --trial i` writes one line per outcome that
+    attack_trial returns for trial i's trace, in its order."""
+    config_path = tmp_path / "roles.cfg"
+    config_path.write_text(MIXED_ROLES, encoding="ascii")
+    result = run_single_trial(parse_config(MIXED_ROLES), trial, keep_trace=True)
+    outcomes = attack_trial(result.trace, result.roles)
+    assert any(outcome is not None for _, outcome in outcomes)
+    out = tmp_path / "audit"
+    argv = ["--config", str(config_path), "--out-dir", str(out), "privacy-audit", "--attack"]
+    assert main([*argv, "--trial", str(trial)]) == 0
+    lines = (out / "privacy_audit.txt").read_text(encoding="ascii").splitlines()
+    assert [line for line in lines if line.startswith("attack,")] == [
+        _attack_line(target, outcome, result.states[target]) for target, outcome in outcomes
+    ]
+
+
 class TestPrivacyAuditCommand:
     def test_classification_lines(self, hub_setup, capsys):
         config_path, tmp_path = hub_setup
@@ -183,7 +221,7 @@ class TestPrivacyAuditCommand:
         def refuse(*args):
             raise ReconstructionError("log inconsistent")
 
-        monkeypatch.setattr(cli, "reconstruct_fully_surrounded", refuse)
+        monkeypatch.setattr(privacy, "reconstruct_fully_surrounded", refuse)
         config_path = _surrounded_target_config(tmp_path)
         out = tmp_path / "audit"
         code = main(
@@ -194,7 +232,7 @@ class TestPrivacyAuditCommand:
         assert "attack,0,reconstruction-error,log inconsistent" in lines
 
     def test_attack_wrong_reconstruction_is_trial_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "reconstruct_fully_surrounded", lambda *args: 6)
+        monkeypatch.setattr(privacy, "reconstruct_fully_surrounded", lambda *args: 6)
         config_path = _surrounded_target_config(tmp_path)
         out = tmp_path / "audit"
         code = main(
@@ -226,7 +264,7 @@ class TestPrivacyAuditCommand:
         def unavailable(*args):
             raise WitnessUnavailableError("no placement")
 
-        monkeypatch.setattr(cli, "ambiguity_witness", unavailable)
+        monkeypatch.setattr(privacy, "ambiguity_witness", unavailable)
         config_path, tmp_path = hub_setup
         out = tmp_path / "audit"
         code = main(

@@ -169,6 +169,10 @@ class TestConfigParsing:
         assert cfg.roles == (NodeRole.PRIVATE, NodeRole.CURIOUS, NodeRole.NEUTRAL)
         assert cfg.states_range == (-5, 5)
 
+    def test_smallest_random_graph_is_accepted(self):
+        cfg = parse_config("n = 2\np = 1\nstates = 1,2\n")
+        assert cfg.n == 2 and cfg.p == 1.0
+
     @pytest.mark.parametrize(
         "text, reason", CONFIG_REJECTIONS, ids=[text for text, _ in CONFIG_REJECTIONS]
     )

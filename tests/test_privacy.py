@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from privavg import engine, privacy
-from privavg.cli import WITNESS_DELTAS
 from privavg.engine import SimTrace, SimulationOverflowError, iter_rounds, run_simulation
 from privavg.experiments import TrialConfig, build_trial_inputs, parse_config
 from privavg.graph import (
@@ -19,6 +18,7 @@ from privavg.graph import (
     max_out_degree,
 )
 from privavg.privacy import (
+    WITNESS_DELTAS,
     AmbiguityWitness,
     NotFullySurroundedError,
     ObservationLog,
